@@ -1,17 +1,26 @@
 """The compiled-statement cache: SQL text -> compile products, once.
 
-Profiling the serving layer (``bench-service --profile``) shows that with a
-~92% answer-cache hit rate the dominant per-query cost is not the DP math
-but re-deriving what the query *is*: tokenising + parsing the SQL, probing
-every registered view for answerability, and building the transformed
-linear query — roughly three quarters of the hot path.  All of that work
-is a pure function of the SQL text and the registered view set, so
-:class:`StatementCache` memoises it: a bounded LRU keyed by the SQL text,
-holding the fully classified :class:`CompiledStatement` (routing kind,
-chosen view, transformed query/parts, and the strictness anchor the batch
-planner sorts by).
+Re-deriving what a query *is* — tokenising + parsing the SQL, routing it
+to the cheapest covering view, building the transformed linear query —
+is a pure function of the SQL text and the registered view set, and with
+answers served from cached synopses it is the dominant per-query cost.
+:class:`StatementCache` memoises it at two granularities:
 
-Accuracy/epsilon knobs deliberately stay *out* of the key: workloads
+* **by text** — a cost-bounded LRU keyed by the SQL string, holding the
+  fully classified :class:`CompiledStatement` (routing kind, chosen view,
+  transformed query/parts, and the strictness anchor the batch planner
+  sorts by).  A hit skips compilation outright.
+* **by shape** — a small table keyed by the statement's token stream with
+  its literals blanked (:func:`repro.db.sql.parser.split_literals`),
+  holding a :class:`StatementTemplate`: the parsed skeleton, its routing
+  kind and the views covering its columns.  An ad-hoc stream re-asks the
+  same few shapes with fresh literals, so a text miss that hits here
+  binds the new literals into the skeleton and goes straight to the
+  per-candidate transform — no recursive-descent parse, no routing.
+  ``hits`` / ``misses`` / ``hit_rate`` stay text-keyed; the shape table
+  reports its size and hits separately.
+
+Accuracy/epsilon knobs deliberately stay *out* of both keys: workloads
 jitter the accuracy per request (see
 :func:`repro.service.loadgen.build_mixed_workload`), and the
 accuracy-dependent half of compilation — collapsing the dual submission
@@ -19,9 +28,20 @@ modes to a variance target — is a couple of float operations computed per
 request from the cached query.  Keying on the knobs would reduce the hit
 rate to ~0 for no saved work.
 
-The cache is invalidated wholesale when a view is registered (the
-cheapest-view minimisation may now pick differently); view registration
-is an administrative operation, so this is never on the hot path.
+Both tables are invalidated wholesale when a view is registered (the
+candidate set and the cheapest-view minimisation may now differ); view
+registration is an administrative operation, so this is never on the hot
+path.  The shape table is additionally dropped wholesale when it reaches
+:data:`SHAPE_TABLE_LIMIT` — a bound on a hostile stream of never-repeated
+shapes, not a setting: real workloads hold a handful.
+
+Eviction is amortised, not rare: any stream of distinct texts crosses
+the cost bound on every insert once the cache is full.  :meth:`put`
+therefore never scans per insert — when the bound is crossed it sorts
+the slots by access tick **once** and drops the coldest down to 7/8 of
+the bound (never the entry just inserted), so the next ``bound / 8``
+inserts evict nothing.  Bounds under 8 have no slack to free and evict
+exactly one-for-one, i.e. strict LRU.
 
 Concurrency model
 -----------------
@@ -33,15 +53,17 @@ proves the probed entry belongs to the live view set.  This is the same
 versioned-read discipline as the engine's memoized-answer fast lane.
 Recency is a per-entry access tick written without a lock (a benign
 race: a lost tick can only make an entry *look* slightly colder);
-:meth:`put` — the rare path — still runs under a mutex and evicts the
-minimum-tick entry.  Hit/miss counters are plain-int increments, exact
-under sequential use and at-worst slightly undercounted under races.
+:meth:`put` and :meth:`put_template` run under a mutex and carry the
+invalidation epoch their product was compiled against.  Hit/miss
+counters are plain-int increments, exact under sequential use and
+at-worst slightly undercounted under races.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.db.sql.ast import SelectStatement
 from repro.exceptions import ReproError
@@ -56,6 +78,9 @@ from repro.views.linear import LinearQuery
 #: workloads' full distinct-SQL set with room to spare while bounding a
 #: hostile stream of unique queries by memory, not by name.
 DEFAULT_STATEMENT_CACHE = 1024
+
+#: Bound on the shape table; reaching it drops the table wholesale.
+SHAPE_TABLE_LIMIT = 4096
 
 #: Routing kinds a statement compiles to (mirrors ``DProvDB.submit``'s
 #: dispatch: plain scalars ride ``submit_compiled``, AVG splits into
@@ -90,6 +115,17 @@ class CompiledStatement:
         if self.avg_parts is not None:
             return 2
         return 1
+
+
+class StatementTemplate(NamedTuple):
+    """What every statement of one shape shares: the parsed skeleton (its
+    literals are those of the first text seen and are never served), the
+    routing kind, and the registered views covering its columns in
+    registration order."""
+
+    statement: SelectStatement
+    kind: str
+    candidates: tuple
 
 
 class _Slot:
@@ -128,12 +164,18 @@ class StatementCache:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: dict[str, _Slot] = {}
+        self._templates: dict[tuple, StatementTemplate] = {}
         self._total_cost = 0
         self._epoch = 0
         self._tick = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Times :meth:`put` sorted the slots to evict (each pass frees
+        #: an eighth of the bound, so passes << inserts).
+        self.eviction_passes = 0
+        #: Text misses served by binding into a cached template.
+        self.template_hits = 0
 
     @property
     def epoch(self) -> int:
@@ -175,18 +217,47 @@ class StatementCache:
             self._tick += 1
             entries[sql_text] = _Slot(entry, self._tick)
             self._total_cost += entry.cost
-            while self.max_entries is not None \
-                    and self._total_cost > self.max_entries \
-                    and len(entries) > 1:
-                # Evictions are rare (invalidation-or-capacity events);
-                # a min-tick scan here buys the lock-free get above.
-                victim = min(entries.items(), key=lambda kv: kv[1].tick)[0]
-                self._total_cost -= entries.pop(victim).entry.cost
+            bound = self.max_entries
+            if bound is not None and self._total_cost > bound:
+                self._evict(sql_text, bound - bound // 8)
+
+    def _evict(self, keep: str, target: int) -> None:
+        """Drop the coldest slots until the cost is within ``target``,
+        sparing ``keep`` (an entry costlier than the whole bound is
+        admitted alone).  Caller holds the lock."""
+        entries = self._entries
+        self.eviction_passes += 1
+        for key, slot in sorted(entries.items(),
+                                key=lambda item: item[1].tick):
+            if self._total_cost <= target:
+                break
+            if key != keep:
+                del entries[key]
+                self._total_cost -= slot.entry.cost
                 self.evictions += 1
 
+    def template(self, shape: tuple) -> StatementTemplate | None:
+        """Lock-free probe of the shape table."""
+        found = self._templates.get(shape)
+        if found is not None:
+            self.template_hits += 1
+        return found
+
+    def put_template(self, shape: tuple, template: StatementTemplate,
+                     epoch: int) -> None:
+        if self.max_entries == 0:
+            return  # cache disabled: never retain anything
+        with self._lock:
+            if epoch != self._epoch:
+                return  # candidates probed against an invalidated view set
+            if len(self._templates) >= SHAPE_TABLE_LIMIT:
+                self._templates = {}
+            self._templates[shape] = template
+
     def clear(self) -> None:
-        """Drop every entry (view-registration invalidation); counters
-        survive so monitoring sees the full history.
+        """Drop every entry and template (view-registration
+        invalidation); counters survive so monitoring sees the full
+        history.
 
         Replaces the entries dict instead of clearing it in place — the
         old object stays intact for any in-flight lock-free probe, whose
@@ -195,6 +266,7 @@ class StatementCache:
         with self._lock:
             self._epoch += 1
             self._entries = {}
+            self._templates = {}
             self._total_cost = 0
 
     def __len__(self) -> int:
@@ -212,8 +284,10 @@ class StatementCache:
             "misses": misses,
             "evictions": self.evictions,
             "hit_rate": (hits / lookups) if lookups else 0.0,
+            "templates": len(self._templates),
+            "template_hits": self.template_hits,
         }
 
 
-__all__ = ["DEFAULT_STATEMENT_CACHE", "KINDS", "CompiledStatement",
-           "StatementCache"]
+__all__ = ["DEFAULT_STATEMENT_CACHE", "KINDS", "SHAPE_TABLE_LIMIT",
+           "CompiledStatement", "StatementCache", "StatementTemplate"]

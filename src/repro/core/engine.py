@@ -41,6 +41,7 @@ from repro.core.compile_cache import (
     DEFAULT_STATEMENT_CACHE,
     CompiledStatement,
     StatementCache,
+    StatementTemplate,
 )
 from repro.core.mechanism import GaussianAccountant, MechanismBase
 from repro.core.policies import build_constraints
@@ -50,7 +51,13 @@ from repro.core.zcdp_vanilla import ZCdpVanillaMechanism
 from repro.core.translation import DEFAULT_PRECISION
 from repro.datasets.base import DatasetBundle
 from repro.db.sql.ast import SelectStatement
-from repro.db.sql.parser import parse
+from repro.db.sql.lexer import tokenize
+from repro.db.sql.parser import (
+    bind_literals,
+    parse,
+    parse_tokens,
+    split_literals,
+)
 from repro.db.sql.unparse import to_sql
 from repro.dp.gaussian import analytic_gaussian_sigma
 from repro.dp.rng import SeedLike, ensure_generator
@@ -346,46 +353,71 @@ class DProvDB:
     def compile_statement(self, sql) -> CompiledStatement:
         """Parse + classify + compile ``sql``, memoised by its text.
 
-        A cache hit skips the whole front half of query processing —
-        tokenising, parsing, probing every registered view for
-        answerability, and building the transformed linear query (or the
-        per-group / SUM-COUNT parts) — which profiling shows is ~3/4 of
-        the serving hot path.  Only string SQL is cached (a pre-built
-        :class:`SelectStatement` has no stable cheap key); compile
-        *failures* are not cached and re-raise each time.
+        A text hit skips the whole front half of query processing.  A
+        text miss lexes once and looks the statement's *shape* up (see
+        :func:`repro.db.sql.parser.split_literals`): a known shape binds
+        the new literals into the remembered skeleton and compiles over
+        the remembered candidate views, so only a never-seen shape pays
+        the parser and the routing probe.  Only string SQL is cached (a
+        pre-built :class:`SelectStatement` has no stable cheap key);
+        compile *failures* are not cached and re-raise each time.
         """
         self.compile_calls += 1
-        sql_text = sql if isinstance(sql, str) else None
-        if sql_text is not None:
-            entry = self.statement_cache.get(sql_text)
-            if entry is not None:
-                return entry
+        if not isinstance(sql, str):
+            return self._compile_routed(sql, self._template_for(sql))
+        cache = self.statement_cache
+        entry = cache.get(sql)
+        if entry is not None:
+            return entry
         # Snapshot the invalidation epoch before compiling: if a view is
-        # registered while this compile is in flight, the insert below
-        # is dropped rather than resurrecting a stale view choice.
-        epoch = self.statement_cache.epoch
-        entry = self._compile_uncached(self._resolve(sql))
-        if sql_text is not None:
-            self.statement_cache.put(sql_text, entry, epoch=epoch)
+        # registered while this compile is in flight, the inserts below
+        # are dropped rather than resurrecting a stale view choice.
+        epoch = cache.epoch
+        tokens = tokenize(sql)
+        shape, literals = split_literals(tokens)
+        template = cache.template(shape)
+        if template is None:
+            statement = parse_tokens(tokens)
+            template = self._template_for(statement)
+            cache.put_template(shape, template, epoch)
+        else:
+            statement = bind_literals(template.statement, literals)
+        entry = self._compile_routed(statement, template)
+        cache.put(sql, entry, epoch=epoch)
         return entry
 
-    def _compile_uncached(self, statement: SelectStatement
-                          ) -> CompiledStatement:
-        agg = statement.aggregates[0] if statement.aggregates else None
+    def _template_for(self, statement: SelectStatement
+                      ) -> StatementTemplate:
+        """Routing kind and covering views: the literal-free half of
+        compilation."""
         if statement.group_by:
-            view = self.registry.select(statement)
+            kind = "group_by"
+        elif statement.aggregates and statement.aggregates[0].func == "AVG":
+            kind = "avg"
+        else:
+            kind = "scalar"
+        return StatementTemplate(statement, kind,
+                                 self.registry.candidates(statement))
+
+    def _compile_routed(self, statement: SelectStatement,
+                        template: StatementTemplate) -> CompiledStatement:
+        """The literal-dependent half: transform ``statement`` over the
+        candidate views of its shape's ``template``."""
+        kind, candidates = template.kind, template.candidates
+        if kind == "group_by":
+            view = self.registry.select(statement, candidates)
             parts = tuple(transform_group_by(statement, view))
             strictest = max((q for _, q in parts if q.weight_norm_sq > 0),
                             key=lambda q: q.weight_norm_sq, default=None)
             return CompiledStatement(statement, "group_by", view,
                                      group_parts=parts, strictest=strictest)
-        if agg is not None and agg.func == "AVG" and statement.is_scalar():
-            view = self.registry.select(statement)
+        if kind == "avg":
+            view = self.registry.select(statement, candidates)
             avg_parts = transform_avg_parts(statement, view)
             return CompiledStatement(statement, "avg", view,
                                      avg_parts=avg_parts,
                                      strictest=avg_parts[0])
-        view, query = self.registry.compile(statement)
+        view, query = self.registry.compile(statement, candidates=candidates)
         return CompiledStatement(statement, "scalar", view, query=query,
                                  strictest=query)
 

@@ -1,4 +1,13 @@
-"""Recursive-descent parser for the SQL subset."""
+"""Recursive-descent parser for the SQL subset.
+
+Besides :func:`parse`, the module splits a token stream into *(shape,
+literals)* and binds literals back into a parsed skeleton, so a caller
+that has parsed one statement of a shape can build every other statement
+of that shape without running the grammar again (see
+:mod:`repro.core.compile_cache`).  The grammar stays the only judge of
+well-formedness: a shape is only ever bound after a statement of that
+exact shape has parsed.
+"""
 
 from __future__ import annotations
 
@@ -135,20 +144,105 @@ class _Parser:
         return Comparison(column, op, self._parse_literal())
 
     def _parse_literal(self) -> Literal:
-        token = self._peek()
-        if token.matches(TokenType.NUMBER):
-            self._advance()
-            text = token.value
-            return float(text) if "." in text else int(text)
-        if token.matches(TokenType.STRING):
-            self._advance()
-            return token.value
-        raise SQLError(f"expected literal at position {token.position}")
+        value = _parse_literal(self._peek())
+        self._advance()
+        return value
+
+
+def _parse_literal(token: Token) -> Literal:
+    """The value of a NUMBER or STRING token."""
+    if token.type is TokenType.NUMBER:
+        text = token.value
+        return float(text) if "." in text else int(text)
+    if token.type is TokenType.STRING:
+        return token.value
+    raise SQLError(f"expected literal at position {token.position}")
+
+
+def parse_tokens(tokens: list[Token]) -> SelectStatement:
+    """Parse an already tokenised statement."""
+    return _Parser(tokens).parse_select()
 
 
 def parse(sql: str) -> SelectStatement:
     """Parse ``sql`` into a :class:`SelectStatement`."""
-    return _Parser(tokenize(sql)).parse_select()
+    return parse_tokens(tokenize(sql))
 
 
-__all__ = ["parse"]
+#: Shape placeholders.  Neither can be a token value: ``?`` does not lex.
+_ONE, _MANY = "?", "?*"
+_LITERALS = (TokenType.NUMBER, TokenType.STRING)
+
+
+def split_literals(tokens: list[Token]) -> tuple[tuple[str, ...], list]:
+    """Split a token stream into its *shape* and its literals.
+
+    The shape is the stream's token values with every NUMBER/STRING
+    replaced by a placeholder and each well-formed ``IN ( lit, ... )``
+    list collapsed to one variadic placeholder, so neither literal values
+    nor list lengths mint shapes.  Keywords arrive upper-cased from the
+    lexer and identifiers verbatim, so case variants of a keyword share a
+    shape and case variants of a column do not.  The literals come back
+    in source order: a token per placeholder, a tuple of tokens per
+    collapsed list.
+
+    The grammar accepts a NUMBER wherever it accepts a STRING, and a list
+    is collapsed only when it is exactly ``( lit {, lit} )``, so whether a
+    statement parses is a function of its shape alone.
+    """
+    shape: list[str] = []
+    literals: list = []
+    n = len(tokens)
+    i = 0
+    while i < n:
+        token = tokens[i]
+        if token.type in _LITERALS:
+            shape.append(_ONE)
+            literals.append(token)
+        elif token.value == "IN" and token.type is TokenType.KEYWORD \
+                and tokens[i + 1].type is TokenType.LPAREN:
+            # tokens always end with EOF, so i + 1 exists after a keyword.
+            j = i + 2
+            members = []
+            while tokens[j].type in _LITERALS:
+                members.append(tokens[j])
+                if tokens[j + 1].type is not TokenType.COMMA:
+                    break
+                j += 2
+            if members and tokens[j].type in _LITERALS \
+                    and tokens[j + 1].type is TokenType.RPAREN:
+                shape += ("IN", "(", _MANY, ")")
+                literals.append(tuple(members))
+                i = j + 2
+                continue
+            shape.append(token.value)
+        else:
+            shape.append(token.value)
+        i += 1
+    return tuple(shape), literals
+
+
+def bind_literals(skeleton: SelectStatement, literals: list
+                  ) -> SelectStatement:
+    """``skeleton`` with its predicate's literals replaced, in source
+    order, by ``literals`` — the pair :func:`split_literals` returned for
+    another statement of the skeleton's shape.  Equals what :func:`parse`
+    returns for that statement."""
+    values = iter(literals)
+    conditions = []
+    for cond in skeleton.predicate.conditions:
+        if isinstance(cond, Comparison):
+            cond = Comparison(cond.column, cond.op,
+                              _parse_literal(next(values)))
+        elif isinstance(cond, Between):
+            cond = Between(cond.column, _parse_literal(next(values)),
+                           _parse_literal(next(values)))
+        else:
+            cond = InList(cond.column,
+                          tuple(_parse_literal(t) for t in next(values)))
+        conditions.append(cond)
+    return SelectStatement(skeleton.aggregates, skeleton.table,
+                           Predicate(tuple(conditions)), skeleton.group_by)
+
+
+__all__ = ["bind_literals", "parse", "parse_tokens", "split_literals"]

@@ -668,9 +668,11 @@ def run_trace_overhead(dataset: str = "adult",
         view_width, seed)
 
     def build(axis: str) -> QueryService:
+        # Per-view streams: a batch's view groups fan out on the shard
+        # pool, so one shared RNG would hand out draws in thread order.
         return _build_service(
             bundle, analysts, epsilon, "additive", 256, "sharded",
-            shards, seed, attribute_sets,
+            shards, seed, attribute_sets, noise_streams="per_view",
             tracer=Tracer(enabled=(axis == "on")))
 
     services = {"off": build("off"), "on": build("on")}
@@ -779,9 +781,12 @@ def run_audit_overhead(dataset: str = "adult",
         view_width, seed)
 
     def build(axis: str) -> QueryService:
+        # Per-view streams: a batch's view groups fan out on the shard
+        # pool, so one shared RNG would hand out draws in thread order.
         return _build_service(
             bundle, analysts, epsilon, "additive", 256, "sharded",
-            shards, seed, attribute_sets, audit=(axis == "on"))
+            shards, seed, attribute_sets, noise_streams="per_view",
+            audit=(axis == "on"))
 
     qps = {"off": 0.0, "on": 0.0}
     warm_qps = {"off": 0.0, "on": 0.0}

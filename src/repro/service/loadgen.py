@@ -442,10 +442,15 @@ def run_sequential_replay(service: QueryService, analysts: list[Analyst],
     One caller thread makes the replay order deterministic; parallelism
     is still exercised *inside* each ``submit_batch`` (the threaded
     backend fans per-view groups across its shard pool, the mp backend
-    across its worker processes).  With ``noise_streams="per_view"`` and
-    an integer seed, two backends replaying the same workload must then
-    produce bitwise-identical answers — the equality the
-    ``--compare-threaded`` bench gate asserts.
+    across its worker processes).  Batched replays are therefore only
+    reproducible **per view**: under ``noise_streams="shared"`` the
+    groups of one batch draw from one RNG in thread-scheduling order, so
+    the same noise values can land on swapped queries from run to run.
+    With ``noise_streams="per_view"`` and an integer seed, two replays of
+    the same workload — across backends, or with an observer on and off —
+    produce bitwise-identical answers: the equality the
+    ``--compare-threaded`` bench gate and the trace/audit overhead gates
+    assert.
 
     Returns the usual :class:`ThroughputResult` plus the flat response
     trace: one tuple per response, ``("ok", value_or_groups, epsilon)``

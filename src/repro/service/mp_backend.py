@@ -336,8 +336,6 @@ def _reinit_worker_state(service) -> None:
         engine.statement_cache.max_entries)
     registry = engine.registry
     registry._materialize_lock = threading.Lock()
-    registry._route_lock = threading.Lock()
-    registry._route_cache = {}
     mech = engine.mechanism
     mech._ledger_lock = threading.Lock()
     store = mech.store

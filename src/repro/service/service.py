@@ -753,22 +753,26 @@ class QueryService:
                        lambda: self._engine.compile_calls)
         routing = self._engine.registry
         registry.gauge("repro_view_routing_hits_total",
-                       "Memoized view-routing decisions reused",
+                       "Routing-index probes that found a covering view",
                        lambda: routing.routing_counters()["hits"])
         registry.gauge("repro_view_routing_hit_rate",
-                       "View-routing cache hit rate",
+                       "Share of routing-index probes that found a "
+                       "covering view",
                        lambda: routing.routing_counters()["hit_rate"])
         registry.gauge("repro_view_routing_total",
-                       "Memoized view-routing lookups, by result",
+                       "Routing-index probes (one per statement shape, "
+                       "not per query), by result",
                        lambda: {"hit": routing.routing_counters()["hits"],
                                 "miss":
                                 routing.routing_counters()["misses"]},
                        expand_label="result")
         registry.gauge("repro_view_routing_entries",
-                       "Entries in the view-routing memo",
+                       "Keys in the routing index (attribute subsets of "
+                       "the registered views)",
                        lambda: routing.routing_counters()["entries"])
         registry.gauge("repro_view_routing_generation",
-                       "View-routing memo invalidation generation",
+                       "Views registered (each one re-files the index "
+                       "and clears the statement cache)",
                        lambda: routing.routing_counters()["generation"])
         tracer = self.tracer
         registry.gauge("repro_traces_started_total",
@@ -884,8 +888,9 @@ class QueryService:
                                for key, value
                                in self.cache_stats.as_dict().items()},
             "open_sessions": open_sessions,
-            # Hot-path caches: the compiled-statement LRU (parse+compile
-            # memoisation) and the memoized-answer fast lane.
+            # Hot-path caches: the compiled-statement LRU with its shape
+            # table (parse+compile memoisation) and the memoized-answer
+            # fast lane.
             "compiled_statements": self._engine.statement_cache.counters(),
             "fast_lane": self._engine.fast_lane_counters(),
             "execution": self._execution,
@@ -893,8 +898,7 @@ class QueryService:
             "backend": (self._backend_impl.describe()
                         if self._backend_impl is not None
                         else {"mode": "threaded"}),
-            # Satellite of the mp work: memoized view-routing decisions
-            # (per registry generation) with hit counters.
+            # Probes of the registry's column-set routing index.
             "view_routing": self._engine.registry.routing_counters(),
             "tracing": self.tracer.counters(),
             "closed": self._closed,

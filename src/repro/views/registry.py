@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
+from itertools import combinations
 
 import numpy as np
 
@@ -25,12 +26,6 @@ from repro.views.transform import is_answerable, transform
 #: Views the registry accepts: flat histograms and dyadic trees.
 AnyView = HistogramView | HierarchicalView
 
-#: Bound on memoized routing decisions; the cache is cleared wholesale
-#: past this (routing entries are tiny, but a workload of unbounded
-#: distinct statements must not grow the registry without limit).
-ROUTING_CACHE_LIMIT = 4096
-
-
 class ViewRegistry:
     """Holds the system's views and their exact materialisations."""
 
@@ -41,22 +36,20 @@ class ViewRegistry:
         self._materialize_lock = threading.Lock()
         #: Wall-clock seconds spent materialising exact views ("setup time").
         self.setup_seconds = 0.0
-        # Routing memoization: answerability probing + candidate
-        # compilation dominate :meth:`compile`/:meth:`select` (profiling
-        # shows ~5 probes per query on the serving path), yet the
-        # decision is a pure function of (registered views, statement).
-        # Entries are keyed by the statement *object* (every AST node is
-        # a frozen, hashable dataclass, so structurally equivalent
-        # statements share one entry without paying an unparse per
-        # probe) plus the routing *generation* — bumped on every view
-        # registration — so a new view can never resurrect a stale
-        # choice.  The probe path is entirely lock-free: dict lookups
-        # are atomic in CPython and the hit/miss counters are plain-int
-        # increments (exact sequentially; at worst undercounted by a
-        # race); only stores take the lock.
+        # Routing index: a view can only answer a statement over its own
+        # table whose columns (predicate, GROUP BY, SUM/AVG operand) are
+        # all view attributes, so each view is filed at ``add()`` time
+        # under ``(table, frozenset(subset))`` for every subset of its
+        # attributes and routing is one dict probe with the statement's
+        # column set — the catalog alone decides the index, no statement
+        # ever grows it.  A k-attribute view files 2**k keys, no more
+        # than it has bins when every domain holds two values or more.
+        # Buckets keep registration order, which is the tie-break of the
+        # cost minimisation.  Counters are plain-int increments (exact
+        # sequentially, at worst undercounted by a race); a hit is a
+        # probe that found at least one covering view.
         self._route_generation = 0
-        self._route_cache: dict[tuple, tuple] = {}
-        self._route_lock = threading.Lock()
+        self._covering: dict[tuple, tuple[AnyView, ...]] = {}
         self._route_hits = 0
         self._route_misses = 0
 
@@ -65,7 +58,11 @@ class ViewRegistry:
         if view.name in self._views:
             raise SchemaError(f"view {view.name!r} already registered")
         self._views[view.name] = view
-        # Any cheapest-view decision may change: version the cache away.
+        attributes = view.attributes
+        for width in range(len(attributes) + 1):
+            for subset in combinations(attributes, width):
+                key = (view.table, frozenset(subset))
+                self._covering[key] = self._covering.get(key, ()) + (view,)
         self._route_generation += 1
 
     def add_attribute_views(self, table: str,
@@ -124,98 +121,86 @@ class ViewRegistry:
         return self.setup_seconds
 
     # -- selection ----------------------------------------------------------
-    @staticmethod
-    def _answerable(view: AnyView, statement: SelectStatement) -> bool:
-        if isinstance(view, HierarchicalView):
-            return view.answerable(statement)
-        return is_answerable(statement, view)
-
-    @staticmethod
-    def _compile_one(view: AnyView, statement: SelectStatement,
-                     clip: tuple[float, float] | None) -> LinearQuery:
-        if isinstance(view, HierarchicalView):
-            return view.to_linear(statement)
-        return transform(statement, view, clip)
-
-    # -- routing memoization -------------------------------------------------
-    def _route_lookup(self, key: tuple):
-        """Lock-free probe of the routing cache; counts the outcome."""
-        hit = self._route_cache.get(key)
-        if hit is not None:
+    def candidates(self, statement: SelectStatement
+                   ) -> tuple[AnyView, ...]:
+        """Views over the statement's table covering every column it
+        needs, in registration order — a superset of the views that can
+        answer it (aggregate support and bin alignment are the
+        transform's to judge)."""
+        needed = set(statement.group_by)
+        for cond in statement.predicate.conditions:
+            needed.add(cond.column)
+        for agg in statement.aggregates:
+            if agg.func != "COUNT":
+                needed.add(agg.column)
+        found = self._covering.get((statement.table, frozenset(needed)), ())
+        if found:
             self._route_hits += 1
         else:
             self._route_misses += 1
-        return hit
-
-    def _route_store(self, key: tuple, value: tuple) -> None:
-        with self._route_lock:
-            if len(self._route_cache) >= ROUTING_CACHE_LIMIT:
-                self._route_cache = {}
-            self._route_cache[key] = value
+        return found
 
     def routing_counters(self) -> dict:
-        """JSON-native view-routing cache statistics for snapshots."""
+        """JSON-native routing-index statistics for snapshots."""
         hits, misses = self._route_hits, self._route_misses
-        entries = len(self._route_cache)
         total = hits + misses
         return {
             "hits": hits,
             "misses": misses,
-            "entries": entries,
+            "entries": len(self._covering),
             "generation": self._route_generation,
             "hit_rate": (hits / total) if total else 0.0,
         }
 
-    def select(self, statement: SelectStatement) -> HistogramView:
+    def select(self, statement: SelectStatement,
+               candidates: tuple[AnyView, ...] | None = None
+               ) -> HistogramView:
         """Smallest *flat* view answering ``statement``.
 
         Used for GROUP BY / AVG compilation, which dyadic views do not
         support; scalar counting queries should go through :meth:`compile`,
         which also considers hierarchical views with a cost criterion.
-        Decisions are memoized per routing generation (the choice is a
-        pure function of the catalog and the statement).
+        ``candidates`` is a remembered :meth:`candidates` result for a
+        statement of the same shape (it depends on columns, not literals).
         """
-        key = (self._route_generation, "select", statement)
-        cached = self._route_lookup(key)
-        if cached is not None:
-            return self._views[cached[0]]
-        candidates = [v for v in self._views.values()
-                      if isinstance(v, HistogramView)
-                      and is_answerable(statement, v)]
-        if not candidates:
+        if candidates is None:
+            candidates = self.candidates(statement)
+        answering = [v for v in candidates
+                     if isinstance(v, HistogramView)
+                     and is_answerable(statement, v)]
+        if not answering:
             raise UnanswerableQuery(
                 f"no registered view answers: {statement}"
             )
-        chosen = min(candidates, key=lambda v: v.size)
-        self._route_store(key, (chosen.name,))
-        return chosen
+        return min(answering, key=lambda v: v.size)
 
     def compile(self, statement: SelectStatement,
-                clip: tuple[float, float] | None = None
+                clip: tuple[float, float] | None = None,
+                candidates: tuple[AnyView, ...] | None = None
                 ) -> tuple[AnyView, LinearQuery]:
         """Compile ``statement`` over the cheapest answerable view.
 
         The cost of answering a query over a view at fixed accuracy scales
         with ``sensitivity^2 * ||w||^2`` (the per-bin variance the synopsis
         must reach, times the noise a unit budget buys), so the registry
-        compiles every answerable candidate and keeps the minimiser — flat
-        histograms win for narrow predicates, dyadic trees for wide ranges.
-        The winning (view, query) pair is memoized per routing generation:
-        compiled queries are immutable, so repeat statements skip the
-        full candidate sweep.  Failures are never cached (they may carry
-        statement-specific diagnostics and are off the hot path).
+        compiles every covering candidate once and keeps the minimiser —
+        flat histograms win for narrow predicates, dyadic trees for wide
+        ranges.  The transform is its own answerability check: it raises
+        for an unsupported aggregate or a bin-misaligned predicate, and
+        that candidate is skipped.
         """
-        key = (self._route_generation, "compile", statement, clip)
-        cached = self._route_lookup(key)
-        if cached is not None:
-            return cached
+        if candidates is None:
+            candidates = self.candidates(statement)
         best: tuple[AnyView, LinearQuery] | None = None
         best_cost = float("inf")
-        for view in self._views.values():
-            if not self._answerable(view, statement):
-                continue
+        for view in candidates:
             try:
-                query = self._compile_one(view, statement, clip)
+                if isinstance(view, HierarchicalView):
+                    if not view.answerable(statement):
+                        continue
+                    query = view.to_linear(statement)
+                else:
+                    query = transform(statement, view, clip)
             except UnanswerableQuery:
                 continue
             cost = view.sensitivity() ** 2 * query.weight_norm_sq
@@ -225,8 +210,7 @@ class ViewRegistry:
             raise UnanswerableQuery(
                 f"no registered view answers: {statement}"
             )
-        self._route_store(key, best)
         return best
 
 
-__all__ = ["ROUTING_CACHE_LIMIT", "ViewRegistry"]
+__all__ = ["ViewRegistry"]

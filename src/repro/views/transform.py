@@ -14,6 +14,8 @@ bin (full-domain semantics, so absent values appear as noisy-zero bins).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.db.schema import CategoricalDomain, Domain, IntegerDomain
@@ -25,7 +27,7 @@ from repro.db.sql.ast import (
     InList,
     SelectStatement,
 )
-from repro.exceptions import UnanswerableQuery
+from repro.exceptions import SchemaError, UnanswerableQuery
 from repro.views.histogram import HistogramView
 from repro.views.linear import LinearQuery
 
@@ -80,6 +82,15 @@ def _check_answerable(statement: SelectStatement, view: HistogramView) -> None:
     raise UnanswerableQuery(f"aggregate {agg.func} not answerable over views")
 
 
+#: Comparison operators; apply to a scalar bin value or, elementwise, to
+#: an array of them.
+_COMPARE = {
+    "=": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+}
+
+
 def _is_plain_number(value) -> bool:
     """Numeric operand the vectorized mask path handles (bools keep the
     scalar path's python-equality semantics)."""
@@ -89,12 +100,7 @@ def _is_plain_number(value) -> bool:
 def _evaluate_array(values: np.ndarray, cond: Condition) -> np.ndarray:
     """Vectorized condition evaluation over an array of bin values."""
     if isinstance(cond, Comparison):
-        ops = {
-            "=": np.equal, "!=": np.not_equal,
-            "<": np.less, "<=": np.less_equal,
-            ">": np.greater, ">=": np.greater_equal,
-        }
-        return ops[cond.op](values, cond.value)
+        return _COMPARE[cond.op](values, cond.value)
     if isinstance(cond, Between):
         return (cond.low <= values) & (values <= cond.high)
     if isinstance(cond, InList):
@@ -194,6 +200,26 @@ def _integer_bin_mask(domain: IntegerDomain, cond: Condition,
     return full
 
 
+def _categorical_bin_mask(domain: CategoricalDomain,
+                          cond: Comparison | InList) -> np.ndarray:
+    """``=`` / ``!=`` / ``IN`` over an enumerated domain in O(operands).
+
+    The domain's value -> bin lookup is a dict, so an operand selects the
+    bin whose value it equals under python equality (``1``, ``1.0`` and
+    ``True`` name the same bin) and no bin when the domain lacks it.
+    """
+    mask = np.zeros(domain.size, dtype=bool)
+    operands = cond.values if isinstance(cond, InList) else (cond.value,)
+    for operand in operands:
+        try:
+            mask[domain.index_of(operand)] = True
+        except SchemaError:
+            pass  # not a domain value: selects nothing
+    if isinstance(cond, Comparison) and cond.op == "!=":
+        return ~mask
+    return mask
+
+
 def _bin_mask_for_condition(domain: Domain, cond: Condition) -> np.ndarray:
     """Inclusion vector for one condition over one attribute's bins.
 
@@ -204,44 +230,40 @@ def _bin_mask_for_condition(domain: Domain, cond: Condition) -> np.ndarray:
     discretisation caveat).
 
     Integer domains with numeric operands take a vectorized path (one
-    numpy comparison over the domain instead of a python loop per bin);
-    categorical domains and exotic operands keep the scalar loop below,
-    whose semantics the vectorized path mirrors exactly.
+    numpy comparison over the domain instead of a python loop per bin)
+    and categorical domains a value -> bin lookup per operand; integer
+    domains with exotic operands keep the scalar loop below, whose
+    semantics the other two mirror exactly.
     """
-    is_wide_integer = (isinstance(domain, IntegerDomain)
-                       and domain.bin_size > 1)
-
-    def evaluate(value) -> bool:
-        if isinstance(cond, Comparison):
-            ops = {
-                "=": lambda v: v == cond.value,
-                "!=": lambda v: v != cond.value,
-                "<": lambda v: v < cond.value,
-                "<=": lambda v: v <= cond.value,
-                ">": lambda v: v > cond.value,
-                ">=": lambda v: v >= cond.value,
-            }
-            return bool(ops[cond.op](value))
-        if isinstance(cond, Between):
-            return bool(cond.low <= value <= cond.high)
-        if isinstance(cond, InList):
-            return value in set(cond.values)
-        raise UnanswerableQuery(  # pragma: no cover - parser limited
-            f"unsupported condition {type(cond).__name__}"
-        )
-
     ordered = isinstance(cond, Between) or (
         isinstance(cond, Comparison) and cond.op in ("<", "<=", ">", ">=")
     )
-    if ordered and isinstance(domain, CategoricalDomain):
-        raise UnanswerableQuery(
-            f"ordering comparison on categorical column {cond.column!r}"
-        )
+    if isinstance(domain, CategoricalDomain):
+        if ordered:
+            raise UnanswerableQuery(
+                f"ordering comparison on categorical column {cond.column!r}"
+            )
+        return _categorical_bin_mask(domain, cond)
 
     if isinstance(domain, IntegerDomain):
         vectorized = _integer_bin_mask(domain, cond, ordered)
         if vectorized is not None:
             return vectorized
+
+    is_wide_integer = (isinstance(domain, IntegerDomain)
+                       and domain.bin_size > 1)
+    members = set(cond.values) if isinstance(cond, InList) else None
+
+    def evaluate(value) -> bool:
+        if isinstance(cond, Comparison):
+            return bool(_COMPARE[cond.op](value, cond.value))
+        if isinstance(cond, Between):
+            return bool(cond.low <= value <= cond.high)
+        if isinstance(cond, InList):
+            return value in members
+        raise UnanswerableQuery(  # pragma: no cover - parser limited
+            f"unsupported condition {type(cond).__name__}"
+        )
 
     def wide_bin_inclusion(low: int, high: int) -> bool:
         """All-in -> True, all-out -> False, partial -> unanswerable."""

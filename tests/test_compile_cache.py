@@ -41,6 +41,62 @@ class TestStatementCache:
         assert counters["hit_rate"] == pytest.approx(0.75)
         json.dumps(counters)  # strictly JSON-native
 
+    def test_flood_of_distinct_texts_evicts_in_amortised_passes(self):
+        # Every insert past the bound crosses it; eviction must be a
+        # rare sorted pass, not a scan per insert, and a text that is
+        # still being asked must ride the flood out.
+        cache = StatementCache(max_entries=1024)
+        entry = CompiledStatement(None, "scalar", None)
+        cache.put("hot", entry)
+        inserts = 1
+        for i in range(10_000):
+            cache.put(f"q{i}", entry)
+            inserts += 1
+            assert cache.get("hot") is entry
+            assert cache.counters()["cost"] <= 1024
+        counters = cache.counters()
+        assert counters["evictions"] + counters["entries"] == inserts
+        assert counters["entries"] == counters["cost"] >= 1024 - 1024 // 8
+        assert 0 < cache.eviction_passes <= inserts // 64
+        assert cache.get("q9999") is entry      # the newest survives
+        assert cache.get("q0") is None          # the coldest went first
+
+    def test_eviction_never_drops_the_entry_just_inserted(self):
+        cache = StatementCache(max_entries=16)
+        wide = CompiledStatement(None, "group_by", None,
+                                 group_parts=((None, None),) * 40)
+        for i in range(16):
+            cache.put(f"q{i}", CompiledStatement(None, "scalar", None))
+        cache.put("wide", wide)                 # costlier than the bound
+        assert cache.get("wide") is wide
+        assert len(cache) == 1 and cache.counters()["cost"] == 40
+        cache.put("next", CompiledStatement(None, "scalar", None))
+        assert cache.get("next") is not None and cache.get("wide") is None
+
+    def test_templates_follow_the_entries_lifecycle(self):
+        from repro.core.compile_cache import (
+            SHAPE_TABLE_LIMIT,
+            StatementTemplate,
+        )
+
+        template = StatementTemplate(None, "scalar", ())
+        cache = StatementCache()
+        cache.put_template(("a",), template, cache.epoch)
+        assert cache.template(("a",)) is template
+        assert cache.template(("b",)) is None
+        stale = cache.epoch
+        cache.clear()                           # view registration
+        assert cache.template(("a",)) is None
+        cache.put_template(("a",), template, stale)
+        assert cache.template(("a",)) is None   # dropped, not resurrected
+        for i in range(SHAPE_TABLE_LIMIT + 1):  # hostile shape stream
+            cache.put_template((i,), template, cache.epoch)
+        assert cache.counters()["templates"] == 1
+        assert cache.counters()["template_hits"] == 1
+        disabled = StatementCache(max_entries=0)
+        disabled.put_template(("a",), template, disabled.epoch)
+        assert disabled.template(("a",)) is None
+
     def test_unbounded_never_evicts(self):
         cache = StatementCache(max_entries=None)
         entry = CompiledStatement(None, "scalar", None)
@@ -127,6 +183,56 @@ class TestEngineIntegration:
         engine.register_view(("age", "sex"))
         compiled = engine.compile_statement(sql)
         assert compiled.view.name.endswith("age_sex")
+
+    def test_known_shape_skips_parser_and_routing(self, engine,
+                                                  adult_bundle,
+                                                  monkeypatch):
+        import repro.core.engine as engine_module
+        from repro.db.sql.parser import parse
+
+        table = adult_bundle.fact_table
+        engine.register_view(("age", "sex"))
+        texts = [f"SELECT COUNT(*) FROM {table} WHERE age BETWEEN {low} "
+                 f"AND {low + 9} AND sex IN ({members})"
+                 for low, members in ((20, "'male'"),
+                                      (30, "'female', 'male'"),
+                                      (41, "'female'"))]
+        first = engine.compile_statement(texts[0])
+        probes = engine.registry.routing_counters()
+        parsed = []
+        monkeypatch.setattr(
+            engine_module, "parse_tokens",
+            lambda tokens: parsed.append(tokens) or parse(texts[0]))
+        for text in texts[1:]:
+            entry = engine.compile_statement(text)
+            assert entry.statement == parse(text)
+            assert entry.view is first.view and entry.kind == "scalar"
+            fresh_view, fresh_query = engine.registry.compile(parse(text))
+            assert fresh_view is entry.view
+            assert (fresh_query.weights == entry.query.weights).all()
+        assert parsed == []                     # the grammar never ran
+        after = engine.registry.routing_counters()
+        # Only the two reference compiles above probed the index.
+        assert after["hits"] + after["misses"] \
+            == probes["hits"] + probes["misses"] + 2
+        counters = engine.statement_cache.counters()
+        assert counters["templates"] == 1 and counters["template_hits"] == 2
+
+    def test_register_view_drops_templates(self, engine, adult_bundle):
+        table = adult_bundle.fact_table
+        sql = f"SELECT COUNT(*) FROM {table} WHERE age >= {{}} " \
+              f"AND sex = 'male'"
+        with pytest.raises(UnanswerableQuery):
+            engine.compile_statement(sql.format(40))
+        # The shape is known (and known to have no covering view)...
+        with pytest.raises(UnanswerableQuery):
+            engine.compile_statement(sql.format(41))
+        assert engine.statement_cache.counters()["template_hits"] == 1
+        engine.register_view(("age", "sex"))
+        # ...until a registration changes the candidates.
+        assert engine.statement_cache.counters()["templates"] == 0
+        assert engine.compile_statement(sql.format(42)) \
+            .view.name.endswith("age_sex")
 
     def test_register_view_drops_stale_choices(self, engine, adult_bundle):
         sql = f"SELECT COUNT(*) FROM {adult_bundle.fact_table} " \

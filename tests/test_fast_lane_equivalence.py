@@ -60,13 +60,46 @@ def make_workload(bundle, analysts, queries_per_analyst=30, seed=7):
     return streams
 
 
+PAIR_VIEWS = (("age", "sex"), ("hours_per_week", "race"))
+
+
+def make_adhoc_workload(bundle, analysts, queries_per_analyst=40, seed=13):
+    """Fresh-literal two-predicate statements over :data:`PAIR_VIEWS`:
+    two shapes, (almost) never the same text twice — every compile is a
+    text miss the shape table serves."""
+    rng = np.random.default_rng(seed)
+    schema = bundle.database.table(bundle.fact_table).schema
+    streams = {}
+    for analyst in analysts:
+        stream = []
+        for _ in range(queries_per_analyst):
+            ordered, categorical = PAIR_VIEWS[int(rng.integers(0, 2))]
+            domain = schema.domain(ordered)
+            values = schema.domain(categorical).values
+            low = int(rng.integers(domain.low, domain.high))
+            high = int(rng.integers(low, domain.high + 1))
+            picks = rng.choice(len(values), replace=False,
+                               size=int(rng.integers(1, len(values) + 1)))
+            members = ", ".join(f"'{values[int(i)]}'" for i in sorted(picks))
+            stream.append(QueryRequest(
+                f"SELECT COUNT(*) FROM {bundle.fact_table} WHERE {ordered} "
+                f"BETWEEN {low} AND {high} AND {categorical} IN ({members})",
+                accuracy=float(2e5 * 2.0 ** rng.uniform(-1.0, 1.0))))
+        streams[analyst.name] = stream
+    return streams
+
+
 def replay(bundle, analysts, streams, *, fast_lane, mechanism="additive",
-           mode="single", max_cached=256, batch_size=8, epsilon=16.0):
+           mode="single", max_cached=256, batch_size=8, epsilon=16.0,
+           pair_views=(), **engine_kwargs):
     """One deterministic single-threaded replay; returns the evidence."""
     service = QueryService.build(bundle, analysts, epsilon,
                                  mechanism=mechanism,
-                                 max_cached_synopses=max_cached, seed=123)
+                                 max_cached_synopses=max_cached, seed=123,
+                                 **engine_kwargs)
     service.engine.fast_lane = fast_lane
+    for attributes in pair_views:
+        service.engine.register_view(attributes)
     try:
         values = []
         for analyst in analysts:
@@ -100,6 +133,7 @@ def replay(bundle, analysts, streams, *, fast_lane, mechanism="additive",
                                for k in ("hits", "misses", "evictions")},
             "matrix": service.engine.provenance_matrix(),
             "fast_lane": snap["fast_lane"],
+            "compiled_statements": snap["compiled_statements"],
         }
     finally:
         service.close()
@@ -131,6 +165,31 @@ class TestReplayEquivalence:
         # The lane actually engaged (the workload repeats views heavily).
         assert on["fast_lane"]["hits"] > 0
         assert off["fast_lane"]["hits"] == 0
+
+    @pytest.mark.parametrize("mode", ("single", "batched"))
+    def test_identical_on_fresh_literal_statements(self, adult_bundle,
+                                                   analysts, mode):
+        """Shape-bound statements are under the same gate: a stream the
+        text cache cannot help replays bit-identically with the lane on
+        or off — and against a service that retains nothing, where every
+        statement takes the full parser and a fresh routing probe."""
+        streams = make_adhoc_workload(adult_bundle, analysts)
+        on = replay(adult_bundle, analysts, streams, fast_lane=True,
+                    mode=mode, pair_views=PAIR_VIEWS, epsilon=64.0)
+        off = replay(adult_bundle, analysts, streams, fast_lane=False,
+                     mode=mode, pair_views=PAIR_VIEWS, epsilon=64.0)
+        unshaped = replay(adult_bundle, analysts, streams, fast_lane=True,
+                          mode=mode, pair_views=PAIR_VIEWS, epsilon=64.0,
+                          statement_cache_size=0)
+        assert_equivalent(on, off)
+        assert_equivalent(on, unshaped)
+        total = sum(len(stream) for stream in streams.values())
+        shaped = on["compiled_statements"]
+        assert shaped["templates"] == len(PAIR_VIEWS)
+        assert shaped["template_hits"] >= 0.9 * total
+        assert shaped["hits"] <= 0.1 * total
+        assert unshaped["compiled_statements"]["template_hits"] == 0
+        assert on["fast_lane"]["hits"] > 0 and on["fresh"] > 0
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_identical_through_evictions(self, adult_bundle, analysts,

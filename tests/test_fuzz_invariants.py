@@ -21,7 +21,12 @@ from repro.db.sql.ast import (
 )
 from repro.db.sql.executor import predicate_mask
 from repro.db.sql.lexer import KEYWORDS, _scan, _scan_reference, tokenize
-from repro.db.sql.parser import parse
+from repro.db.sql.parser import (
+    bind_literals,
+    parse,
+    parse_tokens,
+    split_literals,
+)
 from repro.exceptions import SQLError
 from repro.db.sql.unparse import to_sql
 from repro.db.table import Table
@@ -190,6 +195,153 @@ class TestSqlRoundTrip:
 
 
 # ---------------------------------------------------------------------------
+# Shape-keyed binding vs the parser (statement equality, error identity).
+# ---------------------------------------------------------------------------
+
+class ShapeTable:
+    """The engine's text-miss path without the engine: lex once, look the
+    shape up, bind on a hit, run the grammar (and remember) on a miss."""
+
+    def __init__(self) -> None:
+        self.skeletons: dict[tuple, SelectStatement] = {}
+        self.bound = 0
+
+    def resolve(self, text: str) -> SelectStatement:
+        tokens = tokenize(text)
+        shape, literals = split_literals(tokens)
+        skeleton = self.skeletons.get(shape)
+        if skeleton is None:
+            statement = parse_tokens(tokens)
+            self.skeletons[shape] = statement
+            return statement
+        self.bound += 1
+        return bind_literals(skeleton, literals)
+
+
+def _outcome(function, text: str):
+    try:
+        return function(text)
+    except (SQLError, ValueError) as exc:   # ValueError: float('1.2.3')
+        return (type(exc).__name__, str(exc))
+
+
+def _reliteral(draw, statement: SelectStatement) -> SelectStatement:
+    """Same structure, fresh literals (IN lists may change length)."""
+    conditions = []
+    for cond in statement.predicate.conditions:
+        if isinstance(cond, Comparison):
+            cond = Comparison(cond.column, cond.op, draw(_literals()))
+        elif isinstance(cond, Between):
+            cond = Between(cond.column, draw(_literals()), draw(_literals()))
+        else:
+            cond = InList(cond.column, tuple(draw(
+                st.lists(_literals(), min_size=1, max_size=5))))
+        conditions.append(cond)
+    return SelectStatement(statement.aggregates, statement.table,
+                           Predicate(tuple(conditions)), statement.group_by)
+
+
+@st.composite
+def same_shape_texts(draw):
+    first = draw(select_statements())
+    return [to_sql(first)] + [to_sql(_reliteral(draw, first))
+                              for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def text_and_damaged_copies(draw):
+    """A statement's text, then copies of it with a slice cut out or a
+    character dropped in — the texts likeliest to share its shape."""
+    text = to_sql(draw(select_statements()))
+    texts = [text]
+    for _ in range(3):
+        cut = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            texts.append(text[:cut] + text[cut + draw(st.integers(1, 6)):])
+        else:
+            texts.append(text[:cut]
+                         + draw(st.sampled_from("(),'*=<-.5xIN "))
+                         + text[cut:])
+    return texts
+
+
+class TestShapeBinding:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(same_shape_texts())
+    def test_bound_statement_equals_parsed_statement(self, texts):
+        table = ShapeTable()
+        for text in texts:
+            assert table.resolve(text) == parse(text)
+        assert len(table.skeletons) == 1
+        assert table.bound == len(texts) - 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text_and_damaged_copies())
+    def test_malformed_text_raises_what_the_parser_raises(self, texts):
+        # One table across the list: a damaged text must never bind
+        # into the skeleton its well-formed original left behind.
+        table = ShapeTable()
+        for text in texts + texts:
+            assert _outcome(table.resolve, text) == _outcome(parse, text)
+
+    @pytest.mark.parametrize("texts, shapes", [
+        # '' escapes live inside the STRING token, not the shape.
+        (["SELECT COUNT(*) FROM t WHERE c = 'x'",
+          "SELECT COUNT(*) FROM t WHERE c = 'it''s'",
+          "SELECT COUNT(*) FROM t WHERE c = ''''",
+          "SELECT COUNT(*) FROM t WHERE c = 'IN (1, 2)'"], 1),
+        # A leading minus is part of the NUMBER; int-ness survives.
+        (["SELECT SUM(a) FROM t WHERE a > 5",
+          "SELECT SUM(a) FROM t WHERE a > -5",
+          "SELECT SUM(a) FROM t WHERE a >-5.5",
+          "SELECT SUM(a) FROM t WHERE a > 'five'"], 1),
+        # Keywords fold case; identifiers do not.
+        (["SELECT COUNT(*) FROM t WHERE a = 1 GROUP BY a",
+          "select count(*) from t where a = 2 group by a",
+          "SELECT COUNT(*) FROM t WHERE A = 1 GROUP BY A",
+          "SELECT COUNT(*) FROM T WHERE a = 1 GROUP BY a"], 3),
+        # List length does not mint shapes; <> and != are two spellings.
+        (["SELECT AVG(a) FROM t WHERE a IN (1) AND b <> 2",
+          "SELECT AVG(a) FROM t WHERE a IN (1, 2.5, 'x') AND b <> 'y'",
+          "SELECT AVG(a) FROM t WHERE a IN (1, 2) AND b != 2"], 2),
+        # Operand count and kind are shape: none of these may collide.
+        (["SELECT COUNT(*) FROM t WHERE a BETWEEN 1 AND 2",
+          "SELECT COUNT(*) FROM t WHERE a = 1 AND b = 2",
+          "SELECT COUNT(*) FROM t WHERE a IN (1, 2)",
+          "SELECT COUNT(*) FROM t WHERE a >= 1 AND a <= 2"], 4),
+    ])
+    def test_pinned_variants_do_not_collide(self, texts, shapes):
+        table = ShapeTable()
+        for text in texts + texts:
+            assert table.resolve(text) == parse(text)
+        assert len(table.skeletons) == shapes
+
+    @pytest.mark.parametrize("text", [
+        "SELECT COUNT(*) FROM t WHERE a IN (1, 2",      # unclosed list
+        "SELECT COUNT(*) FROM t WHERE a IN (1, , 2)",
+        "SELECT COUNT(*) FROM t WHERE a IN ()",
+        "SELECT COUNT(*) FROM t WHERE a IN (1 2)",
+        "SELECT COUNT(*) FROM t WHERE a IN (1, b)",
+        "SELECT COUNT(*) FROM t WHERE a IN 1",
+        "SELECT COUNT(*) FROM t WHERE a BETWEEN 1 AND",
+        "SELECT COUNT(*) FROM t WHERE a = 1.2.3",       # ValueError
+        "SELECT COUNT(*) FROM t WHERE a = ",
+        "SELECT b, COUNT(*) FROM t WHERE a = 1",        # bare column
+        "SELECT COUNT(*) FROM t WHERE a = 'open",       # lexer error
+    ])
+    def test_pinned_malformed_texts(self, text):
+        table = ShapeTable()
+        for warm in ("SELECT COUNT(*) FROM t WHERE a IN (1, 2)",
+                     "SELECT COUNT(*) FROM t WHERE a BETWEEN 1 AND 2",
+                     "SELECT COUNT(*) FROM t WHERE a = 1",
+                     "SELECT b, COUNT(*) FROM t WHERE a = 1 GROUP BY b"):
+            table.resolve(warm)
+        outcome = _outcome(table.resolve, text)
+        assert outcome == _outcome(parse, text)
+        assert isinstance(outcome, tuple)
+
+
+# ---------------------------------------------------------------------------
 # Regex lexer vs the reference per-character scanner (golden equality).
 # ---------------------------------------------------------------------------
 
@@ -324,3 +476,58 @@ class TestPredicateMaskAgainstNaive:
              for row in rows], dtype=bool).reshape(num_rows)
         assert mask.shape == (num_rows,)
         assert np.array_equal(mask, expected)
+
+
+# ---------------------------------------------------------------------------
+# Categorical bin masks: value -> bin lookup vs the per-bin loop it replaced.
+# ---------------------------------------------------------------------------
+
+_BIN_VALUES = ("r", "g", "b", "1", "", 0, 1, 2, 2.5, 3.0, True, False)
+_OPERANDS = _BIN_VALUES + ("z", 7, 1.0, 0.0, -1, "2")
+
+
+def _loop_bin_mask(domain: CategoricalDomain, cond) -> np.ndarray:
+    """The oracle: evaluate the condition on every bin's value."""
+    def evaluate(value) -> bool:
+        if isinstance(cond, InList):
+            return value in set(cond.values)
+        return bool(value == cond.value if cond.op == "="
+                    else value != cond.value)
+    return np.array([evaluate(domain.value_of(i))
+                     for i in range(domain.size)], dtype=bool)
+
+
+class TestCategoricalBinMaskAgainstLoop:
+    # unique=True dedupes by python equality, as CategoricalDomain
+    # demands: 1, 1.0 and True can never share a domain.
+    domains = st.lists(st.sampled_from(_BIN_VALUES), min_size=1,
+                       unique=True).map(CategoricalDomain)
+    operands = st.sampled_from(_OPERANDS)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(domain=domains, cond=st.one_of(
+        st.builds(Comparison, column=st.just("c"),
+                  op=st.sampled_from(("=", "!=")), value=operands),
+        st.builds(InList, column=st.just("c"),
+                  values=st.lists(operands, min_size=1, max_size=5)
+                  .map(tuple))))
+    def test_lookup_mask_equals_per_bin_loop(self, domain, cond):
+        from repro.views.transform import _bin_mask_for_condition
+
+        mask = _bin_mask_for_condition(domain, cond)
+        assert mask.dtype == bool and mask.shape == (domain.size,)
+        assert np.array_equal(mask, _loop_bin_mask(domain, cond))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(domain=domains, cond=st.one_of(
+        st.builds(Comparison, column=st.just("c"),
+                  op=st.sampled_from(("<", "<=", ">", ">=")),
+                  value=operands),
+        st.builds(Between, column=st.just("c"), low=operands,
+                  high=operands)))
+    def test_ordering_comparisons_stay_rejected(self, domain, cond):
+        from repro.exceptions import UnanswerableQuery
+        from repro.views.transform import _bin_mask_for_condition
+
+        with pytest.raises(UnanswerableQuery, match="ordering comparison"):
+            _bin_mask_for_condition(domain, cond)
