@@ -15,6 +15,7 @@ machinery unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from scipy.special import ndtri
@@ -62,14 +63,21 @@ class ConfidenceInterval:
 
 
 def resolve_accuracy(accuracy) -> float:
-    """Coerce a float or accuracy-spec object into a variance bound."""
+    """Coerce a float or accuracy-spec object into a variance bound.
+
+    The bound must be finite and positive whichever way it arrives: a
+    ``NaN`` passes every ordered comparison downstream and would be
+    translated to the whole table budget.
+    """
     if accuracy is None:
         raise ReproError("accuracy must not be None here")
     if hasattr(accuracy, "to_variance"):
-        return float(accuracy.to_variance())
-    value = float(accuracy)
-    if value <= 0:
-        raise ReproError(f"accuracy must be positive, got {value}")
+        value = float(accuracy.to_variance())
+    else:
+        value = float(accuracy)
+    if not (math.isfinite(value) and value > 0):
+        raise ReproError(
+            f"accuracy must be a finite positive variance, got {value}")
     return value
 
 

@@ -79,6 +79,19 @@ class AdditiveGaussianMechanism(MechanismBase):
         #: it — the conservative, over-counting direction.
         self._global_epsilon_base: dict[str, float] = {}
 
+    def _translate(self, view: HistogramView, query: LinearQuery,
+                   per_bin: float) -> BudgetRequest:
+        """Algorithm 4 ``privacyTranslate`` against the view's current
+        global synopsis — the one translation site of this mechanism,
+        shared by the answer and the quote path."""
+        current = self.store.global_synopsis(view.name)
+        return additive_budget_request(
+            query, per_bin * query.weight_norm_sq, self.constraints.delta,
+            None if current is None else (current.epsilon, current.variance),
+            self._sensitivity(view), upper=self.constraints.table,
+            precision=self.precision,
+        )
+
     def _answer_fresh(self, analyst: str, view: HistogramView,
                       query: LinearQuery, per_bin: float):
         """One fresh additive release.
@@ -89,13 +102,7 @@ class AdditiveGaussianMechanism(MechanismBase):
         safety itself comes from the atomic delta-slot and provenance
         reservations, which are rolled back if the release fails.
         """
-        current = self.store.global_synopsis(view.name)
-        request = additive_budget_request(
-            query, per_bin * query.weight_norm_sq, self.constraints.delta,
-            None if current is None else (current.epsilon, current.variance),
-            self._sensitivity(view), upper=self.constraints.table,
-            precision=self.precision,
-        )
+        request = self._translate(view, query, per_bin)
         self._reserve_release_slot(analyst)
         reservation = None
         try:
@@ -135,13 +142,7 @@ class AdditiveGaussianMechanism(MechanismBase):
 
     def _quote_fresh(self, analyst: str, view: HistogramView,
                      query: LinearQuery, per_bin: float) -> float:
-        current = self.store.global_synopsis(view.name)
-        request = additive_budget_request(
-            query, per_bin * query.weight_norm_sq, self.constraints.delta,
-            None if current is None else (current.epsilon, current.variance),
-            self._sensitivity(view), upper=self.constraints.table,
-            precision=self.precision,
-        )
+        request = self._translate(view, query, per_bin)
         return self._constraint_check(analyst, view.name, request)
 
     # -- constraint checking (Algorithm 4, constraintCheck) -------------------

@@ -27,6 +27,7 @@ operation: do not interleave it with in-flight submissions.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -35,6 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.core.accuracy import resolve_accuracy
 from repro.core.analyst import Analyst
 from repro.core.additive import AdditiveGaussianMechanism
 from repro.core.compile_cache import (
@@ -466,9 +468,10 @@ class DProvDB:
         if (accuracy is None) == (epsilon is None):
             raise ReproError("provide exactly one of accuracy= or epsilon=")
         if accuracy is not None:
-            from repro.core.accuracy import resolve_accuracy
-
             return resolve_accuracy(accuracy)
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ReproError(
+                f"epsilon must be finite and positive, got {epsilon}")
         sigma = analytic_gaussian_sigma(epsilon, self.constraints.delta,
                                         view.sensitivity())
         return sigma ** 2 * statement_query.weight_norm_sq

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.provenance import Constraints, ProvenanceTable
 from repro.core.synopsis import SynopsisStore
+from repro.core.translation import DEFAULT_PRECISION
 from repro.dp.rng import SeedLike, ensure_generator, stable_seed
 from repro.exceptions import QueryRejected, ReproError, TranslationError
 from repro.views.histogram import HistogramView
@@ -68,7 +69,7 @@ class MechanismBase:
     def __init__(self, registry: ViewRegistry, provenance: ProvenanceTable,
                  constraints: Constraints, rng: SeedLike = None,
                  accountant: GaussianAccountant | None = None,
-                 precision: float = 1e-6,
+                 precision: float = DEFAULT_PRECISION,
                  store: SynopsisStore | None = None,
                  noise_streams: str = "shared",
                  stream_seed: int | str | None = None) -> None:

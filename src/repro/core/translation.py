@@ -15,6 +15,17 @@ The additive approach additionally corrects for *combination friction*
 exists, the optimal fresh synopsis to combine with has variance
 ``v_t = v·v'/(v' - v)`` (the inverse-variance identity ``1/v = 1/v' + 1/v_t``
 with optimal weight ``w* = v/v'``), and only ``v_t``'s budget is newly spent.
+
+**Cost.**  The paper prices translation per query; here it is per distinct
+``(σ, δ, Δ, upper, p)``.  Step 2 is the only expensive part and
+``minimal_epsilon`` memoises it on its exact arguments (see
+:mod:`repro.dp.gaussian`: a bounded ``lru_cache`` whose hit returns the very
+float the bisection returned), so a repeated accuracy on a view — the
+common case, and every rejected retry — costs this module's arithmetic
+only: 2–3 µs for a whole :func:`additive_budget_request`.  That is why there
+is no second cache here (no ``BudgetRequest`` kept per statement or per
+view): it would save less than it costs to keep coherent with the global
+synopsis, which changes under it.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ def epsilon_for_variance(variance: float, delta: float,
         raise TranslationError(f"requested variance must be positive, got {variance}")
     try:
         return minimal_epsilon(math.sqrt(variance), delta, sensitivity,
-                               upper=upper, precision=precision)
+                               upper, precision)
     except ValueError as exc:
         raise TranslationError(str(exc)) from exc
 

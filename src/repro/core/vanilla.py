@@ -23,13 +23,20 @@ class VanillaMechanism(MechanismBase):
 
     name = "vanilla"
 
-    def _answer_fresh(self, analyst: str, view: HistogramView,
-                      query: LinearQuery, per_bin: float):
+    def _translate(self, view: HistogramView, query: LinearQuery,
+                   per_bin: float) -> float:
+        """Algorithm 2 ``privacyTranslate``: the release budget — the one
+        translation site of this mechanism and its zCDP subclass."""
         epsilon, _ = vanilla_translate(
             query, per_bin * query.weight_norm_sq, self.constraints.delta,
             self._sensitivity(view), upper=self.constraints.table,
             precision=self.precision,
         )
+        return epsilon
+
+    def _answer_fresh(self, analyst: str, view: HistogramView,
+                      query: LinearQuery, per_bin: float):
+        epsilon = self._translate(view, query, per_bin)
         # Atomic two-phase accounting: the delta-ledger slot and the
         # provenance charge are each check-and-charge in one step, so no
         # caller-held lock is needed to prevent concurrent over-spend; a
@@ -74,11 +81,7 @@ class VanillaMechanism(MechanismBase):
 
     def _quote_fresh(self, analyst: str, view: HistogramView,
                      query: LinearQuery, per_bin: float) -> float:
-        epsilon, _ = vanilla_translate(
-            query, per_bin * query.weight_norm_sq, self.constraints.delta,
-            self._sensitivity(view), upper=self.constraints.table,
-            precision=self.precision,
-        )
+        epsilon = self._translate(view, query, per_bin)
         self._constraint_check(analyst, view.name, epsilon)
         return epsilon
 

@@ -114,13 +114,7 @@ class ZCdpVanillaMechanism(VanillaMechanism):
         # Compute the release budget exactly as vanilla would, but gate it
         # on the zCDP ledgers instead of epsilon sums; the rho reservation
         # is charged up-front and returned if the release fails.
-        from repro.core.translation import vanilla_translate
-
-        epsilon, _ = vanilla_translate(
-            query, per_bin * query.weight_norm_sq, self.constraints.delta,
-            self._sensitivity(view), upper=self.constraints.table,
-            precision=self.precision,
-        )
+        epsilon = self._translate(view, query, per_bin)
         rho_new = self._rho_of(epsilon, view)
         self._reserve_rho(analyst, view.name, rho_new)
         try:
@@ -159,13 +153,7 @@ class ZCdpVanillaMechanism(VanillaMechanism):
 
     def _quote_fresh(self, analyst: str, view: HistogramView,
                      query: LinearQuery, per_bin: float) -> float:
-        from repro.core.translation import vanilla_translate
-
-        epsilon, _ = vanilla_translate(
-            query, per_bin * query.weight_norm_sq, self.constraints.delta,
-            self._sensitivity(view), upper=self.constraints.table,
-            precision=self.precision,
-        )
+        epsilon = self._translate(view, query, per_bin)
         with self._rho_lock:
             self._check_with_rho(analyst, view.name,
                                  self._rho_of(epsilon, view))

@@ -16,10 +16,36 @@ The calibration implements Algorithm 1 of Balle & Wang exactly (the
 ``B⁺``/``B⁻`` characterisation with a doubling bracket followed by bisection),
 computed in log space via ``scipy.special.log_ndtr`` so that large ``eps``
 does not overflow ``exp(eps) * Phi(b)``.
+
+**Both directions are memoised on their exact arguments.**  Each is a pure
+function of a handful of floats — ``(σ, δ, Δ, upper, p)`` one way,
+``(ε, δ, Δ, tolerance)`` the other — costing some 25 bisection steps of two
+normal-CDF evaluations, and served traffic re-asks the same few hundred
+tuples (a fixed set of views, accuracy bounds off a grid, one δ).  So the
+paper's per-query translation cost (Sec. 5.1.1 / 5.2.3, Fig. 9) is paid once
+per *distinct* accuracy: a :func:`functools.lru_cache` wraps each search and
+a repeat returns the very float the search returned, which is why every
+epsilon, charge, rejection and replay is bit-for-bit what it is without the
+memo.  Three rules keep it that way:
+
+* The miss path stays the reference bisection.  A warm-started bracket or a
+  Newton step would visit other midpoints and return another float, so a
+  stream's charges would depend on what was asked before it.  The plain
+  search is ``minimal_epsilon.__wrapped__`` (the tests' oracle), not a second
+  public path.
+* :data:`CALIBRATION_MEMO_SIZE` bounds the memory hostile input can pin
+  (every request may carry an accuracy never seen before).  It is not a
+  setting: the traffic this repo serves repeats a few hundred tuples, and
+  traffic that never repeats sees neither gain nor loss.
+* Arguments are validated — non-finite values included — as the first act
+  of the search, and ``lru_cache`` stores only returned values: a call that
+  raises ``ValueError`` leaves no entry, is re-checked every time, and a
+  ``NaN`` can never be served from or kept in the memo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +56,23 @@ from repro.dp.rng import SeedLike, ensure_generator
 
 #: Default multiplicative precision for binary searches in this module.
 DEFAULT_TOLERANCE = 1e-12
+
+#: Entries each calibration memo keeps (least recently used goes first).  A
+#: bound on what never-repeating input can pin (both memos full measure
+#: 1.7 MiB), not a tuning knob: one ``fresh_rounds`` benchmark epoch asks
+#: 443 + 75 distinct tuples.
+CALIBRATION_MEMO_SIZE = 4096
+
+
+def _require_finite(**arguments: float) -> None:
+    """Raise ``ValueError`` naming the first non-finite argument.
+
+    ``NaN`` fails every ordered comparison, so the range checks below would
+    wave it through and the bisection would return its upper bound.
+    """
+    for name, value in arguments.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def gaussian_delta(epsilon: float, sigma: float, sensitivity: float = 1.0) -> float:
@@ -91,14 +134,18 @@ def _bracket_and_bisect(func, target: float, increasing: bool,
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=CALIBRATION_MEMO_SIZE)
 def analytic_gaussian_sigma(epsilon: float, delta: float,
                             sensitivity: float = 1.0,
                             tolerance: float = DEFAULT_TOLERANCE) -> float:
     """Smallest ``sigma`` making the Gaussian mechanism ``(eps, delta)``-DP.
 
     Implements Algorithm 1 of Balle & Wang (2018).  Raises ``ValueError`` on
-    non-positive ``epsilon``/``delta`` or ``delta >= 1``.
+    non-finite arguments, non-positive ``epsilon``/``delta``/``sensitivity``
+    or ``delta >= 1``.  Memoised on the exact arguments (module docstring).
     """
+    _require_finite(epsilon=epsilon, delta=delta, sensitivity=sensitivity,
+                    tolerance=tolerance)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 < delta < 1:
@@ -135,6 +182,7 @@ def classical_gaussian_sigma(epsilon: float, delta: float,
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
+@functools.lru_cache(maxsize=CALIBRATION_MEMO_SIZE)
 def minimal_epsilon(sigma: float, delta: float, sensitivity: float = 1.0,
                     upper: float = 100.0, precision: float = 1e-9) -> float:
     """Smallest ``eps <= upper`` with ``gaussian_delta(eps, sigma) <= delta``.
@@ -142,11 +190,22 @@ def minimal_epsilon(sigma: float, delta: float, sensitivity: float = 1.0,
     This is the search of the paper's Definition 9 (analytic Gaussian
     translation): the condition is monotone decreasing in ``eps``, so a
     bisection terminates with an ``eps`` within ``precision`` of the true
-    minimum (Proposition 5.1's ``p``).
+    minimum (Proposition 5.1's ``p``).  Memoised on the exact arguments
+    (module docstring).
 
-    Raises ``ValueError`` if even ``eps = upper`` cannot achieve ``delta``
-    (i.e. the requested noise is too small for any budget under the cap).
+    The default ``precision`` is this module's, for calling the inverse
+    calibration on its own (round trips against
+    :func:`analytic_gaussian_sigma`).  It is deliberately *not* Prop. 5.1's
+    ``p``: that is ``repro.core.translation.DEFAULT_PRECISION`` (1e-6), which
+    every mechanism and baseline passes explicitly, so no served epsilon
+    depends on the number here.
+
+    Raises ``ValueError`` on a non-finite or non-positive argument, or if
+    even ``eps = upper`` cannot achieve ``delta`` (i.e. the requested noise
+    is too small for any budget under the cap).
     """
+    _require_finite(sigma=sigma, delta=delta, sensitivity=sensitivity,
+                    upper=upper, precision=precision)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if gaussian_delta(upper, sigma, sensitivity) > delta:
@@ -202,6 +261,7 @@ class GaussianMechanism:
 
 
 __all__ = [
+    "CALIBRATION_MEMO_SIZE",
     "DEFAULT_TOLERANCE",
     "GaussianMechanism",
     "analytic_gaussian_sigma",

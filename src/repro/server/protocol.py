@@ -99,7 +99,16 @@ def _number(payload: dict, field: str, context: str,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WireFormatError(f"{context}: field {field!r} must be a "
                               f"number, got {type(value).__name__}")
-    return float(value)
+    # The daemon's ``json.loads`` accepts the NaN/Infinity tokens strict
+    # JSON lacks (and integer literals beyond float range);
+    # :func:`json_ready` never emits either.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise WireFormatError(f"{context}: field {field!r} must be finite")
+    return number
 
 
 # -- requests ------------------------------------------------------------------

@@ -30,3 +30,23 @@ def analysts():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def gaussian_delta_calls(monkeypatch):
+    """Argument tuples of every ``gaussian_delta`` evaluation the
+    calibration search makes, starting from cold calibration memos — how
+    tests count searches instead of timing them."""
+    import repro.dp.gaussian as gaussian
+
+    calls: list[tuple] = []
+    reference = gaussian.gaussian_delta
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reference(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "gaussian_delta", counting)
+    gaussian.minimal_epsilon.cache_clear()
+    gaussian.analytic_gaussian_sigma.cache_clear()
+    return calls

@@ -7,6 +7,7 @@ import pytest
 from repro import Analyst, DProvDB, QueryRejected, ReproError
 from repro.core.accuracy import ConfidenceInterval, VarianceBound, resolve_accuracy
 from repro.core.delegation import DelegationManager
+from repro.dp.gaussian import minimal_epsilon
 
 SQL = "SELECT COUNT(*) FROM adult WHERE age BETWEEN 30 AND 40"
 
@@ -106,6 +107,29 @@ class TestDelegation:
         with pytest.raises(ReproError):
             DelegationManager().revoke(99)
 
+    def test_quote_then_answer_searches_once(self, adult_bundle,
+                                             gaussian_delta_calls):
+        """A delegated query translates twice (``quote`` for the cap, then
+        ``answer``) but runs the calibration search for one translation:
+        exactly as many ``gaussian_delta`` evaluations as the same query
+        submitted directly on a twin engine."""
+        def evaluations(delegated: bool) -> int:
+            twin = DProvDB(adult_bundle,
+                           [Analyst("boss", 8), Analyst("intern", 1)],
+                           epsilon=2.0, seed=21)
+            minimal_epsilon.cache_clear()
+            gaussian_delta_calls.clear()
+            if delegated:
+                grant = twin.grant_delegation("boss", "intern")
+                twin.submit("intern", SQL, accuracy=2500.0, delegation=grant)
+            else:
+                twin.submit("boss", SQL, accuracy=2500.0)
+            return len(gaussian_delta_calls)
+
+        direct = evaluations(delegated=False)
+        assert direct > 0
+        assert evaluations(delegated=True) == direct
+
 
 class TestAccuracySpecs:
     def test_variance_bound_passthrough(self):
@@ -134,6 +158,14 @@ class TestAccuracySpecs:
             resolve_accuracy(-1.0)
         with pytest.raises(ReproError):
             resolve_accuracy(None)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_resolve_accuracy_rejects_non_finite(self, bad):
+        """NaN passes ``<= 0`` checks, spec constructors included, so the
+        resolved variance itself is what gets checked."""
+        for accuracy in (bad, VarianceBound(bad), ConfidenceInterval(bad)):
+            with pytest.raises(ReproError, match="finite"):
+                resolve_accuracy(accuracy)
 
     def test_bad_specs(self):
         with pytest.raises(ReproError):

@@ -16,7 +16,7 @@ from repro.core.translation import (
     fresh_variance_for_target,
     vanilla_translate,
 )
-from repro.dp.gaussian import analytic_gaussian_sigma
+from repro.dp.gaussian import analytic_gaussian_sigma, minimal_epsilon
 from repro.exceptions import TranslationError
 from repro.views.linear import LinearQuery
 
@@ -170,3 +170,40 @@ class TestAdditiveBudgetRequest:
         v_t = request.fresh_variance
         combined = (500.0 * v_t) / (500.0 + v_t)
         assert combined == pytest.approx(target, rel=1e-6)
+
+
+class TestColdVersusWarmMemo:
+    """Translation through a cold and a warm calibration memo is the same
+    object, field for field — the memo sits below this module and returns
+    the float the bisection returned."""
+
+    #: ``current`` for Algorithm 4's three branches: no global synopsis yet,
+    #: one that is already accurate enough, and one needing a friction update.
+    BRANCHES = {
+        "current is None": None,
+        "needs_update=False": (2.0, 10.0),
+        "friction update": (0.3, 500.0),
+    }
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_additive_budget_request(self, branch):
+        query, current = _range_query(10), self.BRANCHES[branch]
+        minimal_epsilon.cache_clear()
+        cold = additive_budget_request(query, 2500.0, DELTA, current)
+        searched = minimal_epsilon.cache_info().misses
+        warm = additive_budget_request(query, 2500.0, DELTA, current)
+        assert warm == cold
+        assert cold.needs_update == (branch != "needs_update=False")
+        # One search per distinct variance (two on the friction branch),
+        # none on the repeat.
+        assert searched == (2 if branch == "friction update" else 1)
+        assert minimal_epsilon.cache_info().misses == searched
+
+    def test_vanilla_translate(self):
+        query = _range_query(10)
+        minimal_epsilon.cache_clear()
+        cold = vanilla_translate(query, 2500.0, DELTA)
+        warm = vanilla_translate(query, 2500.0, DELTA)
+        assert warm == cold
+        info = minimal_epsilon.cache_info()
+        assert (info.misses, info.hits) == (1, 1)

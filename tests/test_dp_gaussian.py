@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dp.gaussian import (
+    CALIBRATION_MEMO_SIZE,
     GaussianMechanism,
     analytic_gaussian_sigma,
     classical_gaussian_sigma,
@@ -160,3 +161,133 @@ class TestGaussianMechanism:
         analytic = GaussianMechanism(1.0, 1e-6, analytic=True)
         classical = GaussianMechanism(1.0, 1e-6, analytic=False)
         assert analytic.sigma < classical.sigma
+
+
+class TestCalibrationMemo:
+    """Both directions are memoised on their exact arguments: a hit is the
+    float the reference search (``__wrapped__``) returns, errors are never
+    stored, and the memo is bounded.  Counts and equalities only."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sigma=st.floats(min_value=0.05, max_value=500.0),
+        delta=st.floats(min_value=1e-12, max_value=0.4),
+        sensitivity=st.floats(min_value=0.1, max_value=20.0),
+        upper=st.floats(min_value=0.5, max_value=200.0),
+        precision=st.floats(min_value=1e-9, max_value=1e-3),
+    )
+    def test_minimal_epsilon_equals_reference_cold_and_warm(
+            self, sigma, delta, sensitivity, upper, precision):
+        args = (sigma, delta, sensitivity, upper, precision)
+        try:
+            expected = minimal_epsilon.__wrapped__(*args)
+        except ValueError as exc:  # infeasible under this ``upper``
+            for _ in range(2):
+                with pytest.raises(ValueError, match="cannot satisfy") as hit:
+                    minimal_epsilon(*args)
+                assert str(hit.value) == str(exc)
+            return
+        minimal_epsilon.cache_clear()
+        assert minimal_epsilon(*args) == expected                  # cold
+        hits = minimal_epsilon.cache_info().hits
+        assert minimal_epsilon(*args) == expected                  # warm
+        assert minimal_epsilon.cache_info().hits == hits + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        epsilon=st.floats(min_value=0.01, max_value=30.0),
+        delta=st.floats(min_value=1e-12, max_value=0.4),
+        sensitivity=st.floats(min_value=0.1, max_value=20.0),
+    )
+    def test_sigma_equals_reference_cold_and_warm(self, epsilon, delta,
+                                                  sensitivity):
+        args = (epsilon, delta, sensitivity)
+        expected = analytic_gaussian_sigma.__wrapped__(*args)
+        analytic_gaussian_sigma.cache_clear()
+        assert analytic_gaussian_sigma(*args) == expected          # cold
+        hits = analytic_gaussian_sigma.cache_info().hits
+        assert analytic_gaussian_sigma(*args) == expected          # warm
+        assert analytic_gaussian_sigma.cache_info().hits == hits + 1
+
+    def test_errors_are_not_cached(self):
+        minimal_epsilon.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="cannot satisfy"):
+                minimal_epsilon(1e-12, 1e-9, 1.0, 1.0, 1e-6)
+        info = minimal_epsilon.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(5))
+    def test_minimal_epsilon_rejects_non_finite(self, bad, position):
+        args = [5.0, 1e-9, 1.0, 100.0, 1e-6]
+        args[position] = bad
+        minimal_epsilon.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                minimal_epsilon(*args)
+        assert minimal_epsilon.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_sigma_rejects_non_finite(self, bad, position):
+        args = [1.0, 1e-9, 1.0, 1e-12]
+        args[position] = bad
+        analytic_gaussian_sigma.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                analytic_gaussian_sigma(*args)
+        assert analytic_gaussian_sigma.cache_info().currsize == 0
+
+    def test_flood_of_distinct_arguments_stays_bounded(self):
+        """10k never-repeating accuracies (hostile input) cannot grow the
+        memo past its bound."""
+        minimal_epsilon.cache_clear()
+        for i in range(10_000):
+            minimal_epsilon(1.0 + i, 1e-9, 1.0, 100.0, 1e-3)
+        info = minimal_epsilon.cache_info()
+        assert info.maxsize == CALIBRATION_MEMO_SIZE
+        assert info.currsize == CALIBRATION_MEMO_SIZE
+        assert (info.hits, info.misses) == (0, 10_000)
+
+    def test_threads_across_the_bound_return_only_reference_floats(self):
+        """8 threads, each alternating a shared hot set (hits) with its own
+        never-repeating tail (misses; together more than the bound, so
+        entries are evicted under the readers): every returned float
+        equals the reference search's."""
+        import sys
+        import threading
+
+        tail = CALIBRATION_MEMO_SIZE // 8 + 64
+        hot = [2.0 + i for i in range(8)]
+        results: list[list[tuple[float, float]]] = [[] for _ in range(8)]
+
+        def worker(index: int) -> None:
+            out = results[index]
+            for step in range(tail):
+                for sigma in (hot[(step + index) % len(hot)],
+                              50.0 + index * tail + step):
+                    out.append((sigma, minimal_epsilon(sigma, 1e-9, 1.0,
+                                                       100.0, 1e-6)))
+
+        minimal_epsilon.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        info = minimal_epsilon.cache_info()
+        assert info.currsize == CALIBRATION_MEMO_SIZE
+        assert info.misses >= 8 * tail and info.hits > 0
+        reference = minimal_epsilon.__wrapped__
+        for out in results:
+            assert len(out) == 2 * tail
+            for sigma, got in out:
+                assert got == reference(sigma, 1e-9, 1.0, 100.0, 1e-6)

@@ -32,6 +32,7 @@ from repro.experiments.translation_validation import (
     format_translation_validation,
     run_translation_validation,
 )
+from repro.dp.gaussian import analytic_gaussian_sigma, minimal_epsilon
 from repro.exceptions import ReproError
 from repro.workloads.rrq import generate_rrq
 from repro.workloads.scheduler import interleave_round_robin
@@ -101,6 +102,49 @@ class TestEndToEnd:
         )
         by_name = {c.system: c.answered for c in cells}
         assert by_name["dprovdb"] > by_name["chorus"]
+
+
+class TestPaperShapeColdVersusWarm:
+    """The reproduced figures keep their shape, and do not depend on what
+    the process translated before: each tiny-scale run is made twice, the
+    calibration memo cold and then warm, and every cell must agree."""
+
+    @staticmethod
+    def _cold_then_warm(run):
+        minimal_epsilon.cache_clear()
+        analytic_gaussian_sigma.cache_clear()
+        cold = run()
+        searched = minimal_epsilon.cache_info().misses
+        warm = run()
+        assert warm == cold
+        assert minimal_epsilon.cache_info().hits > 0
+        # dprovdb/vanilla/chorus translate deterministically, so a warm
+        # run searches for nothing new.
+        assert minimal_epsilon.cache_info().misses == searched
+        return cold
+
+    def test_fig3_dprovdb_answers_at_least_each_chorus(self):
+        cells = self._cold_then_warm(lambda: run_end_to_end(
+            epsilons=(0.8, 3.2), schedules=("round_robin",),
+            systems=("dprovdb", "vanilla", "chorus", "chorus_p"),
+            queries_per_analyst=40, repeats=1, num_rows=ROWS, seed=0))
+        assert len(cells) == 8
+        for epsilon in (0.8, 3.2):
+            answered = {c.system: c.answered for c in cells
+                        if c.epsilon == epsilon}
+            assert answered["dprovdb"] >= answered["chorus"]
+            assert answered["dprovdb"] >= answered["chorus_p"]
+            assert answered["dprovdb"] >= answered["vanilla"]
+        assert all(c.consumed > 0 for c in cells)
+
+    def test_fig6_additive_answers_at_least_vanilla(self):
+        cells = self._cold_then_warm(lambda: run_epsilon_sweep(
+            epsilons=(0.8, 3.2), queries_per_analyst=40, repeats=1,
+            num_rows=ROWS, seed=0))
+        for epsilon in (0.8, 3.2):
+            answered = {c.system: c.answered for c in cells
+                        if c.epsilon == epsilon}
+            assert answered["dprovdb"] >= answered["vanilla"]
 
 
 class TestBfsBudget:

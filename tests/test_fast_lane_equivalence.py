@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro import Analyst, DProvDB, QueryService
+from repro.dp.gaussian import analytic_gaussian_sigma
 from repro.service.session import QueryRequest
 from repro.views.linear import LinearQuery, answer_many
 
@@ -216,6 +217,82 @@ class TestReplayEquivalence:
                      mode="batched", epsilon=0.5)
         assert on["rejected"] > 0
         assert_equivalent(on, off)
+
+
+def halving_rounds(bundle):
+    """One budget life-cycle, fresh to exhausted (paper Fig. 3): per round,
+    one range COUNT on each of three views at a variance bound that halves
+    every round (the first round is asked twice, for the free repeats) —
+    the stream whose translations repeat across analysts and replays.  No
+    bound is so tight that translation itself is infeasible: that refusal
+    is an uncached ``ValueError`` and re-probes feasibility every time."""
+    table = bundle.fact_table
+    texts = (f"SELECT COUNT(*) FROM {table} WHERE age BETWEEN 25 AND 44",
+             f"SELECT COUNT(*) FROM {table} WHERE hours_per_week <= 40",
+             f"SELECT COUNT(*) FROM {table} WHERE education_num >= 9")
+    bounds = (4e4, 4e4, 2e4, 1e4, 5e3, 2.5e3)
+    return [(sql, bound) for bound in bounds for sql in texts]
+
+
+def replay_life_cycle(bundle, analysts, mechanism):
+    """Drive :func:`halving_rounds` round-robin over ``analysts`` through a
+    freshly built, identically seeded service; returns every observable."""
+    service = QueryService.build(bundle, analysts, 2.4, mechanism=mechanism,
+                                 seed=123)
+    try:
+        sessions = [service.open_session(a.name) for a in analysts]
+        outcomes = []
+        for sql, accuracy in halving_rounds(bundle):
+            for session in sessions:
+                response = service.submit(session, sql, accuracy=accuracy)
+                outcomes.append(
+                    (response.answer.value, response.answer.epsilon_charged,
+                     response.answer.cache_hit)
+                    if response.ok else (response.error, response.rejected))
+        snap = service.snapshot()
+        return {
+            "outcomes": outcomes,
+            "row_totals": service.engine.provenance.row_totals(),
+            "matrix": service.engine.provenance_matrix().tolist(),
+            "service": {k: snap["service"][k]
+                        for k in ("fresh_releases", "answer_cache_hits",
+                                  "rejected", "failed")},
+            "synopsis_cache": {k: snap["synopsis_cache"][k]
+                               for k in ("hits", "misses", "evictions")},
+            "fast_lane": snap["fast_lane"],
+        }
+    finally:
+        service.close()
+
+
+class TestCalibrationMemoEquivalence:
+    """The calibration memo (``dp.gaussian``) must be as invisible as the
+    fast lane: a replay that finds every translation memoised is
+    bit-identical to the one that searched for each — and searches for
+    none."""
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_cold_and_warm_replays_identical(self, adult_bundle, analysts,
+                                             mechanism, gaussian_delta_calls):
+        cold = replay_life_cycle(adult_bundle, analysts, mechanism)
+        searched = len(gaussian_delta_calls)
+        sigma_misses = analytic_gaussian_sigma.cache_info().misses
+        warm = replay_life_cycle(adult_bundle, analysts, mechanism)
+
+        assert warm == cold
+        # Every search of the cold replay really ran, none in the warm one.
+        assert searched > 0 and len(gaussian_delta_calls) == searched
+        assert sigma_misses > 0
+        assert analytic_gaussian_sigma.cache_info().misses == sigma_misses
+        # The stream is a whole life-cycle: releases, free repeats, and
+        # refusals of the low-privilege analyst (row) and the high one
+        # (table).
+        counts = cold["service"]
+        assert counts["fresh_releases"] > 0 and counts["failed"] == 0
+        assert counts["answer_cache_hits"] > 0
+        reasons = {o[0].split()[0] for o in cold["outcomes"] if len(o) == 2}
+        assert reasons == {"analyst", "table"}
+        assert all(total > 0 for total in cold["row_totals"].values())
 
 
 class TestGenerationCounters:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import gzip
 import http.client
 import json
+import math
 import threading
 import time
 
@@ -201,6 +202,38 @@ class TestStatusMapping:
         assert reply.status == 400
         assert json.loads(reply.read())["kind"] == "bad_request"
         conn.close()
+
+    @pytest.mark.parametrize("field", ("accuracy", "epsilon"))
+    @pytest.mark.parametrize("token", ("NaN", "Infinity", "1e999"))
+    def test_non_finite_bound_is_400_and_never_a_charge(self, server, field,
+                                                        token):
+        """``json.loads`` parses the NaN/Infinity tokens a raw client can
+        send; such a bound must die at the protocol, uncharged, and leave
+        the view answering finite values."""
+        sql = "SELECT COUNT(*) FROM adult WHERE age BETWEEN 30 AND 40"
+        provenance = server.service.engine.provenance
+        before = provenance.row_totals()
+        with RemoteAnalyst(server.url, token="analyst_00") as client:
+            session = client.open_session()
+            body = f'{{"sql": "{sql}", "{field}": {token}}}'.encode()
+            conn = http.client.HTTPConnection(server.host, server.port)
+            for path, payload in (
+                    ("query", body),
+                    ("batch", b'{"requests": [' + body + b']}')):
+                conn.request(
+                    "POST", f"/v1/sessions/{session.session_id}/{path}",
+                    body=payload,
+                    headers={"Content-Type": "application/json"})
+                reply = conn.getresponse()
+                error = json.loads(reply.read())
+                assert reply.status == 400
+                assert error["kind"] == "bad_request"
+                assert "finite" in error["error"]
+            conn.close()
+            assert provenance.row_totals() == before
+            following = client.submit(session, sql, accuracy=ACCURACY)
+        assert following.ok and math.isfinite(following.answer.value)
+        assert following.answer.epsilon_charged > 0.0
 
     def test_unknown_token_is_401(self, server):
         with RemoteAnalyst(server.url, token="mallory") as client:

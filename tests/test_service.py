@@ -52,6 +52,26 @@ class TestSessions:
         # Second session's identical query hits the first one's synopsis.
         assert second.cache_hits == 1
 
+    @pytest.mark.parametrize("mode", ("accuracy", "epsilon"))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_bound_is_an_uncharged_error(self, service, mode, bad):
+        """A NaN bound used to be translated to the whole table budget
+        (the bisection's upper end), charged, and cached as a NaN synopsis
+        that poisoned the view for that analyst."""
+        session = service.open_session("high")
+        before = service.engine.provenance.row_totals()
+        response = service.submit(session, RANGE_SQL, **{mode: bad})
+        assert not response.ok and not response.rejected
+        assert "finite" in response.error
+        batched, = service.submit_batch(
+            session, [QueryRequest(RANGE_SQL, **{mode: bad})])
+        assert not batched.ok and "finite" in batched.error
+        assert service.engine.provenance.row_totals() == before
+        assert service.analyst_spent("high") == 0.0
+        following = service.submit(session, RANGE_SQL, accuracy=2500.0)
+        assert following.ok and math.isfinite(following.answer.value)
+        assert following.answer.epsilon_charged > 0.0
+
     def test_malformed_sql_is_an_error_response(self, service):
         session = service.open_session("low")
         response = service.submit(session, "SELECT FROM WHERE", accuracy=1.0)

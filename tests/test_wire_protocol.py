@@ -136,6 +136,10 @@ class TestMalformed:
         {"sql": "SELECT 1", "accuracy": "high"},
         {"sql": "SELECT 1", "epsilon": True},
         {"sql": "SELECT 1", "protocol": PROTOCOL_VERSION + 1},
+        {"sql": "SELECT 1", "accuracy": float("nan")},
+        {"sql": "SELECT 1", "accuracy": float("inf")},
+        {"sql": "SELECT 1", "epsilon": float("-inf")},
+        {"sql": "SELECT 1", "epsilon": 10 ** 400},
     ])
     def test_bad_requests_refused(self, payload):
         with pytest.raises(WireFormatError):
