@@ -1,10 +1,23 @@
 """``RemoteAnalyst``: the over-the-wire twin of the in-process session API.
 
-One :class:`RemoteAnalyst` holds one persistent HTTP/1.1 connection (with
-transparent one-shot reconnect, since keep-alive connections can be
-closed server-side at any time) and is **not** thread-safe — use one
-instance per worker thread, exactly as in-process code uses one session
-per thread.  Transport- and lifecycle-level failures raise exceptions
+One :class:`RemoteAnalyst` holds one persistent HTTP/1.1 connection — one
+socket plus one buffered reader, framed by :mod:`repro.server.framing` —
+and is **not** thread-safe: use one instance per worker thread, exactly
+as in-process code uses one session per thread.  Each request leaves as
+head + body in one ``sendall``; each reply is read by ``Content-Length``.
+
+Keep-alive connections can be closed server-side at any time (the
+daemon's idle ``request_timeout``), so before every send on a reused
+connection a zero-timeout ``select`` asks whether it is readable: a
+server that is owed nothing has nothing to say, so readable means EOF and
+the connection is replaced *before* the request goes out.  What the probe
+cannot see is handled by the charging rule: a **send-phase** failure (the
+server never saw a complete request) reconnects and retries once for any
+method; a **receive-phase** failure (the request may have been processed
+and its epsilon charged) is retried once for ``GET`` and never for
+``POST``/``DELETE`` — it raises :class:`RemoteError`.
+
+Transport- and lifecycle-level failures raise exceptions
 mirroring the in-process ones: a 409 from the server becomes
 :class:`repro.exceptions.ServiceClosed` / ``SessionClosed``, a 401
 becomes :class:`repro.exceptions.UnknownAnalyst`; anything else raises
@@ -21,10 +34,10 @@ verification for tests against throwaway self-signed certs.
 from __future__ import annotations
 
 import gzip
-import http.client
 import itertools
 import json
 import os
+import select
 import socket
 import ssl
 import time
@@ -39,6 +52,7 @@ from repro.exceptions import (
     SessionClosed,
     UnknownAnalyst,
 )
+from repro.server import framing
 from repro.server.protocol import (
     WireFormatError,
     decode_error,
@@ -80,24 +94,23 @@ class RateLimited(RemoteError):
         self.retry_after = retry_after
 
 
-def _inflate(reply, raw: bytes, context: str) -> bytes:
+def _inflate(status: int, headers: dict, raw: bytes, context: str) -> bytes:
     """Undo the server's negotiated ``Content-Encoding``.
 
     Protocol v2 servers gzip-compress large bodies when the client
     offers it; v1 servers (and small bodies) stay identity-encoded.
     """
-    encoding = (reply.getheader("Content-Encoding") or "").lower()
+    encoding = headers.get("content-encoding", "").lower()
     if encoding in ("", "identity"):
         return raw
     if encoding != "gzip":
         raise RemoteError(f"{context}: server sent unsupported "
-                          f"Content-Encoding {encoding!r}",
-                          status=reply.status)
+                          f"Content-Encoding {encoding!r}", status=status)
     try:
         return gzip.decompress(raw)
     except OSError as exc:
         raise RemoteError(f"{context}: bad gzip body ({exc})",
-                          status=reply.status) from None
+                          status=status) from None
 
 
 @dataclass(frozen=True)
@@ -124,21 +137,19 @@ class RemoteAnalyst:
                  ca_bundle: str | None = None,
                  tls_insecure: bool = False,
                  trace_requests: bool = True) -> None:
-        scheme = "http"
-        if "://" in base_url:
-            parts = urlsplit(base_url)
-            if parts.scheme not in ("http", "https"):
-                raise ReproError(f"unsupported scheme {parts.scheme!r} "
-                                 f"(the daemon speaks http or https)")
-            scheme = parts.scheme
-            netloc = parts.netloc
-        else:  # accept "host:port" shorthand (incl. bare hostnames)
-            netloc = base_url.rstrip("/")
-        if ":" in netloc:
-            host, _, port_text = netloc.rpartition(":")
-            port = int(port_text)
-        else:
-            host, port = netloc, (443 if scheme == "https" else 80)
+        try:  # "host:port" shorthand (incl. bare hostnames) means http
+            parts = urlsplit(base_url if "://" in base_url
+                             else "http://" + base_url)
+            scheme, host, port = parts.scheme, parts.hostname, parts.port
+        except ValueError as exc:  # non-numeric / out-of-range port, bad [v6]
+            raise ReproError(f"bad base url {base_url!r}: {exc}") from None
+        if scheme not in ("http", "https"):
+            raise ReproError(f"unsupported scheme {scheme!r} "
+                             f"(the daemon speaks http or https)")
+        if not host:
+            raise ReproError(f"no host in base url {base_url!r}")
+        if port is None:
+            port = 443 if scheme == "https" else 80
         if (ca_bundle is not None or tls_insecure) and scheme != "https":
             raise ReproError("ca_bundle/tls_insecure only apply to "
                              "https:// URLs")
@@ -157,8 +168,6 @@ class RemoteAnalyst:
             if tls_insecure:
                 self._tls_context.check_hostname = False
                 self._tls_context.verify_mode = ssl.CERT_NONE
-        if not host:
-            raise ReproError(f"no host in base url {base_url!r}")
         if retry_rate_limited < 0:
             raise ReproError(f"retry_rate_limited must be >= 0, "
                              f"got {retry_rate_limited}")
@@ -181,40 +190,54 @@ class RemoteAnalyst:
         self.last_trace_id: str | None = None
         self._trace_prefix = os.urandom(4).hex()
         self._trace_ids = itertools.count(1)
-        self._conn: http.client.HTTPConnection | None = None
+        #: ``Host`` and the fixed request headers.  Offering gzip is
+        #: protocol v2; v1 servers ignore the header and answer
+        #: identity-encoded, so the offer is always safe to make.
+        self._headers = [
+            ("Host", f"[{host}]:{port}" if ":" in host else f"{host}:{port}"),
+            ("Accept-Encoding", "gzip"),
+            ("Content-Type", "application/json")]
+        self._sock: socket.socket | None = None
+        self._reader = None  # the socket's one buffered reader
 
     # -- transport -------------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            if self._scheme == "https":
-                self._conn = http.client.HTTPSConnection(
-                    self._host, self._port, timeout=self._timeout,
-                    context=self._tls_context)
-            else:
-                self._conn = http.client.HTTPConnection(
-                    self._host, self._port, timeout=self._timeout)
-            self._conn.connect()
+    def _connection(self) -> socket.socket:
+        """The persistent socket, (re)connected when there is none or the
+        server closed it while it sat idle: a reused connection that is
+        *readable* before we sent anything has an EOF (the daemon's
+        keep-alive timeout) waiting, so it is replaced here rather than
+        discovered after a submission has gone out on it."""
+        if self._sock is not None:
+            if not select.select([self._sock], [], [], 0)[0]:
+                return self._sock
+            self.close()
+        sock = socket.create_connection((self._host, self._port),
+                                        timeout=self._timeout)
+        try:
             # Request/response ping-pong over keep-alive: without
             # TCP_NODELAY, Nagle + delayed ACK costs ~40ms a round trip.
-            self._conn.sock.setsockopt(socket.IPPROTO_TCP,
-                                       socket.TCP_NODELAY, 1)
-        return self._conn
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls_context is not None:
+                sock = self._tls_context.wrap_socket(
+                    sock, server_hostname=self._host)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock, self._reader = sock, sock.makefile("rb")
+        return sock
 
     def close(self) -> None:
         """Drop the underlying connection (sessions stay open server-side)."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "RemoteAnalyst":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    #: Transport failures that mark the persistent connection dead.
-    _SOCKET_ERRORS = (http.client.HTTPException, ConnectionError,
-                      BrokenPipeError, TimeoutError)
 
     def _request(self, method: str, path: str,
                  payload: dict | None = None) -> dict:
@@ -230,31 +253,34 @@ class RemoteAnalyst:
                     else 0.05
                 time.sleep(min(max(0.0, pause), self.max_retry_after))
 
-    def _request_once(self, method: str, path: str,
-                      payload: dict | None = None) -> dict:
-        body = None if payload is None else json.dumps(payload)
-        # Offering gzip is protocol v2; v1 servers ignore the header and
-        # answer identity-encoded, so the offer is always safe to make.
-        headers = {"Content-Type": "application/json",
-                   "Accept-Encoding": "gzip"}
+    def _exchange(self, method: str, path: str,
+                  body: bytes = b"") -> tuple[int, dict, bytes]:
+        """One request, head and body in one ``sendall``, and its reply as
+        ``(status, headers, identity-encoded body)``."""
+        message = framing.format_head(
+            f"{method} {path} HTTP/1.1",
+            self._headers + [("Content-Length", len(body))]) + body
         for attempt in (1, 2):  # one transparent reconnect on a dead socket
-            conn = self._connection()
+            sock = self._connection()
             try:
-                conn.request(method, path, body=body, headers=headers)
-            except self._SOCKET_ERRORS as exc:
+                sock.sendall(message)
+            except OSError as exc:
                 # Send-phase failure: the server never saw a complete
-                # request, so a retry is safe for any method (this is the
-                # stale-keep-alive case).
+                # request, so a retry is safe for any method.
                 self.close()
                 if attempt == 2:
                     raise RemoteError(
                         f"{method} {path} failed: {exc}") from exc
                 continue
             try:
-                reply = conn.getresponse()
-                raw = reply.read()
+                status, headers = framing.read_response_head(self._reader)
+                # No Content-Length: the body runs to EOF (read(-1)).
+                length = int(headers.get("content-length", -1))
+                raw = self._reader.read(length)
+                if len(raw) < length:
+                    raise ConnectionError("connection closed mid-body")
                 break
-            except self._SOCKET_ERRORS as exc:
+            except (OSError, ValueError, framing.FramingError) as exc:
                 # Receive-phase failure: the request may already have been
                 # *processed* (budget charged) even though the reply was
                 # lost.  Retrying a submission would double-charge epsilon,
@@ -264,19 +290,28 @@ class RemoteAnalyst:
                     raise RemoteError(
                         f"{method} {path} failed after the request was "
                         f"sent: {exc}") from exc
-        raw = _inflate(reply, raw, f"{method} {path}")
+        if length < 0 or "close" in headers.get("connection", "").lower():
+            self.close()
+        return status, headers, _inflate(status, headers, raw,
+                                         f"{method} {path}")
+
+    def _request_once(self, method: str, path: str,
+                      payload: dict | None = None) -> dict:
+        status, headers, raw = self._exchange(
+            method, path,
+            b"" if payload is None else json.dumps(payload).encode("utf-8"))
         try:
             decoded = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise RemoteError(f"{method} {path}: server sent a non-JSON "
-                              f"body ({exc})", status=reply.status) from None
+                              f"body ({exc})", status=status) from None
         if not isinstance(decoded, dict):
             raise RemoteError(f"{method} {path}: server sent a non-object "
-                              f"body", status=reply.status)
-        if reply.status >= 400:
+                              f"body", status=status)
+        if status >= 400:
             retry_after = _parse_retry_after(
-                reply.getheader("Retry-After"), decoded)
-            self._raise_for(reply.status, decoded, f"{method} {path}",
+                headers.get("retry-after"), decoded)
+            self._raise_for(status, decoded, f"{method} {path}",
                             retry_after)
         return decoded
 
@@ -364,23 +399,11 @@ class RemoteAnalyst:
 
     def metrics_text(self) -> str:
         """The server's ``/v1/metrics`` Prometheus text, verbatim."""
-        for attempt in (1, 2):
-            conn = self._connection()
-            try:
-                conn.request("GET", "/v1/metrics",
-                             headers={"Accept-Encoding": "gzip"})
-                reply = conn.getresponse()
-                raw = reply.read()
-                break
-            except self._SOCKET_ERRORS as exc:
-                self.close()
-                if attempt == 2:
-                    raise RemoteError(
-                        f"GET /v1/metrics failed: {exc}") from exc
-        if reply.status != 200:
-            raise RemoteError(f"GET /v1/metrics returned {reply.status}",
-                              status=reply.status)
-        return _inflate(reply, raw, "GET /v1/metrics").decode("utf-8")
+        status, _, raw = self._exchange("GET", "/v1/metrics")
+        if status != 200:
+            raise RemoteError(f"GET /v1/metrics returned {status}",
+                              status=status)
+        return raw.decode("utf-8")
 
 
 def _session_id(session: RemoteSession | int) -> int:

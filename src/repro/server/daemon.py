@@ -43,6 +43,20 @@ Overload defenses (all opt-in by constructor/CLI flags):
   body read times out with ``408``, so a hung client can never pin a
   handler thread past the timeout or block :meth:`ReproServer.shutdown`.
 
+Framing is hand-rolled HTTP/1.1 (:mod:`repro.server.framing`, shared with
+the client) on the stdlib's socket server: the handler reads the head
+line by line into a lower-cased dict under the stdlib's limits (64 KiB
+per line -> 414/431, 100 headers -> 431, ``HTTP/1.0``/``1.1`` only ->
+505) and writes every response, on every route and status, as head +
+body in **one** ``wfile.write``.  Bodies are delimited by
+``Content-Length`` alone: any ``Transfer-Encoding``, two
+``Content-Length`` values that disagree, a non-integer one, or a
+malformed header line is a tagged 400 on a connection that is then
+closed, so no byte of a refused message is ever parsed as the next
+request.  ``Connection: close``, HTTP/1.0 close-by-default, ``Expect:
+100-continue``, pipelining and two-write clients (``http.client``,
+``urllib``) behave as under ``BaseHTTPRequestHandler``.
+
 TLS termination is stdlib ``ssl``: ``tls_cert``/``tls_key`` (both or
 neither — ``repro serve --tls-cert/--tls-key``) wrap the listening
 socket in a server-side :class:`ssl.SSLContext`, and :attr:`url` flips
@@ -61,7 +75,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import math
 import os
 import re
 import ssl
@@ -79,12 +92,14 @@ from contextlib import contextmanager
 from repro.exceptions import ClosedError, ReproError, UnknownAnalyst
 from repro.metrics import tracing
 from repro.metrics.telemetry import TelemetryRegistry
+from repro.server import framing
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     WireFormatError,
     decode_request,
     encode_error,
     encode_response,
+    finite_or_none,
     json_ready,
 )
 from repro.service.service import QueryService
@@ -359,26 +374,24 @@ class _MicroBatcher:
                 pending.done.set()
 
 
-def _finite(value: float) -> float | None:
-    """Strict-JSON coercion for forecasts: ``inf`` (idle) -> ``None``."""
-    return float(value) if math.isfinite(value) else None
-
-
 def _json_finite(forecast: dict) -> dict:
-    return {key: _finite(value) for key, value in forecast.items()}
+    """Strict-JSON coercion for forecasts: ``inf`` (idle) -> ``None``."""
+    return {key: finite_or_none(value) for key, value in forecast.items()}
 
 
-#: Bounded-cardinality route labels for the request metrics.
-def _route_label(method: str, path: str) -> str:
-    path = path.partition("?")[0]
-    if path in ("/v1/health", "/v1/snapshot", "/v1/metrics",
-                "/v1/trace", "/v1/audit", "/v1/sessions"):
-        return f"{method} {path}"
-    match = _SESSION_PATH.match(path)
+_FIXED_ROUTES = frozenset(("/v1/health", "/v1/snapshot", "/v1/metrics",
+                           "/v1/trace", "/v1/audit", "/v1/sessions"))
+
+
+def _route_label(method: str, path: str, match: re.Match | None) -> str:
+    """Bounded-cardinality route label for the request metrics; ``path``
+    carries no query string and ``match`` is its ``_SESSION_PATH`` match."""
     if match is not None:
         action = match.group(2)
         suffix = f"/{action}" if action else ""
         return f"{method} /v1/sessions/{{id}}{suffix}"
+    if path in _FIXED_ROUTES:
+        return f"{method} {path}"
     return "other"
 
 
@@ -594,8 +607,6 @@ class ReproServer:
         is reported and retried next interval — serving never stops for
         it, and the ledger it failed to compact still holds every
         charge."""
-        import sys
-
         while not self._checkpoint_stop.wait(self.checkpoint_every):
             try:
                 self.service.checkpoint()
@@ -636,8 +647,6 @@ class ReproServer:
             # lock is still held, so another attempt would hang forever.
             self._checkpoint_thread.join(timeout=CHECKPOINT_ABANDON_TIMEOUT)
             if self._checkpoint_thread.is_alive():
-                import sys
-
                 self.checkpoint_abandoned = True
                 print("repro serve: background checkpoint still blocked "
                       "on I/O after the drain; abandoning it (the ledger "
@@ -667,8 +676,17 @@ class ReproServer:
     # -- request handling (called from handler threads) ------------------------
     def handle(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
         """Route one request; returns ``(status, json_body)``."""
+        path, _, query = path.partition("?")
+        return self._handle(method, path, query, _SESSION_PATH.match(path),
+                            body)
+
+    def _handle(self, method: str, path: str, query: str,
+                match: re.Match | None, body: bytes) -> tuple[int, dict]:
+        """:meth:`handle` on an already split path and its one
+        ``_SESSION_PATH`` match (the handler shares both with its route
+        label)."""
         try:
-            return self._route(method, path, body)
+            return self._route(method, path, query, match, body)
         except WireFormatError as exc:
             return 400, encode_error(str(exc), "bad_request")
         except UnknownAnalyst as exc:
@@ -688,8 +706,8 @@ class ReproServer:
         """The ``/v1/metrics`` body (Prometheus text exposition)."""
         return self.telemetry.render()
 
-    def _route(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
-        path, _, query = path.partition("?")
+    def _route(self, method: str, path: str, query: str,
+               match: re.Match | None, body: bytes) -> tuple[int, dict]:
         if method == "GET" and path == "/v1/health":
             return 200, self._health()
         if method == "GET" and path == "/v1/snapshot":
@@ -707,7 +725,6 @@ class ReproServer:
             return 200, self._audit(query)
         if method == "POST" and path == "/v1/sessions":
             return self._open_session(self._json(body))
-        match = _SESSION_PATH.match(path)
         if match is not None:
             session_id, action = int(match.group(1)), match.group(2)
             if method == "DELETE" and action is None:
@@ -785,7 +802,7 @@ class ReproServer:
             "burn_rates": {f"{window:g}": trail.burn_rates(window)
                            for window in trail.windows},
             "exhaustion": _json_finite(trail.exhaustion()),
-            "table_exhaustion": _finite(trail.table_exhaustion()),
+            "table_exhaustion": finite_or_none(trail.table_exhaustion()),
             "group_exhaustion": _json_finite(trail.group_exhaustion()),
         }
         if analyst is not None:
@@ -960,31 +977,71 @@ def _build_handler(server: ReproServer) -> type:
         # connections; Nagle + delayed ACK adds ~40ms per round trip.
         disable_nagle_algorithm = True
         # StreamRequestHandler applies this as the connection's socket
-        # timeout: it bounds the header read, the body read below, and
-        # keep-alive idle time.  A timeout mid-request-line is handled
-        # by BaseHTTPRequestHandler (connection closed); a timeout
+        # timeout: it bounds the head read, the body read below, and
+        # keep-alive idle time.  A timeout mid-head is handled by
+        # BaseHTTPRequestHandler (connection closed); a timeout
         # mid-body is answered with 408 below.
         timeout = server.request_timeout
+
+        def parse_request(self) -> bool:
+            """Read the head after the request line with the shared
+            framing reader; a head it refuses is answered and closed."""
+            self.close_connection = True
+            try:
+                self.command, self.path, self.request_version, headers = \
+                    framing.read_request_head(self.rfile,
+                                              self.raw_requestline)
+            except framing.FramingError as exc:
+                self._refuse(exc.status, "bad_request", str(exc))
+                return False
+            self.headers = headers
+            connection = headers.get("connection", "").lower()
+            self.close_connection = "close" in connection or (
+                self.request_version == "HTTP/1.0"
+                and "keep-alive" not in connection)
+            return True
+
+        def send_error(self, code, message=None, explain=None) -> None:
+            # The base class's own refusals (414 on an over-long request
+            # line, 501 on an unknown method) take the same one-write,
+            # tagged-JSON exit as ours.
+            self._refuse(int(code), "bad_request",
+                         message or self.responses[code][0])
+
+        def _send(self, status: int, content_type: str, data: bytes,
+                  extra: tuple = ()) -> None:
+            """The whole response -- head and body -- in one write."""
+            headers = [("Server", self.version_string()),
+                       ("Date", framing.http_date()),
+                       ("Content-Type", content_type), *extra,
+                       ("Content-Length", len(data))]
+            if self.close_connection:
+                headers.append(("Connection", "close"))
+            phrase = self.responses.get(status, ("",))[0]
+            self.wfile.write(framing.format_head(
+                f"HTTP/1.1 {status} {phrase}", headers) + data)
 
         def _read_body(self) -> bytes | None:
             """Read the request body under the cap and the socket
             timeout; sends the refusal itself and returns ``None`` when
             the request cannot proceed."""
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
+            declared = self.headers.get("content-length", "0")
+            if not (declared.isascii() and declared.isdigit()):
                 self._refuse(400, "bad_request",
                              "Content-Length is not an integer")
                 return None
+            length = int(declared)
             if length > server.max_body_bytes:
                 self._refuse(413, "bad_request",
                              f"request body of {length} bytes exceeds the "
                              f"{server.max_body_bytes}-byte limit")
                 return None
-            if length <= 0:
+            if length == 0:
                 return b""
             read_started = time.perf_counter()
             try:
+                if self.headers.get("expect", "").lower() == "100-continue":
+                    self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
                 body = self.rfile.read(length)
             except (TimeoutError, OSError):
                 body = None
@@ -1003,14 +1060,8 @@ def _build_handler(server: ReproServer) -> type:
             """One-shot error reply on a connection we no longer trust."""
             self.close_connection = True
             try:
-                data = json.dumps(encode_error(message, kind)) \
-                    .encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.write(data)
+                self._send(status, "application/json", json.dumps(
+                    encode_error(message, kind)).encode("utf-8"))
             except (TimeoutError, OSError):
                 pass  # the peer is gone or stalled; nothing to salvage
             self._status = status
@@ -1021,42 +1072,39 @@ def _build_handler(server: ReproServer) -> type:
             if server.log_json:
                 server._handler_local.log_analyst = None
                 server._handler_local.log_trace = None
-            route = _route_label(method, self.path)
+            path, _, query = self.path.partition("?")
+            match = _SESSION_PATH.match(path)
+            route = _route_label(method, path, match)
             server._m_requests.inc(route=route)
             self._status = 500
             try:
                 body = self._read_body()
                 if body is None:
                     return
+                extra = ()
                 if method == "GET" and self.path == "/v1/metrics":
                     data = server.render_metrics().encode("utf-8")
                     content_type = "text/plain; version=0.0.4; " \
                                    "charset=utf-8"
-                    status, payload = 200, None
+                    status = 200
                 else:
-                    status, payload = server.handle(method, self.path, body)
+                    status, payload = server._handle(method, path, query,
+                                                     match, body)
                     data = json.dumps(payload).encode("utf-8")
                     content_type = "application/json"
+                    if status == 429 and isinstance(
+                            payload.get("retry_after"), (int, float)):
+                        extra = (("Retry-After",
+                                  f"{payload['retry_after']:.3f}"),)
                 self._status = status
-                encoding = None
                 if len(data) >= GZIP_MIN_BYTES and "gzip" in \
-                        (self.headers.get("Accept-Encoding") or "").lower():
+                        self.headers.get("accept-encoding", "").lower():
                     # mtime=0 keeps the body deterministic (same answer,
                     # same bytes) — useful for replay comparison and
                     # cache-friendly anyway.
                     data = gzip.compress(data, compresslevel=6, mtime=0)
-                    encoding = "gzip"
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                if encoding is not None:
-                    self.send_header("Content-Encoding", encoding)
-                self.send_header("Content-Length", str(len(data)))
-                if status == 429 and isinstance(
-                        payload.get("retry_after"), (int, float)):
-                    self.send_header("Retry-After",
-                                     f"{payload['retry_after']:.3f}")
-                self.end_headers()
-                self.wfile.write(data)
+                    extra += (("Content-Encoding", "gzip"),)
+                self._send(status, content_type, data, extra)
             finally:
                 server._m_responses.inc(status=str(self._status))
                 elapsed = time.perf_counter() - started

@@ -138,14 +138,21 @@ def decode_request(payload: Any) -> QueryRequest:
 
 
 # -- answers / responses -------------------------------------------------------
+def finite_or_none(value) -> float | None:
+    """Strict-JSON image of one real number: ``json_ready(float(value))``
+    without the type dispatch (JSON has no NaN/Infinity)."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _encode_answer(answer: Answer) -> dict:
     return {
         "analyst": answer.analyst,
-        "value": json_ready(float(answer.value)),
-        "epsilon_charged": json_ready(float(answer.epsilon_charged)),
+        "value": finite_or_none(answer.value),
+        "epsilon_charged": finite_or_none(answer.epsilon_charged),
         "view_name": answer.view_name,
-        "per_bin_variance": json_ready(float(answer.per_bin_variance)),
-        "answer_variance": json_ready(float(answer.answer_variance)),
+        "per_bin_variance": finite_or_none(answer.per_bin_variance),
+        "answer_variance": finite_or_none(answer.answer_variance),
         "cache_hit": bool(answer.cache_hit),
     }
 
@@ -322,5 +329,6 @@ __all__ = [
     "encode_error",
     "encode_request",
     "encode_response",
+    "finite_or_none",
     "json_ready",
 ]
