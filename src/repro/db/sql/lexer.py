@@ -1,11 +1,14 @@
 """Tokeniser for the SQL subset.
 
-The scanner is one precompiled master regex driven by a ``match(text,
-pos)`` loop — profiling the serving layer showed the historical
-per-character scanner as the single largest tottime in a planned batch
-(every cache miss tokenises, and fuzz/round-trip suites tokenise
-constantly).  The regex dispatches on ``lastgroup``, so each token costs
-one C-level match instead of a dozen Python-level predicate calls.
+The scanner is one ``findall`` pass of a precompiled master regex,
+consumed by a list-building loop.  Every alternative of the regex
+swallows the whitespace in front of its token, so one match yields one
+token and whitespace costs no match and no loop iteration; ``findall``
+hands back each token as a tuple of group texts, with no match object
+to query.  A :class:`Token` is a ``NamedTuple`` built with
+``tuple.__new__``, which skips the Python-level constructor a statement
+of ~25 tokens would otherwise pay per token.  Every compile-cache miss
+tokenises, so this loop is on the ad-hoc query path.
 
 The regex encodes ASCII lexical rules exactly; input containing
 non-ASCII characters (where ``str.isdigit``/``str.isalnum`` admit
@@ -19,8 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.exceptions import SQLError
 
@@ -45,8 +47,7 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
@@ -57,20 +58,27 @@ class Token:
         return value is None or self.value == value
 
 
-#: One alternative per token class, mutually exclusive on the first
-#: character.  The string rule closes on a quote *not* followed by
-#: another quote (``''`` is the standard SQL escape), so a literal whose
-#: final quote is really the first half of an escape stays unterminated
-#: — exactly as the reference scanner's find-loop behaves.  Operators
-#: are ordered longest-first, mirroring :data:`OPERATORS`.
-_MASTER = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<string>'(?:[^']|'')*'(?!'))
-  | (?P<op><=|>=|!=|<>|=|<|>)
-  | (?P<number>-?[0-9][0-9.]*)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[*,()])
-""", re.VERBOSE)
+#: One match per token: the whitespace in front of it (group 1), then one
+#: group per token class, mutually exclusive on the first character.  The
+#: string rule closes on a quote *not* followed by another quote (``''``
+#: is the standard SQL escape), so a literal whose final quote is really
+#: the first half of an escape stays unterminated — exactly as the
+#: reference scanner's find-loop behaves.  Operators are ordered
+#: longest-first, mirroring :data:`OPERATORS`.  Every position matches
+#: something, so ``findall`` never skips input: where no token starts
+#: (an unterminated literal or a stray character) the ``bad`` group
+#: swallows the rest of the text, and the last alternative matches the
+#: end of the text after any trailing whitespace.  One pass is therefore
+#: linear in the text and stops at the first error.
+_MASTER = re.compile(r"""(\s*)(?:
+    ([A-Za-z_][A-Za-z0-9_]*)          # word
+  | ([*,()])                          # punctuation
+  | ('(?:[^']|'')*'(?!'))             # string
+  | (-?[0-9][0-9.]*)                  # number
+  | (<=|>=|!=|<>|=|<|>)               # operator
+  | ([\s\S]+)                         # bad: the rest of the text
+  | \Z                                # end of text
+)""", re.VERBOSE)
 
 _PUNCT = {
     "*": TokenType.STAR,
@@ -83,45 +91,54 @@ _PUNCT = {
 def tokenize(text: str) -> list[Token]:
     """Tokenise SQL ``text``; raises :class:`SQLError` on bad characters."""
     if text.isascii():
-        return list(_scan(text))
+        return _scan(text)
     return list(_scan_reference(text))
 
 
-def _scan(text: str) -> Iterator[Token]:
+def _scan(text: str) -> list[Token]:
     """Regex scanner for ASCII input (token-stream-identical to
-    :func:`_scan_reference`, including error messages and positions)."""
-    i, n = 0, len(text)
-    match = _MASTER.match
-    while i < n:
-        m = match(text, i)
-        if m is None:
-            if text[i] == "'":
-                raise SQLError(f"unterminated string literal at position {i}")
-            raise SQLError(f"unexpected character {text[i]!r} at position {i}")
-        kind = m.lastgroup
-        if kind == "ws":
-            i = m.end()
-            continue
-        value = m.group()
-        if kind == "word":
-            upper = value.upper()
+    :func:`_scan_reference`, including error messages and positions).
+
+    ``findall`` returns one tuple of group texts per token with no match
+    object in between; positions are the running sum of their lengths.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__
+    pos = 0
+    for space, word, punct, string, number, op, bad in _MASTER.findall(text):
+        pos += len(space)
+        if word:
+            upper = word.upper()
             if upper in KEYWORDS:
-                yield Token(TokenType.KEYWORD, upper, i)
+                append(new(Token, (TokenType.KEYWORD, upper, pos)))
             else:
-                yield Token(TokenType.IDENT, value, i)
-        elif kind == "number":
-            yield Token(TokenType.NUMBER, value, i)
-        elif kind == "op":
-            yield Token(TokenType.OPERATOR, value, i)
-        elif kind == "punct":
-            yield Token(_PUNCT[value], value, i)
-        else:  # string: strip the quotes, collapse the '' escapes
-            inner = value[1:-1]
-            if "''" in inner:
-                inner = inner.replace("''", "'")
-            yield Token(TokenType.STRING, inner, i)
-        i = m.end()
-    yield Token(TokenType.EOF, "", n)
+                append(new(Token, (TokenType.IDENT, word, pos)))
+            pos += len(word)
+        elif punct:
+            append(new(Token, (_PUNCT[punct], punct, pos)))
+            pos += 1
+        elif string:  # strip the quotes, collapse the '' escapes
+            value = string[1:-1]
+            if "''" in value:
+                value = value.replace("''", "'")
+            append(new(Token, (TokenType.STRING, value, pos)))
+            pos += len(string)
+        elif number:
+            append(new(Token, (TokenType.NUMBER, number, pos)))
+            pos += len(number)
+        elif op:
+            append(new(Token, (TokenType.OPERATOR, op, pos)))
+            pos += len(op)
+        elif bad:
+            if bad[0] == "'":
+                raise SQLError(f"unterminated string literal at position {pos}")
+            raise SQLError(
+                f"unexpected character {bad[0]!r} at position {pos}")
+        else:  # end of text (findall may repeat it as an empty match)
+            break
+    append(new(Token, (TokenType.EOF, "", pos)))
+    return tokens
 
 
 def _scan_reference(text: str) -> Iterator[Token]:

@@ -150,10 +150,19 @@ class _Parser:
 
 
 def _parse_literal(token: Token) -> Literal:
-    """The value of a NUMBER or STRING token."""
+    """The value of a NUMBER or STRING token.
+
+    The lexer takes any run of digits and dots for a NUMBER, so ``1.5.2``
+    and ``1..2`` reach here; they are a :class:`SQLError`, as is a digit
+    string longer than ``int`` accepts.  The parser and
+    :func:`bind_literals` both land here, so both raise the same text."""
     if token.type is TokenType.NUMBER:
         text = token.value
-        return float(text) if "." in text else int(text)
+        try:
+            return float(text) if "." in text else int(text)
+        except ValueError:
+            raise SQLError(f"malformed number {text!r} at position "
+                           f"{token.position}") from None
     if token.type is TokenType.STRING:
         return token.value
     raise SQLError(f"expected literal at position {token.position}")

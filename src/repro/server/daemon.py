@@ -899,16 +899,16 @@ class ReproServer:
         trace and reports into it instead of minting its own.
         """
         tracer = self.service.tracer
-        if not tracer.enabled:
-            yield None
-            return
+        body_read = getattr(self._handler_local, "body_read", None)
+        self._handler_local.body_read = None
         trace_id = payload.get("trace")
         trace = tracer.start(trace_id if isinstance(trace_id, str)
                              and trace_id else None)
+        if trace is None:  # tracing disabled, or this request sampled out
+            yield None
+            return
         if self.log_json:
             self._handler_local.log_trace = trace.trace_id
-        body_read = getattr(self._handler_local, "body_read", None)
-        self._handler_local.body_read = None
         if body_read is not None:
             trace.add_span("read_body", body_read[0], body_read[1],
                            bytes=body_read[2])

@@ -26,6 +26,7 @@ from repro.db.sql.ast import Between, Comparison, SelectStatement
 from repro.dp.sensitivity import Neighboring
 from repro.exceptions import SchemaError, UnanswerableQuery
 from repro.views.linear import LinearQuery
+from repro.views.transform import value_range
 
 
 @dataclass(frozen=True)
@@ -136,29 +137,16 @@ class HierarchicalView:
                 raise UnanswerableQuery(
                     f"predicate column {cond.column!r} not covered"
                 )
-            if isinstance(cond, Between):
-                low = max(low, int(math.ceil(cond.low)))
-                high = min(high, int(math.floor(cond.high)))
-            elif isinstance(cond, Comparison):
-                value = cond.value
-                if cond.op == "=":
-                    low, high = max(low, int(value)), min(high, int(value))
-                elif cond.op == ">=":
-                    low = max(low, int(math.ceil(value)))
-                elif cond.op == ">":
-                    low = max(low, int(math.floor(value)) + 1)
-                elif cond.op == "<=":
-                    high = min(high, int(math.floor(value)))
-                elif cond.op == "<":
-                    high = min(high, int(math.ceil(value)) - 1)
-                else:  # != breaks contiguity
-                    raise UnanswerableQuery(
-                        "hierarchical views need contiguous ranges"
-                    )
-            else:
+            if isinstance(cond, Comparison) and cond.op == "!=":
+                raise UnanswerableQuery(
+                    "hierarchical views need contiguous ranges"
+                )
+            if not isinstance(cond, (Between, Comparison)):
                 raise UnanswerableQuery(
                     "hierarchical views need range predicates"
                 )
+            cond_low, cond_high = value_range(cond)
+            low, high = max(low, cond_low), min(high, cond_high)
         if high < low:
             raise UnanswerableQuery("predicate selects no bins of the view")
         return low - domain.low, high - domain.low  # bin indices

@@ -10,11 +10,28 @@ A statement is *answerable* over a view ``V`` when
 
 ``GROUP BY`` over view attributes is compiled to one linear query per group
 bin (full-domain semantics, so absent values appear as noisy-zero bins).
+
+Every condition reduces to bin indices without visiting the bins.  On an
+:class:`IntegerDomain` an ordering comparison or ``BETWEEN`` becomes the
+inclusive integer range it admits (``x < 7.5`` admits ``x <= 7``), and
+integer arithmetic maps that range to a slice of bins; ``=``, ``!=`` and
+``IN`` become the bins of the integers their operands equal.  On a
+:class:`CategoricalDomain` each operand is one value -> bin dict lookup.
+A column's conjunction is one slice, one set of selected and one set of
+excluded bins, written straight into a float64 axis mask; the view's
+indicator is the outer product of its axis masks.  A bucketised bin
+that a condition covers only in part makes the view unanswerable
+(bin-misaligned ranges cannot be answered exactly from bucketised
+counts — Appendix D's discretisation caveat), and the error names that
+bin.  Operands follow python semantics: a bool is the int it equals, a
+string equals no integer and cannot be ordered against one, and NaN
+admits nothing.
 """
 
 from __future__ import annotations
 
-import operator
+import math
+import numbers
 
 import numpy as np
 
@@ -82,269 +99,192 @@ def _check_answerable(statement: SelectStatement, view: HistogramView) -> None:
     raise UnanswerableQuery(f"aggregate {agg.func} not answerable over views")
 
 
-#: Comparison operators; apply to a scalar bin value or, elementwise, to
-#: an array of them.
-_COMPARE = {
-    "=": operator.eq, "!=": operator.ne,
-    "<": operator.lt, "<=": operator.le,
-    ">": operator.gt, ">=": operator.ge,
-}
+#: Comparisons that order values; on a categorical domain they are
+#: unanswerable, on an integer domain they select a run of bins.
+_ORDERING = ("<", "<=", ">", ">=")
+
+#: The empty inclusive range.
+_NOTHING = (math.inf, -math.inf)
 
 
-def _is_plain_number(value) -> bool:
-    """Numeric operand the vectorized mask path handles (bools keep the
-    scalar path's python-equality semantics)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _ceil(x):
+    """``math.ceil`` passing ±inf through."""
+    return x if isinstance(x, float) and math.isinf(x) else math.ceil(x)
 
 
-def _evaluate_array(values: np.ndarray, cond: Condition) -> np.ndarray:
-    """Vectorized condition evaluation over an array of bin values."""
-    if isinstance(cond, Comparison):
-        return _COMPARE[cond.op](values, cond.value)
-    if isinstance(cond, Between):
-        return (cond.low <= values) & (values <= cond.high)
-    if isinstance(cond, InList):
-        return np.isin(values, list(cond.values))
-    raise UnanswerableQuery(  # pragma: no cover - parser limited
-        f"unsupported condition {type(cond).__name__}"
+def _floor(x):
+    """``math.floor`` passing ±inf through."""
+    return x if isinstance(x, float) and math.isinf(x) else math.floor(x)
+
+
+def _real(value, column: str):
+    """``value`` if it is a number (a bool is the int it equals); any
+    other operand cannot be ordered against an integer column."""
+    if isinstance(value, numbers.Real):
+        return value
+    raise UnanswerableQuery(
+        f"non-numeric operand {value!r} for integer column {column!r}"
     )
 
 
-def _integer_bin_mask(domain: IntegerDomain, cond: Condition,
-                      ordered: bool) -> np.ndarray | None:
-    """Vectorized mask over an integer domain's bins.
+def value_range(cond: Comparison | Between) -> tuple:
+    """The integers an ordering comparison, ``BETWEEN`` or ``=`` admits,
+    as an inclusive ``(low, high)``; ends may be ±inf and ``low > high``
+    admits none (``x < 7.5`` is ``(-inf, 7)``, ``x = 2.5`` is
+    ``(3, 2)``).  A NaN operand admits nothing; a non-numeric operand
+    raises :class:`UnanswerableQuery`."""
+    if isinstance(cond, Between):
+        low, high = _real(cond.low, cond.column), _real(cond.high, cond.column)
+        if not low <= high:  # an empty interval, or a NaN end
+            return _NOTHING
+        return _ceil(low), _floor(high)
+    x = _real(cond.value, cond.column)
+    if x != x:
+        return _NOTHING
+    op = cond.op
+    if op == "<":
+        return -math.inf, _ceil(x) - 1
+    if op == "<=":
+        return -math.inf, _floor(x)
+    if op == ">":
+        return _floor(x) + 1, math.inf
+    if op == ">=":
+        return _ceil(x), math.inf
+    return _ceil(x), _floor(x)  # "="
 
-    Returns ``None`` when a non-numeric operand needs the scalar path's
-    python-equality semantics.  Semantics (including the partial-overlap
-    rejections for ``bin_size > 1``) match the scalar path exactly —
-    this is the compile hot loop, evaluated once per domain value before
-    vectorization.
-    """
-    if isinstance(cond, Comparison):
-        if not _is_plain_number(cond.value):
-            return None
-    elif isinstance(cond, Between):
-        if not (_is_plain_number(cond.low) and _is_plain_number(cond.high)):
-            return None
-    elif isinstance(cond, InList):
-        if not all(_is_plain_number(v) for v in cond.values):
-            return None
-    else:
-        return None
 
-    lows = domain.low + np.arange(domain.size, dtype=np.int64) \
-        * domain.bin_size
-    if domain.bin_size == 1:
-        return _evaluate_array(lows, cond)
+def _misaligned(column: str, domain: IntegerDomain, index: int
+                ) -> UnanswerableQuery:
+    low, high = domain.bin_bounds(index)
+    return UnanswerableQuery(
+        f"predicate on {column!r} is not aligned with the view's bin "
+        f"boundaries (bin [{low}, {high}])"
+    )
 
-    highs = np.minimum(lows + domain.bin_size - 1, domain.high)
-    if ordered:
-        if isinstance(cond, Between):
-            # Endpoint agreement is NOT sound for intervals: BETWEEN 3
-            # AND 4 inside bin [0, 9] fails at both endpoints yet covers
-            # interior values.  Use containment directly: a bin is
-            # included iff fully inside the interval, excluded iff
-            # disjoint from it, misaligned otherwise.
-            if cond.low > cond.high:
-                # Empty interval: matches nothing, cleanly excluded
-                # (same as the bin_size == 1 path).
-                return np.zeros(domain.size, dtype=bool)
-            all_in = (cond.low <= lows) & (highs <= cond.high)
-            disjoint = (cond.high < lows) | (cond.low > highs)
-            partial = ~(all_in | disjoint)
-            if partial.any():
-                i = int(np.argmax(partial))
+
+def _ordered_slice(domain: IntegerDomain, cond: Comparison | Between
+                   ) -> tuple[int, int]:
+    """Bins ``[start, stop)`` an ordering comparison or ``BETWEEN``
+    selects.  Only the bins holding the two ends of its range can be cut,
+    so alignment is two integer checks, not a pass over the bins."""
+    low, high = value_range(cond)
+    origin, width = domain.low, domain.bin_size
+    nan_end = width > 1 and isinstance(cond, Between) \
+        and (cond.low != cond.low or cond.high != cond.high)
+    if nan_end:
+        # A NaN end fails every comparison, so no bucketised bin lies
+        # wholly inside the interval and every bin the other end admits
+        # is cut (a width-1 domain selects nothing instead).
+        low = -math.inf if cond.low != cond.low else _ceil(cond.low)
+        high = math.inf if cond.high != cond.high else _floor(cond.high)
+    low, high = max(low, origin), min(high, domain.high)
+    if low > domain.high or high < origin:
+        return 0, 0
+    first, last = (low - origin) // width, (high - origin) // width
+    if nan_end or low != origin + first * width:
+        raise _misaligned(cond.column, domain, first)
+    if high != min(origin + last * width + width - 1, domain.high):
+        raise _misaligned(cond.column, domain, last)
+    return first, last + 1
+
+
+def _integer_points(domain: IntegerDomain, operands, column: str
+                    ) -> set[int]:
+    """Bins holding an integer some operand equals.  Strings, NaN, ±inf
+    and fractional floats equal no integer; a bucketised bin holding
+    some but not all of its integers is cut."""
+    origin, width = domain.low, domain.bin_size
+    members: dict[int, set[int]] = {}
+    for value in operands:
+        if not isinstance(value, numbers.Real) or value != value \
+                or value in (math.inf, -math.inf):
+            continue
+        k = math.floor(value)
+        if k == value and origin <= k <= domain.high:
+            members.setdefault((k - origin) // width, set()).add(k)
+    if width > 1:
+        for index in sorted(members):
+            low, high = domain.bin_bounds(index)
+            if len(members[index]) <= high - low:
                 raise UnanswerableQuery(
-                    f"predicate on {cond.column!r} is not aligned with "
-                    f"the view's bin boundaries (bin [{int(lows[i])}, "
-                    f"{int(highs[i])}])"
+                    f"predicate on {column!r} selects part of a bucketised "
+                    f"bin [{low}, {high}]"
                 )
-            return all_in
-        # Monotone comparisons: the truth set is a half-line, so a bin
-        # straddling the threshold disagrees at its endpoints.
-        in_low = _evaluate_array(lows, cond)
-        in_high = _evaluate_array(highs, cond)
-        mismatch = in_low != in_high
-        if mismatch.any():
-            i = int(np.argmax(mismatch))
-            raise UnanswerableQuery(
-                f"predicate on {cond.column!r} is not aligned with the "
-                f"view's bin boundaries (bin [{int(lows[i])}, "
-                f"{int(highs[i])}])"
-            )
-        return in_low
-
-    # Set-membership over bucketised bins: per-bin count of satisfying
-    # values; all-in -> True, all-out -> False, partial -> unanswerable.
-    widths = highs - lows + 1
-    if isinstance(cond, InList):
-        targets = np.unique([v for v in cond.values
-                             if domain.low <= v <= domain.high])
-        satisfied = (np.searchsorted(targets, highs, side="right")
-                     - np.searchsorted(targets, lows, side="left"))
-    elif cond.op == "=":
-        satisfied = ((lows <= cond.value)
-                     & (cond.value <= highs)).astype(np.int64)
-    else:  # "!="
-        excluded = ((lows <= cond.value)
-                    & (cond.value <= highs)).astype(np.int64)
-        satisfied = widths - excluded
-    full = satisfied == widths
-    partial = ~full & (satisfied > 0)
-    if partial.any():
-        i = int(np.argmax(partial))
-        raise UnanswerableQuery(
-            f"predicate on {cond.column!r} selects part of a bucketised "
-            f"bin [{int(lows[i])}, {int(highs[i])}]"
-        )
-    return full
+    return set(members)
 
 
-def _categorical_bin_mask(domain: CategoricalDomain,
-                          cond: Comparison | InList) -> np.ndarray:
-    """``=`` / ``!=`` / ``IN`` over an enumerated domain in O(operands).
-
-    The domain's value -> bin lookup is a dict, so an operand selects the
-    bin whose value it equals under python equality (``1``, ``1.0`` and
-    ``True`` name the same bin) and no bin when the domain lacks it.
-    """
-    mask = np.zeros(domain.size, dtype=bool)
-    operands = cond.values if isinstance(cond, InList) else (cond.value,)
+def _categorical_points(domain: CategoricalDomain, operands) -> set[int]:
+    """Bins whose value an operand equals, under python equality (``1``,
+    ``1.0`` and ``True`` name the same bin); an operand the domain lacks
+    selects no bin."""
+    points = set()
     for operand in operands:
         try:
-            mask[domain.index_of(operand)] = True
+            points.add(domain.index_of(operand))
         except SchemaError:
-            pass  # not a domain value: selects nothing
-    if isinstance(cond, Comparison) and cond.op == "!=":
-        return ~mask
+            pass
+    return points
+
+
+def _axis_mask(domain: Domain, conditions) -> np.ndarray:
+    """Inclusion vector of a conjunction of conditions over one
+    attribute's bins.
+
+    The conjunction is kept as one slice (ordering comparisons), one
+    optional set of selected bins (``=``, ``IN``) and one set of excluded
+    bins (``!=``), and written into a zero vector.  Conditions are
+    reduced in statement order, so the first unanswerable one names the
+    error.
+    """
+    integer = isinstance(domain, IntegerDomain)
+    start, stop = 0, domain.size
+    points = None
+    excluded: set[int] = set()
+    for cond in conditions:
+        if isinstance(cond, InList):
+            operands = cond.values
+        elif isinstance(cond, Comparison) and cond.op not in _ORDERING:
+            operands = (cond.value,)
+        elif integer:
+            first, last = _ordered_slice(domain, cond)
+            start, stop = max(start, first), min(stop, last)
+            continue
+        else:
+            raise UnanswerableQuery(
+                f"ordering comparison on categorical column {cond.column!r}"
+            )
+        bins = (_integer_points(domain, operands, cond.column) if integer
+                else _categorical_points(domain, operands))
+        if isinstance(cond, Comparison) and cond.op == "!=":
+            excluded |= bins
+        else:
+            points = bins if points is None else points & bins
+    mask = np.zeros(domain.size)
+    if points is None:
+        mask[start:stop] = 1
+    else:
+        for i in points:
+            if start <= i < stop:
+                mask[i] = 1
+    for i in excluded:
+        mask[i] = 0
     return mask
 
 
 def _bin_mask_for_condition(domain: Domain, cond: Condition) -> np.ndarray:
-    """Inclusion vector for one condition over one attribute's bins.
-
-    For integer domains with ``bin_size > 1`` a bin is included only when
-    its *entire* value range satisfies the condition; a partial overlap
-    makes the query unanswerable over this view (bin-misaligned ranges
-    cannot be answered exactly from bucketised counts — Appendix D's
-    discretisation caveat).
-
-    Integer domains with numeric operands take a vectorized path (one
-    numpy comparison over the domain instead of a python loop per bin)
-    and categorical domains a value -> bin lookup per operand; integer
-    domains with exotic operands keep the scalar loop below, whose
-    semantics the other two mirror exactly.
-    """
-    ordered = isinstance(cond, Between) or (
-        isinstance(cond, Comparison) and cond.op in ("<", "<=", ">", ">=")
-    )
-    if isinstance(domain, CategoricalDomain):
-        if ordered:
-            raise UnanswerableQuery(
-                f"ordering comparison on categorical column {cond.column!r}"
-            )
-        return _categorical_bin_mask(domain, cond)
-
-    if isinstance(domain, IntegerDomain):
-        vectorized = _integer_bin_mask(domain, cond, ordered)
-        if vectorized is not None:
-            return vectorized
-
-    is_wide_integer = (isinstance(domain, IntegerDomain)
-                       and domain.bin_size > 1)
-    members = set(cond.values) if isinstance(cond, InList) else None
-
-    def evaluate(value) -> bool:
-        if isinstance(cond, Comparison):
-            return bool(_COMPARE[cond.op](value, cond.value))
-        if isinstance(cond, Between):
-            return bool(cond.low <= value <= cond.high)
-        if isinstance(cond, InList):
-            return value in members
-        raise UnanswerableQuery(  # pragma: no cover - parser limited
-            f"unsupported condition {type(cond).__name__}"
-        )
-
-    def wide_bin_inclusion(low: int, high: int) -> bool:
-        """All-in -> True, all-out -> False, partial -> unanswerable."""
-        if ordered:
-            if isinstance(cond, Between):
-                # Containment, not endpoint agreement: an interval lying
-                # strictly inside the bin fails at both endpoints yet
-                # covers interior values (same rule as the vectorized
-                # path in _integer_bin_mask).
-                if cond.low > cond.high:
-                    return False  # empty interval: cleanly excluded
-                all_in = cond.low <= low and high <= cond.high
-                disjoint = cond.high < low or cond.low > high
-                if not (all_in or disjoint):
-                    raise UnanswerableQuery(
-                        f"predicate on {cond.column!r} is not aligned "
-                        f"with the view's bin boundaries "
-                        f"(bin [{low}, {high}])"
-                    )
-                return all_in
-            in_low, in_high = evaluate(low), evaluate(high)
-            if in_low != in_high:
-                raise UnanswerableQuery(
-                    f"predicate on {cond.column!r} is not aligned with the "
-                    f"view's bin boundaries (bin [{low}, {high}])"
-                )
-            return in_low
-        # Set-membership conditions: count how many bin values satisfy.
-        if isinstance(cond, (Comparison, InList)):
-            if isinstance(cond, InList):
-                targets = {v for v in cond.values
-                           if isinstance(v, (int, float))
-                           and low <= v <= high}
-                satisfied = len(targets)
-            elif cond.op == "=":
-                satisfied = 1 if low <= cond.value <= high else 0
-            else:  # "!="
-                excluded = 1 if low <= cond.value <= high else 0
-                satisfied = (high - low + 1) - excluded
-            bin_width = high - low + 1
-            if satisfied == 0:
-                return False
-            if satisfied == bin_width:
-                return True
-            raise UnanswerableQuery(
-                f"predicate on {cond.column!r} selects part of a bucketised "
-                f"bin [{low}, {high}]"
-            )
-        raise UnanswerableQuery(  # pragma: no cover
-            f"unsupported condition {type(cond).__name__}"
-        )
-
-    mask = np.zeros(domain.size, dtype=bool)
-    for i in range(domain.size):
-        if is_wide_integer:
-            low, high = domain.bin_bounds(i)
-            mask[i] = wide_bin_inclusion(low, high)
-        else:
-            mask[i] = evaluate(domain.value_of(i))
-    return mask
-
-
-def _condition_bin_mask(domain: Domain, conditions: list[Condition]) -> np.ndarray:
-    """Boolean inclusion vector over one attribute's bins (conjunction)."""
-    mask = np.ones(domain.size, dtype=bool)
-    for cond in conditions:
-        mask &= _bin_mask_for_condition(domain, cond)
-    return mask
+    """Boolean inclusion vector of one condition."""
+    return _axis_mask(domain, (cond,)) == 1
 
 
 def _indicator(statement: SelectStatement, view: HistogramView) -> np.ndarray:
     """Flattened 0/1 inclusion weights for the predicate over the view grid."""
-    per_axis: list[np.ndarray] = []
+    conditions = statement.predicate.conditions
+    grid = None
     for attr in view.attributes:
-        conditions = [c for c in statement.predicate.conditions if c.column == attr]
-        per_axis.append(
-            _condition_bin_mask(view.schema.domain(attr), conditions).astype(np.float64)
-        )
-    grid = per_axis[0]
-    for axis_mask in per_axis[1:]:
-        grid = np.multiply.outer(grid, axis_mask)
+        axis_mask = _axis_mask(view.schema.domain(attr),
+                               [c for c in conditions if c.column == attr])
+        grid = axis_mask if grid is None \
+            else np.multiply.outer(grid, axis_mask)
     return grid.reshape(-1)
 
 
@@ -390,7 +330,7 @@ def transform(statement: SelectStatement, view: HistogramView,
         weights = indicator
     else:  # SUM or AVG numerator
         weights = indicator * _value_weights(view, agg.column, clip)
-    if not np.any(weights):
+    if not weights.any():
         # An all-zero query is answerable trivially but meaningless; treat as
         # an empty-support linear query the caller may answer with 0 noise...
         # except variance calibration needs support, so reject it instead.

@@ -20,7 +20,13 @@ from repro.db.sql.ast import (
     SelectStatement,
 )
 from repro.db.sql.executor import predicate_mask
-from repro.db.sql.lexer import KEYWORDS, _scan, _scan_reference, tokenize
+from repro.db.sql.lexer import (
+    KEYWORDS,
+    TokenType,
+    _scan,
+    _scan_reference,
+    tokenize,
+)
 from repro.db.sql.parser import (
     bind_literals,
     parse,
@@ -402,6 +408,61 @@ class TestLexerGoldenEquality:
         # unicode identifier isalpha admits) with identical streams.
         text = "SELECT COUNT(*) FROM tablé"
         assert tokenize(text) == list(_scan_reference(text))
+
+
+class TestLexerWhitespace:
+    """Every token pattern swallows the whitespace in front of it and
+    the end-of-text pattern swallows the trailing run, so whitespace is
+    where the regex scanner could drift from the reference."""
+
+    @pytest.mark.parametrize("text", [
+        "",
+        " ",
+        "\t\n \r\x0b\x0c",
+        "\x1c\x1d\x1e\x1f",             # isspace() and \s both admit these
+        "  SELECT",                      # leading
+        "SELECT  \n",                    # trailing
+        "\tSELECT\tCOUNT(\n*\n)\r\nFROM t WHERE a\t=\t'x y'  ",
+        "a IN ( 1 ,\t2 )",
+        "   ;",                          # error right after whitespace
+        "SELECT \t 'open",               # unterminated after whitespace
+        "a =\n-",                        # stray minus after a newline
+    ])
+    def test_pinned_whitespace(self, text):
+        assert _lex_outcome(_scan, text) == \
+            _lex_outcome(_scan_reference, text)
+        assert _lex_outcome(tokenize, text) == \
+            _lex_outcome(_scan_reference, text)
+
+    @pytest.mark.parametrize("text", [
+        " " * 50_000 + ";",               # a long run, then a stray char
+        "a" + " " * 50_000,               # a long trailing run
+        "'" * 50_001,                     # escape pairs, never closed
+        "x" + ";" * 50_000,               # stray characters to the end
+    ], ids=["space-run", "trailing-run", "quote-run", "stray-run"])
+    def test_long_malformed_runs_match(self, text):
+        # One findall pass that never skips input: a scan restarting at
+        # every position of these runs would take minutes, not ms.
+        assert _lex_outcome(_scan, text) == \
+            _lex_outcome(_scan_reference, text)
+
+    def test_eof_sits_at_the_end_of_the_text(self):
+        for text in ("", "   ", "SELECT \n\t"):
+            assert _scan(text)[-1] == (TokenType.EOF, "", len(text))
+
+    def test_error_position_skips_the_whitespace_before_it(self):
+        with pytest.raises(SQLError, match="unexpected character ';' at "
+                                           "position 10"):
+            tokenize("SELECT \n\t ;")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(
+        [" ", "\t", "\n", "\r\n", "a", "AND", "1.5", "-2", "'s '", "''",
+         "(", ")", ",", "*", "<=", "<>", "!", ";", "'"]), max_size=25))
+    def test_whitespace_heavy_streams_match(self, pieces):
+        text = "".join(pieces)
+        assert _lex_outcome(_scan, text) == \
+            _lex_outcome(_scan_reference, text)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,26 @@ class TestStatusMapping:
         assert following.ok and math.isfinite(following.answer.value)
         assert following.answer.epsilon_charged > 0.0
 
+    def test_raw_client_is_served_whether_or_not_it_is_traced(self, server):
+        """A client that sends no trace id is traced one request in
+        ``DEFAULT_TRACE_SAMPLE``; the requests sampled out are plain
+        200s too (they used to hit a 500 adopting the body-read span)."""
+        from repro.metrics.tracing import DEFAULT_TRACE_SAMPLE
+
+        sql = "SELECT COUNT(*) FROM adult WHERE age BETWEEN 30 AND 40"
+        with RemoteAnalyst(server.url, token="analyst_00") as client:
+            session = client.open_session()
+        conn = http.client.HTTPConnection(server.host, server.port)
+        for _ in range(2 * DEFAULT_TRACE_SAMPLE):
+            conn.request("POST", f"/v1/sessions/{session.session_id}/query",
+                         body=json.dumps({"sql": sql, "accuracy": ACCURACY}),
+                         headers={"Content-Type": "application/json"})
+            reply = conn.getresponse()
+            body = json.loads(reply.read())
+            assert reply.status == 200, body
+            assert body["error"] is None
+        conn.close()
+
     def test_unknown_token_is_401(self, server):
         with RemoteAnalyst(server.url, token="mallory") as client:
             with pytest.raises(UnknownAnalyst):

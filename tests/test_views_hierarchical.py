@@ -133,6 +133,28 @@ class TestMaterializeAndAnswer:
         with pytest.raises(UnanswerableQuery):
             view.to_linear(stmt)
 
+    @pytest.mark.parametrize("where", [
+        "x BETWEEN 'a' AND 40",          # used to raise TypeError
+        "x < 'a'",
+        "x = 'a'",                       # used to raise ValueError
+        "x = 2.5",                       # used to answer bin 2
+    ])
+    def test_operands_no_integer_satisfies_are_unanswerable(self, view,
+                                                            where):
+        assert not view.answerable(parse(f"SELECT COUNT(*) FROM t WHERE "
+                                         f"{where}"))
+
+    def test_a_float_literal_past_the_double_range_is_unbounded(self, db,
+                                                                 view):
+        # '1' followed by 400 zeros lexes as one NUMBER and parses to inf.
+        huge = "1" + "0" * 400 + ".0"
+        nodes = view.materialize(db)
+        for sql in (f"SELECT COUNT(*) FROM t WHERE x < {huge}",
+                    f"SELECT COUNT(*) FROM t WHERE x BETWEEN -{huge} AND 9"):
+            stmt = parse(sql)
+            assert view.to_linear(stmt).answer(nodes) == \
+                db.execute(stmt).scalar()
+
 
 class TestCostBasedSelection:
     def test_wide_range_prefers_dyadic(self, db):
