@@ -60,7 +60,6 @@ from repro.db.sql.parser import (
     parse_tokens,
     split_literals,
 )
-from repro.db.sql.unparse import to_sql
 from repro.dp.gaussian import analytic_gaussian_sigma
 from repro.dp.rng import SeedLike, ensure_generator
 from repro.exceptions import (
@@ -139,10 +138,8 @@ class DProvDB:
             analysts, self.registry.view_names
         )
         from repro.core.delegation import DelegationManager
-        from repro.core.history import QueryLog
 
         self.delegations = DelegationManager()
-        self.log = QueryLog()
         # Per-view critical sections: one reentrant lock per view keeps
         # the synopsis machinery (read-then-refresh of shared noisy state)
         # consistent while disjoint views proceed in parallel; budget
@@ -508,10 +505,8 @@ class DProvDB:
             )
         view, query = compiled.view, compiled.query
         target = self._accuracy_for(query, accuracy, epsilon, view)
-        sql_text = sql if isinstance(sql, str) else None
         return self.submit_compiled(analyst, compiled.statement, view, query,
-                                    target, delegation=delegation,
-                                    sql_text=sql_text)
+                                    target, delegation=delegation)
 
     def submit_compiled(self, analyst: str, statement: SelectStatement,
                         view, query, target: float,
@@ -522,26 +517,23 @@ class DProvDB:
         The fast path behind :meth:`submit`, exposed for callers that plan
         batches ahead of execution (see :mod:`repro.service.planner`):
         ``view``/``query`` must come from ``registry.compile(statement)`` and
-        ``target`` is the answer-variance requirement.
+        ``target`` is the answer-variance requirement.  ``sql_text`` is
+        accepted for existing callers and ignored: the engine keeps no
+        per-query trail (an answer's provenance is the :class:`Answer`
+        itself, the provenance table and the ledger).
         """
         self._check_analyst(analyst)
         if delegation is None and self.fast_lane:
-            per_bin = query.per_bin_variance_for(target)
-            outcome = self.mechanism.cached_answer_fast(analyst, view, query,
-                                                        per_bin)
-            if outcome is not None:
+            outcomes = self.mechanism.cached_answers_fast(
+                analyst, view, [(query, query.per_bin_variance_for(target))])
+            if outcomes is not None:
+                outcome = outcomes[0]
                 self._note_fast_lane(hits=1)
                 self._mark_source("fast_lane")
-                self.log.record(analyst,
-                                sql_text if sql_text is not None
-                                else to_sql(statement),
-                                outcome.view_name, 0.0, True, answered=True)
                 return Answer(analyst, outcome.value, 0.0, outcome.view_name,
                               outcome.per_bin_variance,
                               outcome.answer_variance, True)
             self._note_fast_lane(misses=1)
-        if sql_text is None:
-            sql_text = to_sql(statement)
         # Cache hits and fast-lane misses are far too hot for per-query
         # span machinery (the group-level "decisions" event aggregates
         # them); only the rare expensive outcomes — a fresh release or a
@@ -564,27 +556,16 @@ class DProvDB:
             try:
                 outcome = self.mechanism.answer(effective, view, query,
                                                 target)
-            except QueryRejected as exc:
+            except BaseException as exc:
                 if grant is not None:
                     self.delegations.release(grant, estimate)
-                self.log.record(analyst, sql_text, view.name, 0.0, False,
-                                answered=False, rejection_reason=exc.reason,
-                                delegated_from=grant.grantor if grant
-                                else None)
-                tracing.record_span("decision", started, view=view.name,
-                                    outcome="rejected")
-                raise
-            except BaseException:
-                if grant is not None:
-                    self.delegations.release(grant, estimate)
+                if isinstance(exc, QueryRejected):
+                    tracing.record_span("decision", started, view=view.name,
+                                        outcome="rejected")
                 raise
             if grant is not None:
                 self.delegations.settle(grant, estimate,
                                         outcome.epsilon_charged)
-            self.log.record(analyst, sql_text, outcome.view_name,
-                            outcome.epsilon_charged, outcome.cache_hit,
-                            answered=True,
-                            delegated_from=grant.grantor if grant else None)
             source = "cached" if outcome.cache_hit else "fresh"
             self._mark_source(source)
         if source == "fresh":
@@ -750,9 +731,7 @@ class DProvDB:
         return results
 
     def answer_batch_from_cache(self, analyst: str, view,
-                                pairs: list[tuple],
-                                sql_texts: list[str]
-                                ) -> list[Answer | None]:
+                                pairs: list[tuple]) -> list[Answer | None]:
         """Batch-lane cached answering for a planned per-view group.
 
         ``pairs`` is ``[(query, target), ...]`` in the planner's
@@ -760,19 +739,13 @@ class DProvDB:
         from the analyst's cached synopsis (see
         :meth:`MechanismBase.cached_answers_fast` for why only a prefix
         is safe) and the rest come back ``None`` for the caller to run
-        through the slow path in order.  Answered entries are logged
-        exactly like slow-path cache hits — ``sql_texts`` must therefore
-        be the real SQL strings (callers without one unparse their
-        statement first; an empty audit entry is worse than the cost).
+        through the slow path in order.  The synopsis-cache statistics
+        record exactly the hits the slow path would have recorded.
         """
         self._check_analyst(analyst)
         answers: list[Answer | None] = [None] * len(pairs)
         if not self.fast_lane or not pairs:
             return answers
-        if len(sql_texts) != len(pairs) or \
-                not all(isinstance(text, str) for text in sql_texts):
-            raise ReproError("answer_batch_from_cache needs one SQL string "
-                             "per pair (unparse the statement if needed)")
         probes = [(query, query.per_bin_variance_for(target))
                   for query, target in pairs]
         outcomes = self.mechanism.cached_answers_fast(analyst, view, probes,
@@ -780,10 +753,8 @@ class DProvDB:
         hits = 0
         for i, outcome in enumerate(outcomes):
             if outcome is None:
-                continue
+                break
             hits += 1
-            self.log.record(analyst, sql_texts[i], outcome.view_name, 0.0,
-                            True, answered=True)
             answers[i] = Answer(analyst, outcome.value, 0.0,
                                 outcome.view_name, outcome.per_bin_variance,
                                 outcome.answer_variance, True)

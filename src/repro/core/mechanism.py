@@ -190,84 +190,64 @@ class MechanismBase:
         return self.registry.exact_values(view.name)
 
     # -- memoized-answer fast lane ---------------------------------------------
-    def cached_answer_fast(self, analyst: str, view: HistogramView,
-                           query: LinearQuery,
-                           per_bin: float) -> Outcome | None:
+    def cached_answers_fast(self, analyst: str, view: HistogramView,
+                            parts: list[tuple[LinearQuery, float]],
+                            prefix: bool = False
+                            ) -> list[Outcome | None] | None:
         """Versioned lock-free cached-answer probe (the serving fast lane).
 
         Unlike :meth:`answer`, this is called *without* the engine's view
         section held: it reads the local synopsis, answers, and then
         re-checks the (analyst, view) generation counter — an unchanged
         generation proves no refresh or eviction replaced the entry
-        mid-read, making the answer linearizable with the locked path.
-        Any mismatch, absence, or inadequacy returns ``None`` so the
-        caller falls back to the slow path; **no cache miss is recorded**
-        on that path (the slow path's own probe records it once),
-        keeping hit/miss statistics identical to a fast-lane-off replay.
-        Serving from an adequate cached synopsis charges nothing in the
-        slow path, so the fast lane can never skip a charge.
-        """
-        outcomes = self.cached_answers_fast(analyst, view,
-                                            [(query, per_bin)])
-        return outcomes[0] if outcomes is not None else None
-
-    def cached_answers_fast(self, analyst: str, view: HistogramView,
-                            parts: list[tuple[LinearQuery, float]],
-                            prefix: bool = False
-                            ) -> list[Outcome | None] | None:
-        """Multi-query :meth:`cached_answer_fast` against one synopsis read.
+        mid-read, making the answers linearizable with the locked path.
+        Absence, inadequacy or a generation mismatch falls back without
+        recording a cache miss (the slow path's own probe records it
+        once), so hit/miss statistics stay identical to a fast-lane-off
+        replay.  Serving from an adequate cached synopsis charges nothing
+        in the slow path, so the fast lane can never skip a charge.
 
         ``parts`` is ``[(query, per_bin_requirement), ...]``.  By default
         the probe is all-or-nothing — every part must be answerable from
-        the cached synopsis or the whole probe returns ``None`` (the
-        GROUP BY / AVG shape, where the slow path would refresh once for
-        everyone).  With ``prefix=True`` the maximal adequate *prefix* is
-        answered and the remainder returned as ``None`` entries, stopping
-        at the first inadequate part: a planned batch group runs
-        strictest-first, and answering anything *past* a part that needs
-        a fresh release could serve a synopsis the sequential slow path
-        would already have upgraded — the prefix rule keeps the replay
-        bit-identical.
+        the cached synopsis or the whole probe returns ``None`` (a single
+        query, or the GROUP BY / AVG shape, where the slow path would
+        refresh once for everyone).  With ``prefix=True`` the maximal
+        adequate *prefix* is answered and the remainder returned as
+        ``None`` entries, stopping at the first inadequate part: a
+        planned batch group runs strictest-first, and answering anything
+        *past* a part that needs a fresh release could serve a synopsis
+        the sequential slow path would already have upgraded — the
+        prefix rule keeps the replay bit-identical.
         """
-        from repro.views.linear import answer_many
-
         store = self.store
         name = view.name
-        empty = [None] * len(parts) if prefix else None
         generation = store.local_generation(analyst, name)
         cached = store.local_synopsis(analyst, name)
-        if cached is None:
-            return empty
-        variance = cached.variance
-        if prefix:
-            take = 0
-            for query, per_bin in parts:
+        take = 0
+        if cached is not None:
+            variance = cached.variance
+            for _, per_bin in parts:
                 if variance > per_bin:
                     break
                 take += 1
-        else:
-            if any(variance > per_bin for _, per_bin in parts):
-                return None
-            take = len(parts)
+        if take < len(parts) and not prefix:
+            return None
         if take == 0:
-            return empty
-        values = answer_many([query for query, _ in parts[:take]],
-                             cached.values)
+            return [None] * len(parts)
+        # One BLAS dot per query, as LinearQuery.answer computes it: a
+        # stacked GEMV accumulates in another order and would drift from
+        # a fast-lane-off replay in the last ulp.
+        values = cached.values
+        outcomes: list[Outcome | None] = [
+            Outcome(float(np.dot(query.weights, values)), 0.0, variance,
+                    query.answer_variance(variance), name, True)
+            for query, _ in parts[:take]]
         if store.local_generation(analyst, name) != generation:
             # Raced a refresh/eviction: nothing recorded, fall back.
-            return empty
-        outcomes: list[Outcome | None] = []
-        for (query, _), value in zip(parts[:take], values):
-            store.note_lookup(True)
-            outcomes.append(Outcome(
-                value=float(value),
-                epsilon_charged=0.0,
-                per_bin_variance=variance,
-                answer_variance=query.answer_variance(variance),
-                view_name=name,
-                cache_hit=True,
-            ))
-        outcomes.extend([None] * (len(parts) - take))
+            return [None] * len(parts) if prefix else None
+        store.note_hits(take)
+        if take < len(parts):
+            outcomes.extend([None] * (len(parts) - take))
         return outcomes
 
     # -- template -------------------------------------------------------------
@@ -314,8 +294,7 @@ class MechanismBase:
         name = view.name
         cached = self.store.local_synopsis(analyst, name)
         if cached is not None and cached.variance <= per_bin:
-            self.store.note_lookup(True)
-            self.store.note_lookup(True)
+            self.store.note_hits(2)
             return (self._free_outcome(cached.values, cached.variance,
                                        sum_query, name),
                     self._free_outcome(cached.values, cached.variance,

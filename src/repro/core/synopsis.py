@@ -70,7 +70,7 @@ class SynopsisStore:
     generation proves the entry was not replaced or evicted mid-read, so
     the answer is linearizable with the locked slow path; on any
     mismatch the fast lane falls back (see
-    :meth:`repro.core.mechanism.MechanismBase.cached_answer_fast`).
+    :meth:`repro.core.mechanism.MechanismBase.cached_answers_fast`).
     Generations only ever grow — they are never reset, so a stale read
     can never alias a fresh one.
     """
@@ -104,9 +104,14 @@ class SynopsisStore:
         """Record one answer-path cache decision (was the cached synopsis
         accurate enough to serve?).  Plain stores ignore this; bounded
         stores (:class:`repro.service.cache.LruSynopsisStore`) count it.
-        Only :meth:`MechanismBase._cached_answer` calls this — raw
-        ``local_synopsis`` probes by mechanism internals stay uncounted so
-        the hit rate reflects serving effectiveness, not store traffic."""
+        Only the mechanism's answer paths call this (and :meth:`note_hits`)
+        — raw ``local_synopsis`` probes by mechanism internals stay
+        uncounted so the hit rate reflects serving effectiveness, not
+        store traffic."""
+
+    def note_hits(self, count: int) -> None:
+        """Record ``count`` answers served from one cached synopsis read
+        — the same tally as ``count`` calls of ``note_lookup(True)``."""
 
     def put_local(self, synopsis: Synopsis) -> None:
         if synopsis.analyst is None:

@@ -84,7 +84,7 @@ class CacheStats:
     """Thread-safe hit/miss/eviction counters for a bounded cache.
 
     >>> stats = CacheStats()
-    >>> stats.record_hit(); stats.record_miss()
+    >>> stats.record_hits(1); stats.record_miss()
     >>> stats.hit_rate
     0.5
     """
@@ -95,9 +95,10 @@ class CacheStats:
         self.misses = 0
         self.evictions = 0
 
-    def record_hit(self) -> None:
+    def record_hits(self, count: int) -> None:
+        """Count ``count`` hits under one lock acquisition."""
         with self._lock:
-            self.hits += 1
+            self.hits += count
 
     def record_miss(self) -> None:
         with self._lock:
@@ -118,8 +119,14 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
     def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "hit_rate": self.hit_rate}
+        """One consistent reading: every counter is read once, under the
+        lock, so ``hit_rate`` is exactly ``hits / (hits + misses)`` of the
+        same dict even while other threads keep recording."""
+        with self._lock:
+            hits, misses, evictions = self.hits, self.misses, self.evictions
+        total = hits + misses
+        return {"hits": hits, "misses": misses, "evictions": evictions,
+                "hit_rate": hits / total if total else 0.0}
 
     def reset(self) -> None:
         with self._lock:

@@ -36,7 +36,8 @@ class LruSynopsisStore(SynopsisStore):
         ``None`` disables eviction (statistics only).
     stats:
         Optional shared :class:`CacheStats`; one is created if omitted.
-        Answer-path lookup decisions (via :meth:`note_lookup`) and
+        Answer-path lookup decisions (via :meth:`note_lookup` and
+        :meth:`note_hits`) and
         evictions are recorded there; raw ``local_synopsis`` probes are
         not, so ``hit_rate`` measures serving effectiveness.
 
@@ -66,9 +67,12 @@ class LruSynopsisStore(SynopsisStore):
 
     def note_lookup(self, hit: bool) -> None:
         if hit:
-            self.stats.record_hit()
+            self.stats.record_hits(1)
         else:
             self.stats.record_miss()
+
+    def note_hits(self, count: int) -> None:
+        self.stats.record_hits(count)
 
     def put_local(self, synopsis: Synopsis) -> None:
         with self._cache_lock:

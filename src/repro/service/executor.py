@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.engine import DProvDB
-from repro.db.sql.unparse import to_sql
 from repro.exceptions import QueryRejected, ReproError
 from repro.metrics import tracing
 from repro.service.planner import PlannedQuery
@@ -136,9 +135,7 @@ def execute_planned(engine: DProvDB, analyst: str,
                                if engine.thread_compiled else None)
     try:
         answer = engine.submit_compiled(
-            analyst, item.statement, item.view, item.query, item.target,
-            sql_text=(item.request.sql
-                      if isinstance(item.request.sql, str) else None))
+            analyst, item.statement, item.view, item.query, item.target)
         return _with_lineage(engine, analyst,
                              QueryResponse(item.index, answer=answer))
     except QueryRejected as exc:
@@ -201,12 +198,9 @@ def execute_planned_group(engine: DProvDB, analyst: str,
                 break
             lane.append(item)
     if lane:
-        sql_texts = [item.request.sql
-                     if isinstance(item.request.sql, str)
-                     else to_sql(item.statement) for item in lane]
         answers = engine.answer_batch_from_cache(
             analyst, lane[0].view,
-            [(item.query, item.target) for item in lane], sql_texts)
+            [(item.query, item.target) for item in lane])
         for item, answer in zip(lane, answers):
             if answer is not None:
                 responses[item.index] = _with_lineage(

@@ -342,7 +342,6 @@ def _reinit_worker_state(service) -> None:
     if isinstance(store, LruSynopsisStore):
         store._cache_lock = threading.RLock()
         store.stats._lock = threading.Lock()
-    engine.log._lock = threading.Lock()
     engine.delegations.on_event = None
     engine.delegations._lock = threading.Lock()
     service.durability = None
@@ -482,8 +481,7 @@ class _Worker:
         self.proxy.ops = []
         self.recorder.begin()
         stats = getattr(engine.mechanism.store, "stats", None)
-        return (len(engine.log),
-                (engine._fast_lane_hits, engine._fast_lane_misses),
+        return ((engine._fast_lane_hits, engine._fast_lane_misses),
                 stats,
                 (stats.hits, stats.misses) if stats is not None else (0, 0))
 
@@ -567,7 +565,7 @@ class _Worker:
                    trace: Trace | None = None) -> None:
         engine = self.engine
         mech = engine.mechanism
-        log_base, fast0, stats, cache0 = marks
+        fast0, stats, cache0 = marks
         touched = self.recorder.touched
         payload = {
             "responses": [_pack_response(r, self.index, self.incarnation)
@@ -587,10 +585,6 @@ class _Worker:
                           engine._fast_lane_misses - fast0[1]),
             "cache": ((stats.hits - cache0[0], stats.misses - cache0[1])
                       if stats is not None else (0, 0)),
-            "log": [(e.analyst, e.sql, e.view_name, e.epsilon_charged,
-                     e.cache_hit, e.answered, e.rejection_reason,
-                     e.delegated_from)
-                    for e in list(engine.log)[log_base:]],
         }
         self.conn.send(("done", payload))
 
@@ -891,7 +885,7 @@ class MpBackend:
         Scalar plans drop the statement AST: pickling the nested node
         dataclasses costs more than everything else in the plan, and the
         scalar execution path never reads it when the raw SQL text is
-        available (the text is the log/cache key).  GROUP BY and AVG
+        available (the text is the cache key).  GROUP BY and AVG
         keep theirs — their engine paths re-enter via the statement."""
         compiled = item.entry
         if compiled is None:
@@ -1126,7 +1120,7 @@ class MpBackend:
                 mech._release_release_slot(reservation.analyst)
         # 4. Fold the worker's mirror deltas into the parent state:
         #    synopsis values from the shared slab (one copy, no pickle),
-        #    mechanism bookkeeping, fast-lane/cache counters, audit log.
+        #    mechanism bookkeeping, fast-lane/cache counters.
         with self._state_lock:
             store = mech.store
             for rec in payload["synopses"]:
@@ -1151,13 +1145,6 @@ class MpBackend:
             with stats._lock:
                 stats.hits += cache_hits
                 stats.misses += cache_misses
-            for fields in payload["log"]:
-                (log_analyst, sql, view_name, charged, cache_hit, answered,
-                 reason, delegated) = fields
-                engine.log.record(log_analyst, sql, view_name, charged,
-                                  cache_hit, answered,
-                                  rejection_reason=reason,
-                                  delegated_from=delegated)
         for packed in payload["responses"]:
             responses[packed[0]] = _unpack_response(packed)
         # 5. Graft the worker's span export under this conversation's

@@ -61,29 +61,4 @@ class LinearQuery:
         return answer_variance / self.weight_norm_sq
 
 
-def answer_many(queries: "list[LinearQuery]",
-                synopsis_values: np.ndarray) -> np.ndarray:
-    """Evaluate several queries against one synopsis in a single pass.
-
-    The shared synopsis array is validated and coerced once instead of
-    per query — the per-call overhead the serving layer's batched fast
-    lane is eliminating.  Each row is still reduced with the same BLAS
-    ``dot`` kernel :meth:`LinearQuery.answer` uses, NOT one stacked
-    GEMV/matmul: a matrix product accumulates in a different order and
-    drifts from the scalar path in the last ulp (measured on this host),
-    and the fast lane's contract is that its answers are bit-identical
-    to a fast-lane-disabled replay.
-    """
-    values = np.asarray(synopsis_values, dtype=np.float64)
-    out = np.empty(len(queries), dtype=np.float64)
-    for i, query in enumerate(queries):
-        weights = query.weights
-        if values.shape != weights.shape:
-            raise ValueError(
-                f"synopsis shape {values.shape} != weights {weights.shape}"
-            )
-        out[i] = np.dot(weights, values)
-    return out
-
-
-__all__ = ["LinearQuery", "answer_many"]
+__all__ = ["LinearQuery"]

@@ -24,7 +24,7 @@ import pytest
 from repro import Analyst, DProvDB, QueryService
 from repro.dp.gaussian import analytic_gaussian_sigma
 from repro.service.session import QueryRequest
-from repro.views.linear import LinearQuery, answer_many
+from repro.views.linear import LinearQuery
 
 JOIN_TIMEOUT = 30.0
 
@@ -304,9 +304,9 @@ class TestGenerationCounters:
             store = engine.mechanism.store
             table = adult_bundle.fact_table
             session = service.open_session("low")
-            service.submit(session, f"SELECT COUNT(*) FROM {table} "
-                                    f"WHERE age >= 30", accuracy=1e4)
-            view_a = engine.log.entries(answered=True)[-1].view_name
+            sql = f"SELECT COUNT(*) FROM {table} WHERE age >= 30"
+            service.submit(session, sql, accuracy=1e4)
+            view_a = engine.compile_statement(sql).view.name
             gen_a = store.local_generation("low", view_a)
             assert gen_a >= 1
             # A different view's release evicts the bounded entry.
@@ -350,14 +350,14 @@ class TestGenerationCounters:
 
             store.local_synopsis = racing_lookup
             try:
-                outcome = engine.mechanism.cached_answer_fast(
-                    "low", compiled.view, compiled.query, 1e12)
+                outcome = engine.mechanism.cached_answers_fast(
+                    "low", compiled.view, [(compiled.query, 1e12)])
             finally:
                 store.local_synopsis = real_lookup
             assert outcome is None
             # Without the race the same probe succeeds.
-            assert engine.mechanism.cached_answer_fast(
-                "low", compiled.view, compiled.query, 1e12) is not None
+            assert engine.mechanism.cached_answers_fast(
+                "low", compiled.view, [(compiled.query, 1e12)]) is not None
         finally:
             service.close()
 
@@ -485,18 +485,37 @@ class TestConcurrentStress:
         assert threaded == serial
 
 
-class TestAnswerMany:
+class TestMultiPartProbe:
+    """Every part of one cached probe is answered with the scalar path's
+    own per-row ``dot`` — never one stacked GEMV, which sums in another
+    order and would break bit-identity with a fast-lane-off replay."""
+
+    @staticmethod
+    def probe(values, queries):
+        from types import SimpleNamespace
+
+        from repro.core.mechanism import MechanismBase
+        from repro.core.synopsis import Synopsis
+
+        mechanism = MechanismBase(None, None, None)
+        mechanism.store.put_local(Synopsis("v", values, epsilon=1.0,
+                                           delta=1e-9, variance=1.0,
+                                           analyst="a"))
+        return mechanism.cached_answers_fast(
+            "a", SimpleNamespace(name="v"), [(q, 2.0) for q in queries])
+
     def test_bit_identical_to_scalar_answers(self, rng):
         values = rng.normal(size=200) * 1000
         queries = [LinearQuery("v", (rng.random(200) > 0.5)
                                * rng.normal(size=200)) for _ in range(17)]
-        batched = answer_many(queries, values)
-        for query, got in zip(queries, batched):
-            assert got == query.answer(values)  # exact, not approx
+        outcomes = self.probe(values, queries)
+        assert len(outcomes) == len(queries)
+        for query, outcome in zip(queries, outcomes):
+            assert outcome.value == query.answer(values)  # exact, not approx
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            answer_many([LinearQuery("v", np.ones(3))], np.ones(4))
+            self.probe(np.ones(4), [LinearQuery("v", np.ones(3))])
 
 
 class TestCompensatedAccounting:

@@ -103,6 +103,38 @@ def test_replay_is_bit_identical_with_two_workers():
     assert replay["workers"] == 2
 
 
+def test_cache_statistics_match_a_threaded_replay(bundle):
+    """A worker's ``done`` payload carries counter deltas only; folded
+    into the parent they equal a threaded replay's counters exactly."""
+    sql = "SELECT COUNT(*) FROM adult WHERE age >= 20 AND age <= 40"
+
+    def replay(**kwargs):
+        service = QueryService.build(bundle, make_service_analysts(2),
+                                     EPSILON, seed=0,
+                                     noise_streams="per_view", **kwargs)
+        try:
+            values = []
+            for name in ("analyst_00", "analyst_01"):
+                session = service.open_session(name)
+                for _ in range(2):
+                    responses = service.submit_batch(
+                        session, request_batch(bundle, 2e5))
+                    responses.append(service.submit(session, sql,
+                                                    accuracy=2e5))
+                    values += [r.answer.value for r in responses]
+            snap = service.snapshot()
+            return (values,
+                    {key: snap["synopsis_cache"][key]
+                     for key in ("hits", "misses", "evictions")},
+                    (snap["fast_lane"]["hits"], snap["fast_lane"]["misses"]))
+        finally:
+            service.close()
+
+    threaded = replay()
+    assert threaded[1]["hits"] > 0 and threaded[2][0] > 0
+    assert replay(backend="mp", workers=1) == threaded
+
+
 def test_disjoint_workload_replay_matches():
     results, replay = run_mp_comparison(workload="disjoint",
                                         **TINY_COMPARISON)

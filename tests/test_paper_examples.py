@@ -6,6 +6,7 @@ import pytest
 
 from repro import Analyst, DProvDB
 from repro.db.sql.parser import parse
+from repro.exceptions import QueryRejected
 from repro.views.transform import is_answerable, transform
 
 
@@ -101,29 +102,43 @@ class TestExamples3To5AdditiveFlow:
 
 
 class TestQueryLog:
+    """Definition-level provenance in the paper is "the metadata about
+    where the query comes from, how the query is computed, and how many
+    times each result is produced".  The engine keeps no per-query trail:
+    each :class:`Answer` carries who asked, which view answered, what was
+    charged and whether a cached synopsis produced it; a refusal carries
+    its reason; and the provenance table records whose budget paid."""
+
     def test_log_records_everything(self, adult_bundle):
         engine = DProvDB(adult_bundle, [Analyst("a", 2)], epsilon=0.5,
                          seed=2)
         sql = "SELECT COUNT(*) FROM adult WHERE age BETWEEN 30 AND 40"
-        engine.submit("a", sql, accuracy=40000.0)
-        engine.submit("a", sql, accuracy=40000.0)          # cache hit
-        engine.try_submit("a", sql, accuracy=0.5)          # rejected
-        assert len(engine.log) == 3
-        answered = engine.log.entries(answered=True)
-        assert len(answered) == 2
-        assert answered[1].cache_hit
-        rejected = engine.log.entries(answered=False)
-        assert len(rejected) == 1
-        assert rejected[0].rejection_reason
+        first = engine.submit("a", sql, accuracy=40000.0)
+        second = engine.submit("a", sql, accuracy=40000.0)  # cache hit
+        spent = engine.provenance.get("a", first.view_name)
+        with pytest.raises(QueryRejected) as rejected:
+            engine.submit("a", sql, accuracy=0.5)
+        assert (first.analyst, second.analyst) == ("a", "a")
+        assert not first.cache_hit and first.epsilon_charged > 0
+        assert second.cache_hit and second.epsilon_charged == 0.0
+        assert second.view_name == first.view_name
+        assert rejected.value.reason
+        assert engine.provenance.get("a", first.view_name) == spent
 
     def test_times_produced(self, adult_bundle):
         engine = DProvDB(adult_bundle, [Analyst("a", 2)], epsilon=2.0,
                          seed=2)
         sql = "SELECT COUNT(*) FROM adult WHERE age = 33"
-        for _ in range(3):
-            engine.submit("a", sql, accuracy=40000.0)
-        assert engine.log.times_produced("a", sql) == 3
-        assert engine.log.cache_hit_rate() == pytest.approx(2 / 3)
+        answers = [engine.submit("a", sql, accuracy=40000.0)
+                   for _ in range(3)]
+        # Produced three times: once fresh, then twice from the cached
+        # synopsis — the same noisy value, at no further cost.
+        assert [a.cache_hit for a in answers] == [False, True, True]
+        assert sum(a.cache_hit for a in answers) / len(answers) \
+            == pytest.approx(2 / 3)
+        assert len({a.value for a in answers}) == 1
+        assert [a.epsilon_charged > 0 for a in answers] == \
+            [True, False, False]
 
     def test_delegated_queries_tagged(self, adult_bundle):
         engine = DProvDB(adult_bundle,
@@ -131,6 +146,9 @@ class TestQueryLog:
                          epsilon=2.0, seed=2)
         grant = engine.grant_delegation("boss", "intern")
         sql = "SELECT COUNT(*) FROM adult WHERE age = 33"
-        engine.submit("intern", sql, accuracy=40000.0, delegation=grant)
-        entry = engine.log.entries(analyst="intern")[0]
-        assert entry.delegated_from == "boss"
+        answer = engine.submit("intern", sql, accuracy=40000.0,
+                               delegation=grant)
+        view = answer.view_name
+        assert answer.analyst == "intern"
+        assert engine.provenance.get("boss", view) > 0 \
+            == engine.provenance.get("intern", view)
