@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
                              "shared-memory synopses")
     parser.add_argument("--workers", type=int, default=None,
                         help="mp worker process count "
-                             "(default: min(4, cpu_count))")
+                             "(default: min(4, usable CPUs))")
     parser.add_argument("--compare-threaded", action="store_true",
                         help="replay the identical workload through the "
                              "threaded and mp backends and assert "

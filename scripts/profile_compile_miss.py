@@ -4,10 +4,11 @@ and by self time.
 
     PYTHONPATH=src python scripts/profile_compile_miss.py [N]
 
-Exits 1 if the path left its shape: the per-character reference lexer
-(``_scan_reference``) or a per-bin mask loop ran, or the parser
-(``parse_tokens``) ran more often than there are distinct statement
-shapes (every other statement binds into a remembered skeleton).
+Exits 1 if the path left its shape: a token-stream shape split or bind,
+the per-character reference lexer or a per-bin mask loop ran, or the
+lexer (``tokenize``) or the parser (``parse_tokens``) ran more often than
+there are distinct statement shapes (every other statement compiles from
+its literal slots through the shape's plan).
 cProfile inflates python-level calls and not numpy's: read the tables
 for *where*, then measure with ``perf/run.py --workload adhoc_batch``.
 """
@@ -21,17 +22,18 @@ import sys
 import numpy as np
 
 from repro import Analyst, QueryRequest, QueryService, load_adult
-from repro.db.sql.lexer import tokenize
-from repro.db.sql.parser import split_literals
+from repro.db.sql.lexer import scan_slots
 
 PAIRS = (("age", "workclass"), ("hours_per_week", "education"))
 BATCH = 32
 
-#: Functions that must not run on this path: the reference lexer, and
-#: the per-bin mask code the bin-slice reduction replaced (kept as the
-#: oracle in tests/test_transform_masks.py).
-FORBIDDEN = {"_scan_reference", "evaluate", "wide_bin_inclusion",
-             "_evaluate_array", "oracle_bin_mask"}
+#: Functions that must not run on this path: the token-stream shape
+#: split / bind and the reference lexer the plans replaced (oracles in
+#: tests/test_fuzz_invariants.py), and the per-bin mask code the
+#: bin-slice reduction replaced (oracle in tests/test_transform_masks.py).
+FORBIDDEN = {"split_literals", "bind_literals", "_scan_reference",
+             "evaluate", "wide_bin_inclusion", "_evaluate_array",
+             "oracle_bin_mask"}
 
 
 def main(statements: int) -> int:
@@ -51,7 +53,7 @@ def main(statements: int) -> int:
         requests.append(QueryRequest(
             f"SELECT COUNT(*) FROM {bundle.fact_table} WHERE {ordered} BETWEEN "
             f"{low} AND {high} AND {categorical} IN ({members})", accuracy=1e9))
-    shapes = len({split_literals(tokenize(r.sql))[0] for r in requests})
+    shapes = len({scan_slots(r.sql)[0] for r in requests})
     session = service.open_session("a")
     with cProfile.Profile() as profiler:
         for start in range(0, statements, BATCH):
@@ -66,12 +68,13 @@ def main(statements: int) -> int:
     if failures:
         print(f"FAIL: {', '.join(failures)} ran on the compile-miss path",
               file=sys.stderr)
-    parses = sum(row[1] for (_, _, name), row in stats.stats.items()
-                 if name == "parse_tokens")
-    if parses > shapes:
-        print(f"FAIL: parse_tokens ran {parses} times for {shapes} shapes",
-              file=sys.stderr)
-        failures.append("parse_tokens")
+    for once_per_shape in ("tokenize", "parse_tokens"):
+        runs = sum(row[1] for (_, _, name), row in stats.stats.items()
+                   if name == once_per_shape)
+        if runs > shapes:
+            print(f"FAIL: {once_per_shape} ran {runs} times for {shapes} "
+                  f"shapes", file=sys.stderr)
+            failures.append(once_per_shape)
     return 1 if failures else 0
 
 

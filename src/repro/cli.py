@@ -665,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "with shared-memory synopses (mp)")
             cmd.add_argument("--workers", type=int, default=None,
                              help="mp worker process count "
-                                  "(default: min(4, cpu_count))")
+                                  "(default: min(4, usable CPUs))")
             cmd.add_argument("--compare-threaded", action="store_true",
                              help="replay the identical workload through "
                                   "both backends and assert bit-identical "
@@ -801,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "in the daemon process)")
     serve.add_argument("--workers", type=int, default=None,
                        help="mp worker process count "
-                            "(default: min(4, cpu_count))")
+                            "(default: min(4, usable CPUs))")
     serve.add_argument("--tls-cert", default=None, metavar="PEM",
                        help="TLS certificate chain; with --tls-key, "
                             "serves https (TLS >= 1.2)")

@@ -10,13 +10,14 @@ answers served from cached synopses it is the dominant per-query cost.
   fully classified :class:`CompiledStatement` (routing kind, chosen view,
   transformed query/parts, and the strictness anchor the batch planner
   sorts by).  A hit skips compilation outright.
-* **by shape** — a small table keyed by the statement's token stream with
-  its literals blanked (:func:`repro.db.sql.parser.split_literals`),
-  holding a :class:`StatementTemplate`: the parsed skeleton, its routing
-  kind and the views covering its columns.  An ad-hoc stream re-asks the
-  same few shapes with fresh literals, so a text miss that hits here
-  binds the new literals into the skeleton and goes straight to the
-  per-candidate transform — no recursive-descent parse, no routing.
+* **by shape** — a small table keyed by the text with its literals cut
+  out (:func:`repro.db.sql.lexer.scan_slots`: one regex pass, no
+  tokens), holding the :class:`StatementPlan` of the first statement of
+  that shape to parse.  An ad-hoc stream re-asks a few shapes with fresh
+  literals, so a text miss that hits here goes from its literal slots
+  straight to the weight builders — no token, no parse, no AST, no
+  routing probe.  A slot the plan cannot read (``1.5.2``) or literals
+  no view answers take the parsed path, which alone words the error.
   ``hits`` / ``misses`` / ``hit_rate`` stay text-keyed; the shape table
   reports its size and hits separately.
 
@@ -53,7 +54,7 @@ proves the probed entry belongs to the live view set.  This is the same
 versioned-read discipline as the engine's memoized-answer fast lane.
 Recency is a per-entry access tick written without a lock (a benign
 race: a lost tick can only make an entry *look* slightly colder);
-:meth:`put` and :meth:`put_template` run under a mutex and carry the
+:meth:`put` and :meth:`put_plan` run under a mutex and carry the
 invalidation epoch their product was compiled against.  Hit/miss
 counters are plain-int increments, exact under sequential use and
 at-worst slightly undercounted under races.
@@ -63,11 +64,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from repro.db.sql.ast import SelectStatement
-from repro.exceptions import ReproError
+from repro.db.sql.ast import Between, InList, SelectStatement
+from repro.db.sql.parser import parse, slot_value
+from repro.exceptions import ReproError, UnanswerableQuery
 from repro.views.linear import LinearQuery
+from repro.views.registry import answering, cheapest
+from repro.views.transform import avg_parts, group_parts
 
 #: Default bound on the cache's total *cost* — the number of retained
 #: transformed weight vectors, not the number of SQL texts: a scalar
@@ -92,6 +95,8 @@ KINDS = ("scalar", "group_by", "avg")
 class CompiledStatement:
     """Everything compilation derives from one statement, ready to serve.
 
+    ``source`` is the parsed statement, or the SQL text a plan compiled
+    without parsing, which :attr:`statement` parses on first read.
     ``strictest`` is the transformed part with the largest
     ``weight_norm_sq`` — the part whose per-bin variance requirement is
     tightest at a fixed answer-accuracy target — which is exactly the
@@ -99,13 +104,19 @@ class CompiledStatement:
     (``None`` only for a GROUP BY whose every group is predicate-excluded).
     """
 
-    statement: SelectStatement
+    source: SelectStatement | str | None
     kind: str
     view: object
     query: LinearQuery | None = None
     group_parts: tuple[tuple[tuple, LinearQuery], ...] | None = None
     avg_parts: tuple[LinearQuery, LinearQuery] | None = None
     strictest: LinearQuery | None = None
+
+    @property
+    def statement(self) -> SelectStatement | None:
+        if isinstance(self.source, str):
+            object.__setattr__(self, "source", parse(self.source))
+        return self.source
 
     @property
     def cost(self) -> int:
@@ -117,15 +128,77 @@ class CompiledStatement:
         return 1
 
 
-class StatementTemplate(NamedTuple):
-    """What every statement of one shape shares: the parsed skeleton (its
-    literals are those of the first text seen and are never served), the
-    routing kind, and the registered views covering its columns in
-    registration order."""
+def finish(source, kind: str, view, product) -> CompiledStatement:
+    """The entry for ``kind``'s ``product`` over ``view``: the scalar
+    query, the (SUM, COUNT) pair, or the GROUP BY parts."""
+    if kind == "group_by":
+        parts = tuple(product)
+        strictest = max((q for _, q in parts if q.weight_norm_sq > 0),
+                        key=lambda q: q.weight_norm_sq, default=None)
+        return CompiledStatement(source, kind, view, group_parts=parts,
+                                 strictest=strictest)
+    if kind == "avg":
+        return CompiledStatement(source, kind, view, avg_parts=product,
+                                 strictest=product[0])
+    return CompiledStatement(source, kind, view, query=product,
+                             strictest=product)
 
-    statement: SelectStatement
-    kind: str
-    candidates: tuple
+
+class StatementPlan:
+    """What every statement of one shape shares, read off the first to
+    parse: its routing ``kind``, the ``candidates`` covering its columns,
+    the views whose structure admits it (smallest first for AVG and GROUP
+    BY, which take the smallest that answers), and each condition as a
+    ``(column, op, slot, slot)`` term naming the literal slots feeding
+    it.  :meth:`compile` runs new slots through the parsed path's weight
+    builders and cheapest-view choice, so the view follows the literals.
+    """
+
+    def __init__(self, statement: SelectStatement, kind: str,
+                 candidates: tuple) -> None:
+        self.kind, self.candidates = kind, candidates
+        self.aggregate = statement.aggregates[0]
+        self.group_by = statement.group_by
+        views = answering(statement, candidates)
+        if kind != "scalar":
+            views = sorted(views, key=lambda view: view.size)
+        # A GROUP BY is compiled on the smallest structural fit or not
+        # at all (registry.select reads no literal for it).
+        self.views = tuple(views[:1] if kind == "group_by" else views)
+        terms, slot = [], 0
+        for cond in statement.predicate.conditions:
+            op = "BETWEEN" if isinstance(cond, Between) else \
+                "IN" if isinstance(cond, InList) else cond.op
+            last = slot + (op == "BETWEEN")
+            terms.append((cond.column, op, slot, last))
+            slot = last + 1
+        self.terms = tuple(terms)
+
+    def compile(self, sql: str, slots: list[str]
+                ) -> CompiledStatement | None:
+        """The entry for ``sql``, of this plan's shape, from its literal
+        ``slots``; ``None`` where only the parse can word the outcome."""
+        try:
+            values = [slot_value(slot) for slot in slots]
+        except ValueError:
+            return None
+        terms: dict[str, list[tuple]] = {}
+        for column, op, i, j in self.terms:
+            terms.setdefault(column, []).append((op, values[i], values[j]))
+        kind = self.kind
+        if kind == "scalar":
+            found = cheapest(self.views, self.aggregate, terms)
+            return None if found is None else finish(sql, kind, *found)
+        for view in self.views:
+            try:
+                product = (avg_parts(view, self.aggregate.column, terms)
+                           if kind == "avg" else
+                           group_parts(view, self.aggregate, self.group_by,
+                                       terms))
+            except UnanswerableQuery:
+                continue
+            return finish(sql, kind, view, product)
+        return None
 
 
 class _Slot:
@@ -164,7 +237,7 @@ class StatementCache:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: dict[str, _Slot] = {}
-        self._templates: dict[tuple, StatementTemplate] = {}
+        self._plans: dict[tuple, StatementPlan] = {}
         self._total_cost = 0
         self._epoch = 0
         self._tick = 0
@@ -174,8 +247,8 @@ class StatementCache:
         #: Times :meth:`put` sorted the slots to evict (each pass frees
         #: an eighth of the bound, so passes << inserts).
         self.eviction_passes = 0
-        #: Text misses served by binding into a cached template.
-        self.template_hits = 0
+        #: Text misses whose shape had a plan.
+        self.plan_hits = 0
 
     @property
     def epoch(self) -> int:
@@ -236,26 +309,26 @@ class StatementCache:
                 self._total_cost -= slot.entry.cost
                 self.evictions += 1
 
-    def template(self, shape: tuple) -> StatementTemplate | None:
+    def plan(self, shape: tuple) -> StatementPlan | None:
         """Lock-free probe of the shape table."""
-        found = self._templates.get(shape)
+        found = self._plans.get(shape)
         if found is not None:
-            self.template_hits += 1
+            self.plan_hits += 1
         return found
 
-    def put_template(self, shape: tuple, template: StatementTemplate,
-                     epoch: int) -> None:
+    def put_plan(self, shape: tuple, plan: StatementPlan,
+                 epoch: int) -> None:
         if self.max_entries == 0:
             return  # cache disabled: never retain anything
         with self._lock:
             if epoch != self._epoch:
                 return  # candidates probed against an invalidated view set
-            if len(self._templates) >= SHAPE_TABLE_LIMIT:
-                self._templates = {}
-            self._templates[shape] = template
+            if len(self._plans) >= SHAPE_TABLE_LIMIT:
+                self._plans = {}
+            self._plans[shape] = plan
 
     def clear(self) -> None:
-        """Drop every entry and template (view-registration
+        """Drop every entry and plan (view-registration
         invalidation); counters survive so monitoring sees the full
         history.
 
@@ -266,7 +339,7 @@ class StatementCache:
         with self._lock:
             self._epoch += 1
             self._entries = {}
-            self._templates = {}
+            self._plans = {}
             self._total_cost = 0
 
     def __len__(self) -> int:
@@ -284,10 +357,11 @@ class StatementCache:
             "misses": misses,
             "evictions": self.evictions,
             "hit_rate": (hits / lookups) if lookups else 0.0,
-            "templates": len(self._templates),
-            "template_hits": self.template_hits,
+            # The shape table's snapshot names predate its plans.
+            "templates": len(self._plans),
+            "template_hits": self.plan_hits,
         }
 
 
 __all__ = ["DEFAULT_STATEMENT_CACHE", "KINDS", "SHAPE_TABLE_LIMIT",
-           "CompiledStatement", "StatementCache", "StatementTemplate"]
+           "CompiledStatement", "StatementCache", "StatementPlan", "finish"]

@@ -43,7 +43,8 @@ from repro.core.compile_cache import (
     DEFAULT_STATEMENT_CACHE,
     CompiledStatement,
     StatementCache,
-    StatementTemplate,
+    StatementPlan,
+    finish,
 )
 from repro.core.mechanism import GaussianAccountant, MechanismBase
 from repro.core.policies import build_constraints
@@ -53,13 +54,8 @@ from repro.core.zcdp_vanilla import ZCdpVanillaMechanism
 from repro.core.translation import DEFAULT_PRECISION
 from repro.datasets.base import DatasetBundle
 from repro.db.sql.ast import SelectStatement
-from repro.db.sql.lexer import tokenize
-from repro.db.sql.parser import (
-    bind_literals,
-    parse,
-    parse_tokens,
-    split_literals,
-)
+from repro.db.sql.lexer import scan_slots, tokenize
+from repro.db.sql.parser import parse, parse_tokens
 from repro.dp.gaussian import analytic_gaussian_sigma
 from repro.dp.rng import SeedLike, ensure_generator
 from repro.exceptions import (
@@ -353,17 +349,17 @@ class DProvDB:
         """Parse + classify + compile ``sql``, memoised by its text.
 
         A text hit skips the whole front half of query processing.  A
-        text miss lexes once and looks the statement's *shape* up (see
-        :func:`repro.db.sql.parser.split_literals`): a known shape binds
-        the new literals into the remembered skeleton and compiles over
-        the remembered candidate views, so only a never-seen shape pays
-        the parser and the routing probe.  Only string SQL is cached (a
-        pre-built :class:`SelectStatement` has no stable cheap key);
+        text miss scans its *shape* and literal slots in one regex pass
+        (:func:`repro.db.sql.lexer.scan_slots`); a known shape's
+        :class:`~repro.core.compile_cache.StatementPlan` compiles the
+        slots with no token, parse or AST.  A new shape, or slots the
+        plan cannot compile, take the parsed path (lex, parse, route,
+        transform), which words any error.  Only string SQL is cached;
         compile *failures* are not cached and re-raise each time.
         """
         self.compile_calls += 1
         if not isinstance(sql, str):
-            return self._compile_routed(sql, self._template_for(sql))
+            return self._compile_routed(sql, self._plan_for(sql))
         cache = self.statement_cache
         entry = cache.get(sql)
         if entry is not None:
@@ -372,53 +368,44 @@ class DProvDB:
         # registered while this compile is in flight, the inserts below
         # are dropped rather than resurrecting a stale view choice.
         epoch = cache.epoch
-        tokens = tokenize(sql)
-        shape, literals = split_literals(tokens)
-        template = cache.template(shape)
-        if template is None:
-            statement = parse_tokens(tokens)
-            template = self._template_for(statement)
-            cache.put_template(shape, template, epoch)
-        else:
-            statement = bind_literals(template.statement, literals)
-        entry = self._compile_routed(statement, template)
+        shape, slots = scan_slots(sql)
+        plan = cache.plan(shape)
+        if plan is not None:
+            entry = plan.compile(sql, slots)
+        if entry is None:
+            statement = parse_tokens(tokenize(sql))
+            if plan is None:
+                plan = self._plan_for(statement)
+                cache.put_plan(shape, plan, epoch)
+            entry = self._compile_routed(statement, plan)
         cache.put(sql, entry, epoch=epoch)
         return entry
 
-    def _template_for(self, statement: SelectStatement
-                      ) -> StatementTemplate:
-        """Routing kind and covering views: the literal-free half of
-        compilation."""
+    def _plan_for(self, statement: SelectStatement) -> StatementPlan:
+        """The literal-free half of compilation: the shape's plan."""
         if statement.group_by:
             kind = "group_by"
         elif statement.aggregates and statement.aggregates[0].func == "AVG":
             kind = "avg"
         else:
             kind = "scalar"
-        return StatementTemplate(statement, kind,
-                                 self.registry.candidates(statement))
+        return StatementPlan(statement, kind,
+                             self.registry.candidates(statement))
 
     def _compile_routed(self, statement: SelectStatement,
-                        template: StatementTemplate) -> CompiledStatement:
-        """The literal-dependent half: transform ``statement`` over the
-        candidate views of its shape's ``template``."""
-        kind, candidates = template.kind, template.candidates
-        if kind == "group_by":
+                        plan: StatementPlan) -> CompiledStatement:
+        """The literal-dependent half: transform the parsed ``statement``
+        over the candidate views of its shape's ``plan``."""
+        kind, candidates = plan.kind, plan.candidates
+        if kind == "scalar":
+            view, product = self.registry.compile(statement,
+                                                  candidates=candidates)
+        else:
             view = self.registry.select(statement, candidates)
-            parts = tuple(transform_group_by(statement, view))
-            strictest = max((q for _, q in parts if q.weight_norm_sq > 0),
-                            key=lambda q: q.weight_norm_sq, default=None)
-            return CompiledStatement(statement, "group_by", view,
-                                     group_parts=parts, strictest=strictest)
-        if kind == "avg":
-            view = self.registry.select(statement, candidates)
-            avg_parts = transform_avg_parts(statement, view)
-            return CompiledStatement(statement, "avg", view,
-                                     avg_parts=avg_parts,
-                                     strictest=avg_parts[0])
-        view, query = self.registry.compile(statement, candidates=candidates)
-        return CompiledStatement(statement, "scalar", view, query=query,
-                                 strictest=query)
+            product = (transform_group_by(statement, view)
+                       if kind == "group_by"
+                       else transform_avg_parts(statement, view))
+        return finish(statement, kind, view, product)
 
     # -- lineage raw material -----------------------------------------------------
     def _mark_source(self, source: str) -> None:
@@ -505,10 +492,10 @@ class DProvDB:
             )
         view, query = compiled.view, compiled.query
         target = self._accuracy_for(query, accuracy, epsilon, view)
-        return self.submit_compiled(analyst, compiled.statement, view, query,
-                                    target, delegation=delegation)
+        return self.submit_compiled(analyst, None, view, query, target,
+                                    delegation=delegation)
 
-    def submit_compiled(self, analyst: str, statement: SelectStatement,
+    def submit_compiled(self, analyst: str, statement: SelectStatement | None,
                         view, query, target: float,
                         delegation: int | None = None,
                         sql_text: str | None = None) -> Answer:
@@ -516,11 +503,11 @@ class DProvDB:
 
         The fast path behind :meth:`submit`, exposed for callers that plan
         batches ahead of execution (see :mod:`repro.service.planner`):
-        ``view``/``query`` must come from ``registry.compile(statement)`` and
-        ``target`` is the answer-variance requirement.  ``sql_text`` is
-        accepted for existing callers and ignored: the engine keeps no
-        per-query trail (an answer's provenance is the :class:`Answer`
-        itself, the provenance table and the ledger).
+        ``view``/``query`` must come from :meth:`compile_statement` and
+        ``target`` is the answer-variance requirement.  ``statement`` and
+        ``sql_text`` are accepted for existing callers and not read: the
+        engine keeps no per-query trail (an answer's provenance is the
+        :class:`Answer` itself, the provenance table and the ledger).
         """
         self._check_analyst(analyst)
         if delegation is None and self.fast_lane:

@@ -1,4 +1,4 @@
-"""Tokeniser for the SQL subset.
+"""Tokeniser for the SQL subset, and the literal-slot scan.
 
 The scanner is one ``findall`` pass of a precompiled master regex,
 consumed by a list-building loop.  Every alternative of the regex
@@ -7,22 +7,21 @@ token and whitespace costs no match and no loop iteration; ``findall``
 hands back each token as a tuple of group texts, with no match object
 to query.  A :class:`Token` is a ``NamedTuple`` built with
 ``tuple.__new__``, which skips the Python-level constructor a statement
-of ~25 tokens would otherwise pay per token.  Every compile-cache miss
-tokenises, so this loop is on the ad-hoc query path.
+of ~25 tokens would otherwise pay per token.
 
-The regex encodes ASCII lexical rules exactly; input containing
-non-ASCII characters (where ``str.isdigit``/``str.isalnum`` admit
-category-No/Nl codepoints that ``\\d``/``\\w`` spell differently) is
-routed through :func:`_scan_reference` — the original per-character
-scanner, kept both as the exotic-unicode path and as the golden oracle
-for ``tests/test_fuzz_invariants.py``'s token-stream equality suite.
+The lexical rules are ASCII: outside a string literal a non-ASCII
+character (whitespace included) is an error at its position.
+
+:func:`scan_slots` reads the same patterns without building tokens: a
+statement's *shape* (everything but its literals) and its literal texts,
+all a compile needs once a statement of that shape has parsed.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from repro.exceptions import SQLError
 
@@ -30,8 +29,6 @@ KEYWORDS = {
     "SELECT", "FROM", "WHERE", "GROUP", "BY", "AND", "BETWEEN", "IN",
     "COUNT", "SUM", "AVG", "MIN", "MAX", "AS",
 }
-
-OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">")
 
 
 class TokenType(enum.Enum):
@@ -58,27 +55,29 @@ class Token(NamedTuple):
         return value is None or self.value == value
 
 
+#: The token patterns.  Whitespace is the ASCII characters ``str.isspace``
+#: admits.  A string closes on a quote *not* followed by another quote
+#: (``''`` is the standard SQL escape).  A number is any run of digits
+#: and dots (the parser judges ``1.5.2``).  Operators are ordered
+#: longest-first.  Possessive repeats match what greedy ones would here,
+#: without the backtracking bookkeeping.
+_SPACE = r"[\t-\r\x1c-\x1f ]"
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*+"
+_STRING = r"'(?:[^']++|'')*+'(?!')"
+_NUMBER = r"-?[0-9][0-9.]*+"
+_OPERATOR = r"<=|>=|!=|<>|=|<|>"
+
 #: One match per token: the whitespace in front of it (group 1), then one
-#: group per token class, mutually exclusive on the first character.  The
-#: string rule closes on a quote *not* followed by another quote (``''``
-#: is the standard SQL escape), so a literal whose final quote is really
-#: the first half of an escape stays unterminated — exactly as the
-#: reference scanner's find-loop behaves.  Operators are ordered
-#: longest-first, mirroring :data:`OPERATORS`.  Every position matches
-#: something, so ``findall`` never skips input: where no token starts
-#: (an unterminated literal or a stray character) the ``bad`` group
-#: swallows the rest of the text, and the last alternative matches the
-#: end of the text after any trailing whitespace.  One pass is therefore
-#: linear in the text and stops at the first error.
-_MASTER = re.compile(r"""(\s*)(?:
-    ([A-Za-z_][A-Za-z0-9_]*)          # word
-  | ([*,()])                          # punctuation
-  | ('(?:[^']|'')*'(?!'))             # string
-  | (-?[0-9][0-9.]*)                  # number
-  | (<=|>=|!=|<>|=|<|>)               # operator
-  | ([\s\S]+)                         # bad: the rest of the text
-  | \Z                                # end of text
-)""", re.VERBOSE)
+#: group per token class, mutually exclusive on the first character.
+#: Every position matches something, so ``findall`` never skips input:
+#: where no token starts (an unterminated literal or a stray character)
+#: the ``bad`` group swallows the rest of the text, and the last
+#: alternative matches the end of the text after any trailing
+#: whitespace.  One pass is therefore linear in the text and stops at
+#: the first error.
+_MASTER = re.compile(
+    rf"({_SPACE}*)(?:({_WORD})|([*,()])|({_STRING})|({_NUMBER})"
+    rf"|({_OPERATOR})|([\s\S]+)|\Z)")
 
 _PUNCT = {
     "*": TokenType.STAR,
@@ -89,15 +88,7 @@ _PUNCT = {
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokenise SQL ``text``; raises :class:`SQLError` on bad characters."""
-    if text.isascii():
-        return _scan(text)
-    return list(_scan_reference(text))
-
-
-def _scan(text: str) -> list[Token]:
-    """Regex scanner for ASCII input (token-stream-identical to
-    :func:`_scan_reference`, including error messages and positions).
+    """Tokenise SQL ``text``; raises :class:`SQLError` on bad characters.
 
     ``findall`` returns one tuple of group texts per token with no match
     object in between; positions are the running sum of their lengths.
@@ -141,76 +132,46 @@ def _scan(text: str) -> list[Token]:
     return tokens
 
 
-def _scan_reference(text: str) -> Iterator[Token]:
-    """The original per-character scanner: serves non-ASCII input and
-    anchors the golden-equality fuzz suite for :func:`_scan`."""
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "*":
-            yield Token(TokenType.STAR, "*", i)
-            i += 1
-            continue
-        if ch == ",":
-            yield Token(TokenType.COMMA, ",", i)
-            i += 1
-            continue
-        if ch == "(":
-            yield Token(TokenType.LPAREN, "(", i)
-            i += 1
-            continue
-        if ch == ")":
-            yield Token(TokenType.RPAREN, ")", i)
-            i += 1
-            continue
-        if ch == "'":
-            # Standard SQL escaping: '' inside a literal is a single quote.
-            parts: list[str] = []
-            j = i + 1
-            while True:
-                end = text.find("'", j)
-                if end == -1:
-                    raise SQLError(
-                        f"unterminated string literal at position {i}"
-                    )
-                if end + 1 < n and text[end + 1] == "'":
-                    parts.append(text[j:end + 1])
-                    j = end + 2
-                else:
-                    parts.append(text[j:end])
-                    break
-            yield Token(TokenType.STRING, "".join(parts), i)
-            i = end + 1
-            continue
-        matched_op = next((op for op in OPERATORS if text.startswith(op, i)), None)
-        if matched_op:
-            yield Token(TokenType.OPERATOR, matched_op, i)
-            i += len(matched_op)
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            yield Token(TokenType.NUMBER, text[i:j], i)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                yield Token(TokenType.KEYWORD, upper, i)
-            else:
-                yield Token(TokenType.IDENT, word, i)
-            i = j
-            continue
-        raise SQLError(f"unexpected character {ch!r} at position {i}")
-    yield Token(TokenType.EOF, "", n)
+LITERAL = re.compile(f"{_STRING}|{_NUMBER}")
+
+#: One match per literal slot: the *run* of words, punctuation,
+#: operators and whitespace before it (group 1), then a literal (group 2)
+#: with the rest of its list if literals and ``)`` follow (group 3), or
+#: the rest of the text where no token can start (group 4).
+_SLOTS = re.compile(
+    rf"((?:{_WORD}|[\t-\r\x1c-\x1f *,()<>=!]++)*+)"
+    rf"(?:({LITERAL.pattern})"
+    rf"((?:{_SPACE}*+,{_SPACE}*+(?:{LITERAL.pattern}))*+{_SPACE}*+\))?"
+    rf"|([\s\S]+))?")
 
 
-__all__ = ["KEYWORDS", "OPERATORS", "Token", "TokenType", "tokenize"]
+def scan_slots(text: str) -> tuple[tuple[str, ...] | None, list[str]]:
+    """``(shape, slots)`` of ``text``; the shape is ``None`` where a
+    character starts no token (:func:`tokenize` raises there).
+
+    The shape is the runs between literals, verbatim (so whitespace and
+    keyword case are shape), each followed by a slot marker no run can
+    contain (``?``, or ``?)`` for a list); the slots are the literal
+    texts in source order, an ``IN`` list's being one slot (``5, 'x')``).  Two texts of one shape lex alike outside their
+    slots, and the grammar takes a NUMBER or a STRING wherever it takes
+    a literal and a list of any length wherever it takes ``lit )``: if
+    one statement of a shape parses, all do, to the same structure, up
+    to the value of a number (``1.5.2``).
+    """
+    shape: list[str] = []
+    slots: list[str] = []
+    for run, one, rest, bad in _SLOTS.findall(text):
+        if bad:
+            return None, []
+        shape.append(run)
+        if rest:
+            shape.append("?)")
+            slots.append(one + rest)
+        elif one:
+            shape.append("?")
+            slots.append(one)
+    return tuple(shape), slots
+
+
+__all__ = ["KEYWORDS", "LITERAL", "Token", "TokenType", "scan_slots",
+           "tokenize"]

@@ -81,10 +81,11 @@ from repro.service.cache import LruSynopsisStore
 from repro.service.executor import execute_planned_group
 from repro.service.planner import PlannedQuery, _plan_one, plan_batch
 from repro.service.session import Lineage, QueryRequest, QueryResponse
+from repro.service.sharding import usable_cpus
 
 #: Default worker count: enough to cover the bench's four-analyst view
 #: spread without forking a process per core on large hosts.
-DEFAULT_MP_WORKERS = max(1, min(4, os.cpu_count() or 1))
+DEFAULT_MP_WORKERS = min(4, usable_cpus())
 
 #: Stable view -> shard routing (identical to ShardManager.shard_of so
 #: the two backends agree on what "a shard" is).
@@ -440,14 +441,13 @@ class _Worker:
         cache = self.engine.statement_cache
         registry = self.engine.registry
         for sid, parts in new_plans.items():
-            (kind, view_name, statement, query, group_parts, avg_parts,
-             strictest) = parts
-            entry = CompiledStatement(statement, kind,
-                                      registry.view(view_name), query=query,
-                                      group_parts=group_parts,
+            kind, view_name, query, group_parts, avg_parts, strictest = parts
+            sql = self.sql_by_id[sid]
+            entry = CompiledStatement(sql, kind, registry.view(view_name),
+                                      query=query, group_parts=group_parts,
                                       avg_parts=avg_parts,
                                       strictest=strictest)
-            cache.put(self.sql_by_id[sid], entry, epoch=cache.epoch)
+            cache.put(sql, entry, epoch=cache.epoch)
 
     def _apply_sync(self, analyst: str, sync: tuple) -> None:
         """Adopt the parent's authoritative cross-shard tallies.
@@ -882,18 +882,15 @@ class MpBackend:
         it costs zero extra cache probes.  ``None`` (worker compiles on
         its own) when planning could not compile the statement.
 
-        Scalar plans drop the statement AST: pickling the nested node
-        dataclasses costs more than everything else in the plan, and the
-        scalar execution path never reads it when the raw SQL text is
-        available (the text is the cache key).  GROUP BY and AVG
-        keep theirs — their engine paths re-enter via the statement."""
+        Plans drop the statement AST: pickling the nested node
+        dataclasses costs more than everything else in the plan, and no
+        engine path reads it — the worker's entry parses the SQL text if
+        anything ever does."""
         compiled = item.entry
         if compiled is None:
             return None
-        statement = None if compiled.kind == "scalar" else compiled.statement
-        return (compiled.kind, compiled.view.name, statement,
-                compiled.query, compiled.group_parts, compiled.avg_parts,
-                compiled.strictest)
+        return (compiled.kind, compiled.view.name, compiled.query,
+                compiled.group_parts, compiled.avg_parts, compiled.strictest)
 
     def _sync_for(self, analyst: str) -> tuple:
         """Authoritative cross-shard tallies for one dispatch (see

@@ -80,6 +80,8 @@ def _plan_one(engine: DProvDB, index: int, request: QueryRequest
             return PlannedQuery(index, request, None, None, math.inf, False)
         return PlannedQuery(index, request, statement, None, math.inf,
                             statement.group_by != ())
+    # Executors read a statement only when the request carries no text.
+    statement = None if isinstance(request.sql, str) else request.sql
     try:
         view = compiled.view
         if compiled.kind != "scalar":
@@ -94,20 +96,19 @@ def _plan_one(engine: DProvDB, index: int, request: QueryRequest
                                               request.accuracy,
                                               request.epsilon, view)
                 per_bin = compiled.strictest.per_bin_variance_for(target)
-            return PlannedQuery(index, request, compiled.statement,
-                                view.name, per_bin,
-                                compiled.kind == "group_by",
+            return PlannedQuery(index, request, statement, view.name,
+                                per_bin, compiled.kind == "group_by",
                                 entry=compiled)
         query = compiled.query
         target = engine._accuracy_for(query, request.accuracy,
                                       request.epsilon, view)
-        return PlannedQuery(index, request, compiled.statement, view.name,
+        return PlannedQuery(index, request, statement, view.name,
                             query.per_bin_variance_for(target), False,
                             view=view, query=query, target=target,
                             entry=compiled)
     except ReproError:
-        return PlannedQuery(index, request, compiled.statement, None,
-                            math.inf, compiled.kind == "group_by")
+        return PlannedQuery(index, request, statement, None, math.inf,
+                            compiled.kind == "group_by")
 
 
 def plan_batch(engine: DProvDB, requests: list[QueryRequest]) -> BatchPlan:

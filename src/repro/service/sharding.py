@@ -35,6 +35,13 @@ DEFAULT_NUM_SHARDS = 8
 T = TypeVar("T")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset``, a container cpuset), else the host's count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 class ShardManager:
     """Routes per-view work onto a bounded worker pool.
 
@@ -51,11 +58,10 @@ class ShardManager:
             raise ReproError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = num_shards
         # Dispatching to the pool only pays off when shards can actually
-        # run in parallel; on a single-CPU host the futures and thread
+        # run in parallel; on a single usable CPU the futures and thread
         # wake-ups are pure overhead, so groups run inline there (the
         # view→shard routing and all locking semantics are identical).
-        self._use_pool = force_pool or (
-            num_shards > 1 and (os.cpu_count() or 1) > 1)
+        self._use_pool = force_pool or (num_shards > 1 and usable_cpus() > 1)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_guard = threading.Lock()
         self._closed = False
@@ -156,4 +162,4 @@ class ShardManager:
             pool.shutdown(wait=True)
 
 
-__all__ = ["DEFAULT_NUM_SHARDS", "ShardManager"]
+__all__ = ["DEFAULT_NUM_SHARDS", "ShardManager", "usable_cpus"]

@@ -26,7 +26,7 @@ from repro.db.sql.ast import Between, Comparison, SelectStatement
 from repro.dp.sensitivity import Neighboring
 from repro.exceptions import SchemaError, UnanswerableQuery
 from repro.views.linear import LinearQuery
-from repro.views.transform import value_range
+from repro.views.transform import terms_of, value_range
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,9 @@ class HierarchicalView:
             right >>= 1
         return sorted(nodes)
 
-    def _range_of(self, statement: SelectStatement) -> tuple[int, int]:
-        """Extract the single range predicate over this view's attribute."""
+    def check(self, statement: SelectStatement) -> None:
+        """Raise :class:`UnanswerableQuery` unless ``statement`` is a COUNT
+        of ranges on this view's attribute (reads no literal)."""
         if statement.table != self.table:
             raise UnanswerableQuery(
                 f"query targets {statement.table!r}, view is over {self.table!r}"
@@ -130,8 +131,6 @@ class HierarchicalView:
         if len(statement.aggregates) != 1 or \
                 statement.aggregates[0].func != "COUNT":
             raise UnanswerableQuery("hierarchical views answer COUNT queries")
-        domain = self.schema.domain(self.attribute)
-        low, high = domain.low, domain.high
         for cond in statement.predicate.conditions:
             if cond.column != self.attribute:
                 raise UnanswerableQuery(
@@ -145,25 +144,25 @@ class HierarchicalView:
                 raise UnanswerableQuery(
                     "hierarchical views need range predicates"
                 )
-            cond_low, cond_high = value_range(cond)
-            low, high = max(low, cond_low), min(high, cond_high)
+
+    def linear_query(self, terms: dict) -> LinearQuery:
+        """Node-indicator weights of this attribute's range ``terms``
+        (:func:`repro.views.transform.terms_of`) once :meth:`check` passed."""
+        domain = self.schema.domain(self.attribute)
+        low, high = domain.low, domain.high
+        for op, a, b in terms.get(self.attribute, ()):
+            term_low, term_high = value_range(self.attribute, op, a, b)
+            low, high = max(low, term_low), min(high, term_high)
         if high < low:
             raise UnanswerableQuery("predicate selects no bins of the view")
-        return low - domain.low, high - domain.low  # bin indices
-
-    def answerable(self, statement: SelectStatement) -> bool:
-        try:
-            self._range_of(statement)
-            return True
-        except UnanswerableQuery:
-            return False
+        weights = np.zeros(self.size)
+        weights[self.decompose(low - domain.low, high - domain.low)] = 1.0
+        return LinearQuery(self.name, weights, label="count(range)")
 
     def to_linear(self, statement: SelectStatement) -> LinearQuery:
         """Compile a contiguous COUNT range into node-indicator weights."""
-        low_bin, high_bin = self._range_of(statement)
-        weights = np.zeros(self.size)
-        weights[self.decompose(low_bin, high_bin)] = 1.0
-        return LinearQuery(self.name, weights, label="count(range)")
+        self.check(statement)
+        return self.linear_query(terms_of(statement.predicate.conditions))
 
 
 def hierarchical_view(schema: Schema, table: str,

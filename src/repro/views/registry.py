@@ -16,12 +16,13 @@ import numpy as np
 
 from repro.db.database import Database
 from repro.db.schema import Schema
-from repro.db.sql.ast import SelectStatement
+from repro.db.sql.ast import Aggregate, SelectStatement
 from repro.exceptions import SchemaError, UnanswerableQuery
 from repro.views.hierarchical import HierarchicalView
 from repro.views.histogram import HistogramView, attribute_views
 from repro.views.linear import LinearQuery
-from repro.views.transform import is_answerable, transform
+from repro.views.transform import (check_answerable, is_answerable,
+                                   linear_query, terms_of)
 
 #: Views the registry accepts: flat histograms and dyadic trees.
 AnyView = HistogramView | HierarchicalView
@@ -165,47 +166,26 @@ class ViewRegistry:
         """
         if candidates is None:
             candidates = self.candidates(statement)
-        answering = [v for v in candidates
-                     if isinstance(v, HistogramView)
-                     and is_answerable(statement, v)]
-        if not answering:
+        fits = [v for v in candidates
+                if isinstance(v, HistogramView)
+                and is_answerable(statement, v)]
+        if not fits:
             raise UnanswerableQuery(
                 f"no registered view answers: {statement}"
             )
-        return min(answering, key=lambda v: v.size)
+        return min(fits, key=lambda v: v.size)
 
     def compile(self, statement: SelectStatement,
                 clip: tuple[float, float] | None = None,
                 candidates: tuple[AnyView, ...] | None = None
                 ) -> tuple[AnyView, LinearQuery]:
-        """Compile ``statement`` over the cheapest answerable view.
-
-        The cost of answering a query over a view at fixed accuracy scales
-        with ``sensitivity^2 * ||w||^2`` (the per-bin variance the synopsis
-        must reach, times the noise a unit budget buys), so the registry
-        compiles every covering candidate once and keeps the minimiser —
-        flat histograms win for narrow predicates, dyadic trees for wide
-        ranges.  The transform is its own answerability check: it raises
-        for an unsupported aggregate or a bin-misaligned predicate, and
-        that candidate is skipped.
-        """
+        """Compile ``statement`` over the cheapest answerable view (see
+        :func:`cheapest`)."""
         if candidates is None:
             candidates = self.candidates(statement)
-        best: tuple[AnyView, LinearQuery] | None = None
-        best_cost = float("inf")
-        for view in candidates:
-            try:
-                if isinstance(view, HierarchicalView):
-                    if not view.answerable(statement):
-                        continue
-                    query = view.to_linear(statement)
-                else:
-                    query = transform(statement, view, clip)
-            except UnanswerableQuery:
-                continue
-            cost = view.sensitivity() ** 2 * query.weight_norm_sq
-            if cost < best_cost:
-                best, best_cost = (view, query), cost
+        best = None if statement.group_by else cheapest(
+            answering(statement, candidates), statement.aggregates[0],
+            terms_of(statement.predicate.conditions), clip)
         if best is None:
             raise UnanswerableQuery(
                 f"no registered view answers: {statement}"
@@ -213,4 +193,49 @@ class ViewRegistry:
         return best
 
 
-__all__ = ["ViewRegistry"]
+def answering(statement: SelectStatement, views) -> tuple[AnyView, ...]:
+    """The ``views`` whose structure (never a literal) admits
+    ``statement``: one verdict for a whole statement shape."""
+    found = []
+    for view in views:
+        try:
+            if isinstance(view, HierarchicalView):
+                view.check(statement)
+            else:
+                check_answerable(statement, view)
+        except UnanswerableQuery:
+            continue
+        found.append(view)
+    return tuple(found)
+
+
+def cheapest(views, aggregate: Aggregate, terms: dict,
+             clip: tuple[float, float] | None = None
+             ) -> tuple[AnyView, LinearQuery] | None:
+    """``(view, query)`` of least cost among :func:`answering` ``views``
+    for a scalar ``aggregate`` restricted by ``terms``, or ``None``.
+
+    The cost at fixed accuracy scales with ``sensitivity^2 * ||w||^2``
+    (the per-bin variance the synopsis must reach, times the noise a unit
+    budget buys), so every view compiles once and the minimiser wins —
+    flat histograms for narrow predicates, dyadic trees for wide ranges;
+    ties go to the first view.  A view the literals make unanswerable (a
+    bin-misaligned or non-numeric operand, no bins) is skipped.
+    """
+    best: tuple[AnyView, LinearQuery] | None = None
+    best_cost = float("inf")
+    for view in views:
+        try:
+            if isinstance(view, HierarchicalView):
+                query = view.linear_query(terms)
+            else:
+                query = linear_query(view, aggregate, terms, clip)
+        except UnanswerableQuery:
+            continue
+        cost = view.sensitivity() ** 2 * query.weight_norm_sq
+        if cost < best_cost:
+            best, best_cost = (view, query), cost
+    return best
+
+
+__all__ = ["ViewRegistry", "answering", "cheapest"]

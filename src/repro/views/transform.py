@@ -11,21 +11,24 @@ A statement is *answerable* over a view ``V`` when
 ``GROUP BY`` over view attributes is compiled to one linear query per group
 bin (full-domain semantics, so absent values appear as noisy-zero bins).
 
-Every condition reduces to bin indices without visiting the bins.  On an
+Those checks read no literal; the weight builders (:func:`linear_query`,
+:func:`avg_parts`, :func:`group_parts`) read only ``(op, a, b)`` *terms*
+(:func:`terms_of`), which a compile plan builds from literal slots.
+
+Every term reduces to bin indices without visiting the bins.  On an
 :class:`IntegerDomain` an ordering comparison or ``BETWEEN`` becomes the
 inclusive integer range it admits (``x < 7.5`` admits ``x <= 7``), and
 integer arithmetic maps that range to a slice of bins; ``=``, ``!=`` and
 ``IN`` become the bins of the integers their operands equal.  On a
 :class:`CategoricalDomain` each operand is one value -> bin dict lookup.
-A column's conjunction is one slice, one set of selected and one set of
-excluded bins, written straight into a float64 axis mask; the view's
-indicator is the outer product of its axis masks.  A bucketised bin
-that a condition covers only in part makes the view unanswerable
-(bin-misaligned ranges cannot be answered exactly from bucketised
-counts — Appendix D's discretisation caveat), and the error names that
-bin.  Operands follow python semantics: a bool is the int it equals, a
-string equals no integer and cannot be ordered against one, and NaN
-admits nothing.
+A column's conjunction is a slice or a list of bins, and the view's
+indicator writes every axis's selection straight into one zero grid.  A
+bucketised bin that a condition covers only in part makes the view
+unanswerable (bin-misaligned ranges cannot be answered exactly from
+bucketised counts — Appendix D's discretisation caveat), and the error
+names that bin.  Operands follow python semantics: a bool is the int it
+equals, a string equals no integer and cannot be ordered against one,
+and NaN admits nothing.
 """
 
 from __future__ import annotations
@@ -36,14 +39,7 @@ import numbers
 import numpy as np
 
 from repro.db.schema import CategoricalDomain, Domain, IntegerDomain
-from repro.db.sql.ast import (
-    Aggregate,
-    Between,
-    Comparison,
-    Condition,
-    InList,
-    SelectStatement,
-)
+from repro.db.sql.ast import Aggregate, Between, InList, SelectStatement
 from repro.exceptions import SchemaError, UnanswerableQuery
 from repro.views.histogram import HistogramView
 from repro.views.linear import LinearQuery
@@ -59,7 +55,7 @@ def is_answerable(statement: SelectStatement, view: HistogramView) -> bool:
     (their per-group compilation happens in :func:`transform_group_by`).
     """
     try:
-        _check_answerable(statement, view)
+        check_answerable(statement, view)
         if not statement.group_by:
             transform(statement, view)
         return True
@@ -67,7 +63,9 @@ def is_answerable(statement: SelectStatement, view: HistogramView) -> bool:
         return False
 
 
-def _check_answerable(statement: SelectStatement, view: HistogramView) -> None:
+def check_answerable(statement: SelectStatement, view: HistogramView) -> None:
+    """The structural half of answerability: it reads no literal, so one
+    verdict holds for every statement of a shape."""
     if statement.table != view.table:
         raise UnanswerableQuery(
             f"query targets {statement.table!r}, view is over {view.table!r}"
@@ -99,9 +97,20 @@ def _check_answerable(statement: SelectStatement, view: HistogramView) -> None:
     raise UnanswerableQuery(f"aggregate {agg.func} not answerable over views")
 
 
-#: Comparisons that order values; on a categorical domain they are
-#: unanswerable, on an integer domain they select a run of bins.
-_ORDERING = ("<", "<=", ">", ">=")
+def terms_of(conditions) -> dict[str, list[tuple]]:
+    """Each condition as an ``(op, a, b)`` term, grouped by column in
+    statement order."""
+    terms: dict[str, list[tuple]] = {}
+    for cond in conditions:
+        if isinstance(cond, Between):
+            term = ("BETWEEN", cond.low, cond.high)
+        elif isinstance(cond, InList):
+            term = ("IN", cond.values, None)
+        else:
+            term = (cond.op, cond.value, None)
+        terms.setdefault(cond.column, []).append(term)
+    return terms
+
 
 #: The empty inclusive range.
 _NOTHING = (math.inf, -math.inf)
@@ -127,21 +136,20 @@ def _real(value, column: str):
     )
 
 
-def value_range(cond: Comparison | Between) -> tuple:
-    """The integers an ordering comparison, ``BETWEEN`` or ``=`` admits,
-    as an inclusive ``(low, high)``; ends may be ±inf and ``low > high``
-    admits none (``x < 7.5`` is ``(-inf, 7)``, ``x = 2.5`` is
-    ``(3, 2)``).  A NaN operand admits nothing; a non-numeric operand
-    raises :class:`UnanswerableQuery`."""
-    if isinstance(cond, Between):
-        low, high = _real(cond.low, cond.column), _real(cond.high, cond.column)
+def value_range(column: str, op: str, a, b=None) -> tuple:
+    """The integers an ordering comparison, ``BETWEEN`` or ``=`` term on
+    ``column`` admits, as an inclusive ``(low, high)``; ends may be ±inf
+    and ``low > high`` admits none (``x < 7.5`` is ``(-inf, 7)``,
+    ``x = 2.5`` is ``(3, 2)``).  A NaN operand admits nothing; a
+    non-numeric operand raises :class:`UnanswerableQuery`."""
+    if op == "BETWEEN":
+        low, high = _real(a, column), _real(b, column)
         if not low <= high:  # an empty interval, or a NaN end
             return _NOTHING
         return _ceil(low), _floor(high)
-    x = _real(cond.value, cond.column)
+    x = _real(a, column)
     if x != x:
         return _NOTHING
-    op = cond.op
     if op == "<":
         return -math.inf, _ceil(x) - 1
     if op == "<=":
@@ -162,29 +170,28 @@ def _misaligned(column: str, domain: IntegerDomain, index: int
     )
 
 
-def _ordered_slice(domain: IntegerDomain, cond: Comparison | Between
+def _ordered_slice(domain: IntegerDomain, column: str, op: str, a, b
                    ) -> tuple[int, int]:
     """Bins ``[start, stop)`` an ordering comparison or ``BETWEEN``
     selects.  Only the bins holding the two ends of its range can be cut,
     so alignment is two integer checks, not a pass over the bins."""
-    low, high = value_range(cond)
+    low, high = value_range(column, op, a, b)
     origin, width = domain.low, domain.bin_size
-    nan_end = width > 1 and isinstance(cond, Between) \
-        and (cond.low != cond.low or cond.high != cond.high)
+    nan_end = width > 1 and op == "BETWEEN" and (a != a or b != b)
     if nan_end:
         # A NaN end fails every comparison, so no bucketised bin lies
         # wholly inside the interval and every bin the other end admits
         # is cut (a width-1 domain selects nothing instead).
-        low = -math.inf if cond.low != cond.low else _ceil(cond.low)
-        high = math.inf if cond.high != cond.high else _floor(cond.high)
+        low = -math.inf if a != a else _ceil(a)
+        high = math.inf if b != b else _floor(b)
     low, high = max(low, origin), min(high, domain.high)
     if low > domain.high or high < origin:
         return 0, 0
     first, last = (low - origin) // width, (high - origin) // width
     if nan_end or low != origin + first * width:
-        raise _misaligned(cond.column, domain, first)
+        raise _misaligned(column, domain, first)
     if high != min(origin + last * width + width - 1, domain.high):
-        raise _misaligned(cond.column, domain, last)
+        raise _misaligned(column, domain, last)
     return first, last + 1
 
 
@@ -226,65 +233,62 @@ def _categorical_points(domain: CategoricalDomain, operands) -> set[int]:
     return points
 
 
-def _axis_mask(domain: Domain, conditions) -> np.ndarray:
-    """Inclusion vector of a conjunction of conditions over one
-    attribute's bins.
+def _axis_bins(domain: Domain, column: str, terms) -> slice | list[int]:
+    """The bins of one attribute a conjunction of terms selects: a slice,
+    or a list of bin indices.
 
     The conjunction is kept as one slice (ordering comparisons), one
     optional set of selected bins (``=``, ``IN``) and one set of excluded
-    bins (``!=``), and written into a zero vector.  Conditions are
-    reduced in statement order, so the first unanswerable one names the
-    error.
+    bins (``!=``).  Terms are reduced in statement order, so the first
+    unanswerable one names the error.
     """
     integer = isinstance(domain, IntegerDomain)
     start, stop = 0, domain.size
     points = None
     excluded: set[int] = set()
-    for cond in conditions:
-        if isinstance(cond, InList):
-            operands = cond.values
-        elif isinstance(cond, Comparison) and cond.op not in _ORDERING:
-            operands = (cond.value,)
+    for op, a, b in terms:
+        if op == "IN":
+            operands = a
+        elif op == "=" or op == "!=":
+            operands = (a,)
         elif integer:
-            first, last = _ordered_slice(domain, cond)
+            first, last = _ordered_slice(domain, column, op, a, b)
             start, stop = max(start, first), min(stop, last)
             continue
         else:
             raise UnanswerableQuery(
-                f"ordering comparison on categorical column {cond.column!r}"
+                f"ordering comparison on categorical column {column!r}"
             )
-        bins = (_integer_points(domain, operands, cond.column) if integer
+        bins = (_integer_points(domain, operands, column) if integer
                 else _categorical_points(domain, operands))
-        if isinstance(cond, Comparison) and cond.op == "!=":
+        if op == "!=":
             excluded |= bins
         else:
             points = bins if points is None else points & bins
-    mask = np.zeros(domain.size)
     if points is None:
-        mask[start:stop] = 1
-    else:
-        for i in points:
-            if start <= i < stop:
-                mask[i] = 1
-    for i in excluded:
-        mask[i] = 0
-    return mask
+        if not excluded:
+            return slice(start, stop)
+        points = range(start, stop)
+    return [i for i in points
+            if start <= i < stop and i not in excluded]
 
 
-def _bin_mask_for_condition(domain: Domain, cond: Condition) -> np.ndarray:
-    """Boolean inclusion vector of one condition."""
-    return _axis_mask(domain, (cond,)) == 1
-
-
-def _indicator(statement: SelectStatement, view: HistogramView) -> np.ndarray:
-    """Flattened 0/1 inclusion weights for the predicate over the view grid."""
-    conditions = statement.predicate.conditions
-    grid = None
+def _indicator(view: HistogramView, terms: dict) -> np.ndarray:
+    """Flattened 0/1 inclusion weights of ``terms`` over the view grid:
+    each attribute's selected bins, written straight into a zero grid
+    (their outer product)."""
+    shape, bins = [], []
     for attr in view.attributes:
-        axis_mask = _axis_mask(view.schema.domain(attr),
-                               [c for c in conditions if c.column == attr])
-        grid = axis_mask if grid is None \
-            else np.multiply.outer(grid, axis_mask)
+        domain = view.schema.domain(attr)
+        shape.append(domain.size)
+        bins.append(_axis_bins(domain, attr, terms.get(attr, ())))
+    if sum(isinstance(axis, list) for axis in bins) > 1:
+        # Two index lists would pair up element-wise; ix_ crosses them.
+        bins = np.ix_(*(range(axis.start, axis.stop)
+                        if isinstance(axis, slice) else axis
+                        for axis in bins))
+    grid = np.zeros(shape)
+    grid[tuple(bins)] = 1
     return grid.reshape(-1)
 
 
@@ -312,6 +316,22 @@ def _value_weights(view: HistogramView, column: str,
     return np.ascontiguousarray(grid).reshape(-1)
 
 
+def linear_query(view: HistogramView, aggregate: Aggregate, terms: dict,
+                 clip: tuple[float, float] | None = None) -> LinearQuery:
+    """``aggregate`` restricted by ``terms`` as a :class:`LinearQuery`
+    over ``view``, whose structure is already checked.  ``AVG`` is its
+    SUM numerator."""
+    weights = _indicator(view, terms)
+    if aggregate.func != "COUNT":
+        weights = weights * _value_weights(view, aggregate.column, clip)
+    query = LinearQuery(view.name, weights, label=aggregate.label())
+    if not query.weight_norm_sq and not weights.any():
+        # An all-zero query is answerable trivially but meaningless, and
+        # variance calibration needs support: reject it.
+        raise UnanswerableQuery("predicate selects no bins of the view")
+    return query
+
+
 def transform(statement: SelectStatement, view: HistogramView,
               clip: tuple[float, float] | None = None) -> LinearQuery:
     """Compile a scalar statement into a :class:`LinearQuery` over ``view``.
@@ -319,23 +339,22 @@ def transform(statement: SelectStatement, view: HistogramView,
     ``AVG`` is compiled as its SUM numerator — callers divide by a noisy
     count (post-processing); see :func:`transform_avg_parts`.
     """
-    _check_answerable(statement, view)
+    check_answerable(statement, view)
     if statement.group_by:
         raise UnanswerableQuery(
             "use transform_group_by for GROUP BY statements"
         )
-    agg = statement.aggregates[0]
-    indicator = _indicator(statement, view)
-    if agg.func == "COUNT":
-        weights = indicator
-    else:  # SUM or AVG numerator
-        weights = indicator * _value_weights(view, agg.column, clip)
-    if not weights.any():
-        # An all-zero query is answerable trivially but meaningless; treat as
-        # an empty-support linear query the caller may answer with 0 noise...
-        # except variance calibration needs support, so reject it instead.
-        raise UnanswerableQuery("predicate selects no bins of the view")
-    return LinearQuery(view.name, weights, label=agg.label())
+    return linear_query(view, statement.aggregates[0],
+                        terms_of(statement.predicate.conditions), clip)
+
+
+def avg_parts(view: HistogramView, column: str, terms: dict,
+              clip: tuple[float, float] | None = None
+              ) -> tuple[LinearQuery, LinearQuery]:
+    """(numerator SUM, denominator COUNT) of ``AVG(column)`` restricted
+    by ``terms``, over a structurally checked ``view``."""
+    return (linear_query(view, Aggregate("SUM", column), terms, clip),
+            linear_query(view, Aggregate("COUNT"), terms))
 
 
 def transform_avg_parts(statement: SelectStatement, view: HistogramView,
@@ -345,13 +364,9 @@ def transform_avg_parts(statement: SelectStatement, view: HistogramView,
     agg = statement.aggregates[0]
     if agg.func != "AVG":
         raise UnanswerableQuery("transform_avg_parts requires an AVG aggregate")
-    sum_stmt = SelectStatement(
-        (Aggregate("SUM", agg.column),), statement.table, statement.predicate
-    )
-    count_stmt = SelectStatement(
-        (Aggregate("COUNT", None),), statement.table, statement.predicate
-    )
-    return transform(sum_stmt, view, clip), transform(count_stmt, view)
+    check_answerable(statement, view)
+    return avg_parts(view, agg.column,
+                     terms_of(statement.predicate.conditions), clip)
 
 
 def transform_group_by(statement: SelectStatement, view: HistogramView
@@ -362,14 +377,23 @@ def transform_group_by(statement: SelectStatement, view: HistogramView
     combination of the GROUP BY keys' domains — the DP-safe ``GROUP BY*``
     semantics of Appendix D.
     """
-    _check_answerable(statement, view)
+    check_answerable(statement, view)
     if not statement.group_by:
         raise UnanswerableQuery("statement has no GROUP BY keys")
-    agg = statement.aggregates[0]
-    if agg.func not in ("COUNT", "SUM"):
-        raise UnanswerableQuery(f"GROUP BY with {agg.func} not supported")
+    return group_parts(view, statement.aggregates[0], statement.group_by,
+                       terms_of(statement.predicate.conditions))
 
-    base = _indicator(statement, view)
+
+def group_parts(view: HistogramView, aggregate: Aggregate,
+                keys: tuple[str, ...], terms: dict
+                ) -> list[tuple[tuple, LinearQuery]]:
+    """:func:`transform_group_by` over a structurally checked ``view``,
+    with the predicate as ``terms``."""
+    if aggregate.func not in ("COUNT", "SUM"):
+        raise UnanswerableQuery(
+            f"GROUP BY with {aggregate.func} not supported")
+
+    base = _indicator(view, terms)
     # One vectorized scatter replaces the per-group selector grids: each
     # bin belongs to exactly one group (the combination of its key-axis
     # coordinates), so the full weight matrix is built in one pass.  The
@@ -377,11 +401,11 @@ def transform_group_by(statement: SelectStatement, view: HistogramView
     # a selector entry is exactly 1.0 on the group's slice and 0.0 off
     # it, so multiplying by it either preserves the weight bit-exactly
     # or zeroes it.
-    if agg.func == "SUM":
-        base = base * _value_weights(view, agg.column, None)
+    if aggregate.func == "SUM":
+        base = base * _value_weights(view, aggregate.column, None)
 
-    key_domains = [view.schema.domain(k) for k in statement.group_by]
-    key_axes = [view.axis_of(k) for k in statement.group_by]
+    key_domains = [view.schema.domain(k) for k in keys]
+    key_axes = [view.axis_of(k) for k in keys]
     sizes = [d.size for d in key_domains]
     num_bins = base.size
     # Per-bin coordinate along each GROUP BY axis, flattened to match
@@ -397,6 +421,7 @@ def transform_group_by(statement: SelectStatement, view: HistogramView
     matrix = np.zeros((int(np.prod(sizes)), num_bins), dtype=np.float64)
     matrix[group_of_bin, np.arange(num_bins)] = base
 
+    label = aggregate.label()
     results: list[tuple[tuple, LinearQuery]] = []
     for group, flat_key in enumerate(np.ndindex(*sizes)):
         key_values = tuple(
@@ -404,14 +429,11 @@ def transform_group_by(statement: SelectStatement, view: HistogramView
         )
         results.append(
             (key_values, LinearQuery(view.name, matrix[group],
-                                     label=f"{agg.label()}@{key_values}"))
+                                     label=f"{label}@{key_values}"))
         )
     return results
 
 
-__all__ = [
-    "is_answerable",
-    "transform",
-    "transform_avg_parts",
-    "transform_group_by",
-]
+__all__ = ["avg_parts", "check_answerable", "group_parts", "is_answerable",
+           "linear_query", "terms_of", "transform", "transform_avg_parts",
+           "transform_group_by", "value_range"]

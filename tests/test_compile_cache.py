@@ -74,28 +74,25 @@ class TestStatementCache:
         assert cache.get("next") is not None and cache.get("wide") is None
 
     def test_templates_follow_the_entries_lifecycle(self):
-        from repro.core.compile_cache import (
-            SHAPE_TABLE_LIMIT,
-            StatementTemplate,
-        )
+        from repro.core.compile_cache import SHAPE_TABLE_LIMIT
 
-        template = StatementTemplate(None, "scalar", ())
+        plan = object()                         # the table never looks inside
         cache = StatementCache()
-        cache.put_template(("a",), template, cache.epoch)
-        assert cache.template(("a",)) is template
-        assert cache.template(("b",)) is None
+        cache.put_plan(("a",), plan, cache.epoch)
+        assert cache.plan(("a",)) is plan
+        assert cache.plan(("b",)) is None
         stale = cache.epoch
         cache.clear()                           # view registration
-        assert cache.template(("a",)) is None
-        cache.put_template(("a",), template, stale)
-        assert cache.template(("a",)) is None   # dropped, not resurrected
+        assert cache.plan(("a",)) is None
+        cache.put_plan(("a",), plan, stale)
+        assert cache.plan(("a",)) is None       # dropped, not resurrected
         for i in range(SHAPE_TABLE_LIMIT + 1):  # hostile shape stream
-            cache.put_template((i,), template, cache.epoch)
+            cache.put_plan((i,), plan, cache.epoch)
         assert cache.counters()["templates"] == 1
         assert cache.counters()["template_hits"] == 1
         disabled = StatementCache(max_entries=0)
-        disabled.put_template(("a",), template, disabled.epoch)
-        assert disabled.template(("a",)) is None
+        disabled.put_plan(("a",), plan, disabled.epoch)
+        assert disabled.plan(("a",)) is None
 
     def test_unbounded_never_evicts(self):
         cache = StatementCache(max_entries=None)

@@ -3,6 +3,8 @@ plus property-based round-trips for the SQL layer (hypothesis)."""
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,24 +22,184 @@ from repro.db.sql.ast import (
     SelectStatement,
 )
 from repro.db.sql.executor import predicate_mask
-from repro.db.sql.lexer import (
-    KEYWORDS,
-    TokenType,
-    _scan,
-    _scan_reference,
-    tokenize,
-)
-from repro.db.sql.parser import (
-    bind_literals,
-    parse,
-    parse_tokens,
-    split_literals,
-)
+from repro.db.sql.lexer import KEYWORDS, Token, TokenType, tokenize
+from repro.db.sql.parser import parse, parse_tokens
 from repro.exceptions import SQLError
 from repro.db.sql.unparse import to_sql
 from repro.db.table import Table
-from repro.views.transform import is_answerable, transform
+from repro.views.transform import _axis_bins, terms_of
 from repro.workloads.rrq import ordered_attributes
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the SQL layer: the per-character scanner the regex lexer
+# replaced, and the token-stream shape split / literal bind the compile
+# plans replaced.  Moved out of repro.db.sql unchanged except where marked
+# ORACLE CHANGE.
+# ---------------------------------------------------------------------------
+
+_OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">")
+#: ORACLE CHANGE: the ASCII characters ``str.isspace`` admits.
+_SPACES = frozenset(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")
+
+
+def _digit(ch: str) -> bool:
+    return ch.isascii() and ch.isdigit()   # ORACLE CHANGE: ASCII only
+
+
+def _letter(ch: str) -> bool:
+    return ch.isascii() and ch.isalpha()   # ORACLE CHANGE: ASCII only
+
+
+def _scan_reference(text: str) -> Iterator[Token]:
+    """The original per-character scanner.  ORACLE CHANGE: its character
+    classes are ASCII, so outside a string literal a non-ASCII character
+    (an exotic space, digit or letter included) is unexpected."""
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in _SPACES:
+            i += 1
+            continue
+        if ch == "*":
+            yield Token(TokenType.STAR, "*", i)
+            i += 1
+            continue
+        if ch == ",":
+            yield Token(TokenType.COMMA, ",", i)
+            i += 1
+            continue
+        if ch == "(":
+            yield Token(TokenType.LPAREN, "(", i)
+            i += 1
+            continue
+        if ch == ")":
+            yield Token(TokenType.RPAREN, ")", i)
+            i += 1
+            continue
+        if ch == "'":
+            # Standard SQL escaping: '' inside a literal is a single quote.
+            parts: list[str] = []
+            j = i + 1
+            while True:
+                end = text.find("'", j)
+                if end == -1:
+                    raise SQLError(
+                        f"unterminated string literal at position {i}"
+                    )
+                if end + 1 < n and text[end + 1] == "'":
+                    parts.append(text[j:end + 1])
+                    j = end + 2
+                else:
+                    parts.append(text[j:end])
+                    break
+            yield Token(TokenType.STRING, "".join(parts), i)
+            i = end + 1
+            continue
+        matched_op = next((op for op in _OPERATORS
+                           if text.startswith(op, i)), None)
+        if matched_op:
+            yield Token(TokenType.OPERATOR, matched_op, i)
+            i += len(matched_op)
+            continue
+        if _digit(ch) or (ch == "-" and i + 1 < n and _digit(text[i + 1])):
+            j = i + 1
+            while j < n and (_digit(text[j]) or text[j] == "."):
+                j += 1
+            yield Token(TokenType.NUMBER, text[i:j], i)
+            i = j
+            continue
+        if _letter(ch) or ch == "_":
+            j = i + 1
+            while j < n and (_letter(text[j]) or _digit(text[j])
+                             or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            upper = word.upper()
+            if upper in KEYWORDS:
+                yield Token(TokenType.KEYWORD, upper, i)
+            else:
+                yield Token(TokenType.IDENT, word, i)
+            i = j
+            continue
+        raise SQLError(f"unexpected character {ch!r} at position {i}")
+    yield Token(TokenType.EOF, "", n)
+
+
+def _literal_value(token: Token):
+    """The value the parser reads from a NUMBER or STRING token."""
+    if token.type is TokenType.NUMBER:
+        text = token.value
+        try:
+            return float(text) if "." in text else int(text)
+        except ValueError:
+            raise SQLError(f"malformed number {text!r} at position "
+                           f"{token.position}") from None
+    return token.value
+
+
+#: Shape placeholders.  Neither can be a token value: ``?`` does not lex.
+_ONE, _MANY = "?", "?*"
+_LITERALS = (TokenType.NUMBER, TokenType.STRING)
+
+
+def split_literals(tokens: list[Token]) -> tuple[tuple[str, ...], list]:
+    """Split a token stream into its *shape* (token values with every
+    literal blanked and each ``IN ( lit, ... )`` list collapsed to one
+    placeholder) and its literals in source order: a token per
+    placeholder, a tuple of tokens per collapsed list."""
+    shape: list[str] = []
+    literals: list = []
+    n = len(tokens)
+    i = 0
+    while i < n:
+        token = tokens[i]
+        if token.type in _LITERALS:
+            shape.append(_ONE)
+            literals.append(token)
+        elif token.value == "IN" and token.type is TokenType.KEYWORD \
+                and tokens[i + 1].type is TokenType.LPAREN:
+            # tokens always end with EOF, so i + 1 exists after a keyword.
+            j = i + 2
+            members = []
+            while tokens[j].type in _LITERALS:
+                members.append(tokens[j])
+                if tokens[j + 1].type is not TokenType.COMMA:
+                    break
+                j += 2
+            if members and tokens[j].type in _LITERALS \
+                    and tokens[j + 1].type is TokenType.RPAREN:
+                shape += ("IN", "(", _MANY, ")")
+                literals.append(tuple(members))
+                i = j + 2
+                continue
+            shape.append(token.value)
+        else:
+            shape.append(token.value)
+        i += 1
+    return tuple(shape), literals
+
+
+def bind_literals(skeleton: SelectStatement, literals: list
+                  ) -> SelectStatement:
+    """``skeleton`` with its predicate's literals replaced, in source
+    order, by ``literals`` — the pair :func:`split_literals` returned for
+    another statement of the skeleton's shape."""
+    values = iter(literals)
+    conditions = []
+    for cond in skeleton.predicate.conditions:
+        if isinstance(cond, Comparison):
+            cond = Comparison(cond.column, cond.op,
+                              _literal_value(next(values)))
+        elif isinstance(cond, Between):
+            cond = Between(cond.column, _literal_value(next(values)),
+                           _literal_value(next(values)))
+        else:
+            cond = InList(cond.column,
+                          tuple(_literal_value(t) for t in next(values)))
+        conditions.append(cond)
+    return SelectStatement(skeleton.aggregates, skeleton.table,
+                           Predicate(tuple(conditions)), skeleton.group_by)
 
 
 def random_query(bundle, rng):
@@ -368,13 +530,13 @@ class TestLexerGoldenEquality:
     @given(select_statements())
     def test_token_streams_match_on_unparsed_statements(self, statement):
         text = to_sql(statement)
-        assert list(_scan(text)) == list(_scan_reference(text))
+        assert tokenize(text) == list(_scan_reference(text))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.text(alphabet=st.sampled_from(
         "abcXYZ019 _-.'%()<>=!,*\t\n;&\\\""), max_size=40))
     def test_arbitrary_ascii_matches_including_errors(self, text):
-        assert _lex_outcome(_scan, text) == \
+        assert _lex_outcome(tokenize, text) == \
             _lex_outcome(_scan_reference, text)
 
     @pytest.mark.parametrize("text", [
@@ -389,11 +551,11 @@ class TestLexerGoldenEquality:
         "<=>=!=<>=<>",             # operator maximal munch
     ])
     def test_pinned_edge_cases(self, text):
-        assert _lex_outcome(_scan, text) == \
+        assert _lex_outcome(tokenize, text) == \
             _lex_outcome(_scan_reference, text)
 
     def test_error_positions_are_exact(self):
-        for scanner in (_scan, _scan_reference):
+        for scanner in (tokenize, _scan_reference):
             with pytest.raises(SQLError,
                                match="unterminated string literal "
                                      "at position 7"):
@@ -403,11 +565,35 @@ class TestLexerGoldenEquality:
                                      r"at position 5"):
                 list(scanner("SELEC;T"))
 
-    def test_non_ascii_routes_through_reference(self):
-        # tokenize() must accept what the reference accepts (e.g. a
-        # unicode identifier isalpha admits) with identical streams.
-        text = "SELECT COUNT(*) FROM tablé"
-        assert tokenize(text) == list(_scan_reference(text))
+    def test_non_ascii_is_an_error_outside_strings(self):
+        for text, position in [
+            ("SELECT COUNT(*) FROM tablé", 25),     # a letter isalpha admits
+            ("SELECT COUNT(*) FROM t WHERE a = ٣", 33),   # Arabic-Indic 3
+            ("SELECT COUNT(*) FROM t WHERE a = ²", 33),   # a category-No digit
+            ("SELECT COUNT(*) FROM t WHERE a = Ⅻ", 33),   # a category-Nl
+            ("SELECT\u00a0COUNT(*) FROM t", 6),       # a no-break space
+            ("SELECT COUNT(*)\u2003FROM t", 15),      # an em space
+        ]:
+            message = f"unexpected character {text[position]!r} at " \
+                f"position {position}"
+            for scanner in (tokenize, _scan_reference):
+                with pytest.raises(SQLError) as raised:
+                    list(scanner(text))
+                assert str(raised.value) == message
+
+    def test_non_ascii_is_text_inside_strings(self):
+        text = "SELECT COUNT(*) FROM t WHERE c IN ('tablé', '٣²Ⅻ\u00a0')"
+        tokens = tokenize(text)
+        assert tokens == list(_scan_reference(text))
+        assert [t.value for t in tokens if t.type is TokenType.STRING] \
+            == ["tablé", "٣²Ⅻ\u00a0"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.text(alphabet=st.sampled_from(
+        "a1 '(),=<-.é٣²Ⅻ\u00a0\u2003\u3000ß"), max_size=30))
+    def test_arbitrary_unicode_matches_including_errors(self, text):
+        assert _lex_outcome(tokenize, text) == \
+            _lex_outcome(_scan_reference, text)
 
 
 class TestLexerWhitespace:
@@ -429,7 +615,7 @@ class TestLexerWhitespace:
         "a =\n-",                        # stray minus after a newline
     ])
     def test_pinned_whitespace(self, text):
-        assert _lex_outcome(_scan, text) == \
+        assert _lex_outcome(tokenize, text) == \
             _lex_outcome(_scan_reference, text)
         assert _lex_outcome(tokenize, text) == \
             _lex_outcome(_scan_reference, text)
@@ -443,12 +629,12 @@ class TestLexerWhitespace:
     def test_long_malformed_runs_match(self, text):
         # One findall pass that never skips input: a scan restarting at
         # every position of these runs would take minutes, not ms.
-        assert _lex_outcome(_scan, text) == \
+        assert _lex_outcome(tokenize, text) == \
             _lex_outcome(_scan_reference, text)
 
     def test_eof_sits_at_the_end_of_the_text(self):
         for text in ("", "   ", "SELECT \n\t"):
-            assert _scan(text)[-1] == (TokenType.EOF, "", len(text))
+            assert tokenize(text)[-1] == (TokenType.EOF, "", len(text))
 
     def test_error_position_skips_the_whitespace_before_it(self):
         with pytest.raises(SQLError, match="unexpected character ';' at "
@@ -461,7 +647,7 @@ class TestLexerWhitespace:
          "(", ")", ",", "*", "<=", "<>", "!", ";", "'"]), max_size=25))
     def test_whitespace_heavy_streams_match(self, pieces):
         text = "".join(pieces)
-        assert _lex_outcome(_scan, text) == \
+        assert _lex_outcome(tokenize, text) == \
             _lex_outcome(_scan_reference, text)
 
 
@@ -547,6 +733,14 @@ _BIN_VALUES = ("r", "g", "b", "1", "", 0, 1, 2, 2.5, 3.0, True, False)
 _OPERANDS = _BIN_VALUES + ("z", 7, 1.0, 0.0, -1, "2")
 
 
+def _bin_mask_for_condition(domain, cond) -> np.ndarray:
+    """Boolean inclusion vector of one condition, from the mask path."""
+    mask = np.zeros(domain.size, dtype=bool)
+    mask[_axis_bins(domain, cond.column,
+                    terms_of((cond,))[cond.column])] = True
+    return mask
+
+
 def _loop_bin_mask(domain: CategoricalDomain, cond) -> np.ndarray:
     """The oracle: evaluate the condition on every bin's value."""
     def evaluate(value) -> bool:
@@ -573,8 +767,6 @@ class TestCategoricalBinMaskAgainstLoop:
                   values=st.lists(operands, min_size=1, max_size=5)
                   .map(tuple))))
     def test_lookup_mask_equals_per_bin_loop(self, domain, cond):
-        from repro.views.transform import _bin_mask_for_condition
-
         mask = _bin_mask_for_condition(domain, cond)
         assert mask.dtype == bool and mask.shape == (domain.size,)
         assert np.array_equal(mask, _loop_bin_mask(domain, cond))
@@ -588,7 +780,6 @@ class TestCategoricalBinMaskAgainstLoop:
                   high=operands)))
     def test_ordering_comparisons_stay_rejected(self, domain, cond):
         from repro.exceptions import UnanswerableQuery
-        from repro.views.transform import _bin_mask_for_condition
 
         with pytest.raises(UnanswerableQuery, match="ordering comparison"):
             _bin_mask_for_condition(domain, cond)

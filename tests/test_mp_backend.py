@@ -17,8 +17,6 @@ The contract under test (see :mod:`repro.service.mp_backend`):
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.datasets import load_adult
@@ -30,6 +28,7 @@ from repro.experiments.service_throughput import (
 from repro.service.loadgen import bfs_style_queries
 from repro.service.service import QueryService
 from repro.service.session import QueryRequest
+from repro.service.sharding import usable_cpus
 from repro.workloads.rrq import ordered_attributes
 
 ROWS = 2000
@@ -273,7 +272,7 @@ def test_ping_detects_and_replaces_dead_worker(bundle):
 
 # -- scaling -----------------------------------------------------------------
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 4,
+@pytest.mark.skipif(usable_cpus() < 4,
                     reason="multi-core scaling needs >= 4 cores; "
                            "single-CPU hosts gate the overhead floor "
                            "in the bench instead")

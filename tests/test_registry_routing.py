@@ -25,7 +25,7 @@ from repro.exceptions import UnanswerableQuery
 from repro.views.hierarchical import HierarchicalView
 from repro.views.histogram import HistogramView
 from repro.views.registry import ViewRegistry
-from repro.views.transform import is_answerable, transform
+from repro.views.transform import is_answerable, linear_query, transform
 
 SCHEMA = Schema((
     Attribute("a", IntegerDomain(0, 31)),
@@ -57,8 +57,7 @@ def sweep_compile(registry: ViewRegistry, statement, clip=None):
     for name in registry.view_names:
         view = registry.view(name)
         hierarchical = isinstance(view, HierarchicalView)
-        if not (view.answerable(statement) if hierarchical
-                else is_answerable(statement, view)):
+        if not hierarchical and not is_answerable(statement, view):
             continue
         try:
             query = (view.to_linear(statement) if hierarchical
@@ -184,11 +183,11 @@ def test_each_covering_view_is_transformed_exactly_once(monkeypatch):
     registry = make_registry()
     seen = []
 
-    def counting(statement, view, clip=None):
+    def counting(view, aggregate, terms, clip=None):
         seen.append(view.name)
-        return transform(statement, view, clip)
+        return linear_query(view, aggregate, terms, clip)
 
-    monkeypatch.setattr(registry_module, "transform", counting)
+    monkeypatch.setattr(registry_module, "linear_query", counting)
     registry.compile(parse("SELECT COUNT(*) FROM t WHERE a >= 2 AND a <= 7"))
     # Flat views covering {a}; t.b, t.w and t.c are never touched.
     assert seen == ["t.a", "t.a_c"]

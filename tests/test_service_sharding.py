@@ -58,6 +58,21 @@ class TestShardManager:
         with pytest.raises(ReproError):
             ShardManager(0)
 
+    @pytest.mark.parametrize("cpus, pooled", [({0}, False), ({0, 1}, True)])
+    def test_pool_follows_usable_cpus_not_host_cpus(self, monkeypatch,
+                                                     cpus, pooled):
+        # A process pinned to one CPU of a many-CPU host runs inline.
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        assert ShardManager(4)._use_pool is pooled
+        assert ShardManager(1)._use_pool is False
+        assert ShardManager(1, force_pool=True)._use_pool is True
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ShardManager(4)._use_pool is True   # no affinity: host count
+
     @pytest.mark.parametrize("force_pool", [False, True])
     def test_groups_run_in_order_and_complete(self, force_pool):
         manager = ShardManager(4, force_pool=force_pool)

@@ -1,7 +1,7 @@
 """A statement the compiler cannot use is that item's error, never the
 batch's: a malformed numeric literal (``1.5.2``, ``1..2``) is an
-:class:`SQLError` naming its position on the parse and the shape-bound
-path alike, and a string operand in an ordering comparison on an integer
+:class:`SQLError` naming its position whether or not a compiled shape's
+plan met it first, and a string operand in an ordering comparison on an integer
 attribute makes every view unanswerable.  Both used to escape as a raw
 ``ValueError`` / ``TypeError``: out of ``submit``, through all siblings
 of a ``submit_batch``, and as an HTTP 500 over the wire."""
@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro import Analyst, QueryRequest, QueryService, load_adult
-from repro.db.sql.lexer import tokenize
-from repro.db.sql.parser import bind_literals, parse, split_literals
+from repro.db.sql.lexer import scan_slots
+from repro.db.sql.parser import parse
 from repro.exceptions import SQLError
 from repro.server.daemon import ReproServer
 
@@ -50,17 +50,24 @@ def build(bundle) -> QueryService:
 
 
 @pytest.mark.parametrize("sql, message", sorted(MALFORMED.items()))
-def test_malformed_number_is_the_same_sql_error_parsed_or_bound(sql, message):
+def test_malformed_number_is_the_same_sql_error_parsed_or_bound(
+        bundle, sql, message):
     with pytest.raises(SQLError) as parsed:
         parse(sql)
     assert str(parsed.value) == message
-    skeleton = parse(GOOD[0])
-    tokens = tokenize(sql)
-    shape, literals = split_literals(tokens)
-    assert shape == split_literals(tokenize(GOOD[0]))[0]
-    with pytest.raises(SQLError) as bound:
-        bind_literals(skeleton, literals)
-    assert str(bound.value) == message
+    # The text has the shape of a compiled statement, so its plan meets
+    # the slot first; it cannot read it and hands over to the parser.
+    assert scan_slots(sql)[0] == scan_slots(GOOD[0])[0]
+    service = build(bundle)
+    try:
+        cache = service.engine.statement_cache
+        service.engine.compile_statement(GOOD[0])
+        with pytest.raises(SQLError) as bound:
+            service.engine.compile_statement(sql)
+        assert str(bound.value) == message
+        assert cache.counters()["template_hits"] == 1
+    finally:
+        service.close()
 
 
 def test_a_digit_string_past_the_int_limit_is_an_sql_error():

@@ -42,7 +42,20 @@ from repro.db.sql.ast import (
 from repro.db.table import Table
 from repro.exceptions import UnanswerableQuery
 from repro.views.histogram import HistogramView
-from repro.views.transform import _axis_mask, transform, transform_group_by
+from repro.views.transform import (
+    _axis_bins,
+    terms_of,
+    transform,
+    transform_group_by,
+)
+
+
+def _axis_mask(domain, conditions) -> np.ndarray:
+    """The mask path's inclusion vector of a conjunction on one column."""
+    mask = np.zeros(domain.size)
+    mask[_axis_bins(domain, "n", terms_of(conditions)["n"])] = 1
+    return mask
+
 
 # ---------------------------------------------------------------------------
 # The oracle: the per-bin mask code moved out of repro.views.transform.
