@@ -47,11 +47,10 @@ from repro.client import RemoteAnalyst
 from repro.client.remote import RemoteError
 from repro.datasets import load_adult
 from repro.exceptions import ReproError
-from repro.experiments.service_throughput import make_service_analysts
-from repro.service.loadgen import bfs_style_queries
 from repro.service.service import QueryService
 from repro.service.session import QueryRequest
 from repro.workloads.rrq import ordered_attributes
+from repro.workloads.service import bfs_style_queries, make_service_analysts
 
 ROWS = 2000
 EPSILON = 48.0

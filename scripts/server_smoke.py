@@ -32,12 +32,11 @@ import time
 
 from repro.client import RateLimited, RemoteAnalyst
 from repro.datasets import load_adult
-from repro.experiments.service_throughput import make_service_analysts
 from repro.metrics import parse_exposition
-from repro.service.loadgen import bfs_style_queries
 from repro.service.service import QueryService
 from repro.service.session import QueryRequest
 from repro.workloads.rrq import ordered_attributes
+from repro.workloads.service import bfs_style_queries, make_service_analysts
 
 ROWS = 2000
 EPSILON = 48.0

@@ -6,19 +6,13 @@ Usage::
     python -m repro fig4  --dataset tpch
     python -m repro table1
     python -m repro fig6 --queries 200
-    python -m repro bench-service --threads 8 --batch-size 32
     python -m repro serve --port 8321 --analysts 8 --epsilon 12
     python -m repro list
 
 Each subcommand maps to one experiment regenerator (see DESIGN.md §3);
 options control the reduced scale.  Output is the same text tables the
-benchmarks print.  ``bench-service`` drives the concurrent serving layer
-(:mod:`repro.service`) with a mixed or disjoint-view multi-analyst
-workload and compares one-query-at-a-time submission against batched
-planning; ``--compare-global`` additionally pits the sharded service
-against the global-lock baseline, ``--remote`` measures the same
-workload over the HTTP wire (q/s + p50/p95 latency), and ``--json``
-writes the machine-readable ``BENCH_service_throughput.json`` artifact.
+benchmarks print.  The serving stack's benchmark is ``perf/run.py``
+(see ``perf/README.md``), not a subcommand.
 
 ``serve`` runs the network daemon (:mod:`repro.server`): it builds a
 dataset + analyst roster, wraps them in a sharded ``QueryService``, and
@@ -146,182 +140,6 @@ def _rq1(args) -> str:
     return format_collusion(cells)
 
 
-def _bench_service(args) -> str:
-    from repro.experiments.service_throughput import (
-        check_remote_matches_inproc,
-        format_remote_comparison,
-        format_service_throughput,
-        format_sharding_comparison,
-        run_remote_comparison,
-        run_service_throughput,
-        run_sharding_comparison,
-    )
-
-    results = run_service_throughput(
-        dataset=args.dataset, num_rows=args.rows,
-        num_analysts=args.analysts, queries_per_analyst=args.queries,
-        threads=args.threads, batch_size=args.batch_size,
-        epsilon=args.epsilon, repeats=args.repeats, seed=args.seed,
-        execution=args.execution, shards=args.shards,
-        workload=args.workload, fast_lane=not args.no_fast_lane,
-        backend=args.backend, workers=args.workers,
-    )
-    report = format_service_throughput(results)
-    mp_comparison = None
-    if args.compare_threaded:
-        from repro.experiments.service_throughput import (
-            check_mp_matches_threaded,
-            format_mp_comparison,
-            run_mp_comparison,
-        )
-
-        mp_comparison = run_mp_comparison(
-            dataset=args.dataset, num_rows=args.rows,
-            num_analysts=args.analysts,
-            queries_per_analyst=min(args.queries, 60),
-            batch_size=args.batch_size, epsilon=args.epsilon,
-            seed=args.seed, shards=args.shards, workers=args.workers,
-            workload=args.workload,
-        )
-        check_mp_matches_threaded(*mp_comparison)
-        report += "\n\n" + format_mp_comparison(*mp_comparison)
-    profile = None
-    if args.profile:
-        from repro.experiments.service_throughput import (
-            format_profile,
-            run_profile,
-        )
-
-        profile = run_profile(
-            dataset=args.dataset, num_rows=args.rows,
-            num_analysts=args.analysts,
-            queries_per_analyst=min(args.queries, 100),
-            batch_size=args.batch_size, epsilon=args.epsilon,
-            workload=args.workload, seed=args.seed, shards=args.shards,
-            execution=args.execution, fast_lane=not args.no_fast_lane,
-        )
-        report += "\n\n" + format_profile(profile)
-    durability = None
-    if args.durability:
-        from repro.experiments.service_throughput import (
-            check_durability_matches_baseline,
-            format_durability_comparison,
-            run_durability_comparison,
-        )
-
-        durability = run_durability_comparison(
-            dataset=args.dataset, num_rows=args.rows,
-            num_analysts=args.analysts,
-            queries_per_analyst=min(args.queries, 60),
-            threads=args.threads, batch_size=args.batch_size,
-            epsilon=args.epsilon, repeats=args.repeats, seed=args.seed,
-            execution=args.execution, shards=args.shards,
-        )
-        check_durability_matches_baseline(durability)
-        report += "\n\n" + format_durability_comparison(durability)
-    comparison = None
-    if args.compare_global:
-        comparison = run_sharding_comparison(
-            dataset=args.dataset, num_rows=args.rows,
-            num_analysts=args.analysts,
-            queries_per_analyst=min(args.queries, 60),
-            threads=args.threads, repeats=args.repeats, seed=args.seed,
-            shards=args.shards,
-        )
-        report += "\n\n" + format_sharding_comparison(comparison)
-    remote = None
-    if args.remote:
-        remote = run_remote_comparison(
-            dataset=args.dataset, num_rows=args.rows,
-            num_analysts=args.analysts,
-            queries_per_analyst=min(args.queries, 60),
-            connections=args.connections or args.threads,
-            batch_size=args.batch_size, seed=args.seed,
-            execution=args.execution, shards=args.shards,
-            open_loop_rate=args.rate,
-        )
-        check_remote_matches_inproc(remote)
-        report += "\n\n" + format_remote_comparison(remote)
-    trace_overhead = None
-    if args.trace_overhead:
-        from repro.experiments.service_throughput import (
-            check_trace_overhead,
-            format_trace_overhead,
-            run_trace_overhead,
-        )
-
-        # The axis resolves a ~1% effect: never shrink the replay below
-        # the calibrated length (short runs drown in container noise).
-        trace_overhead = run_trace_overhead(
-            dataset=args.dataset, num_rows=args.rows,
-            num_analysts=args.analysts,
-            queries_per_analyst=max(args.queries, 240),
-            batch_size=args.batch_size, epsilon=args.epsilon,
-            seed=args.seed, shards=args.shards, workload=args.workload,
-        )
-        check_trace_overhead(trace_overhead)
-        report += "\n\n" + format_trace_overhead(trace_overhead)
-    audit_overhead = None
-    if args.audit_overhead:
-        from repro.experiments.service_throughput import (
-            check_audit_overhead,
-            format_audit_overhead,
-            run_audit_overhead,
-        )
-
-        # Same calibration rule as --trace-overhead: the axis resolves
-        # a ~1% effect, so never shrink the replay below the floor.
-        audit_overhead = run_audit_overhead(
-            dataset=args.dataset, num_rows=args.rows,
-            num_analysts=args.analysts,
-            queries_per_analyst=max(args.queries, 240),
-            batch_size=args.batch_size, epsilon=args.epsilon,
-            seed=args.seed, shards=args.shards, workload=args.workload,
-        )
-        check_audit_overhead(audit_overhead)
-        report += "\n\n" + format_audit_overhead(audit_overhead)
-    overload = None
-    if args.overload:
-        from repro.experiments.service_throughput import (
-            check_overload,
-            format_overload,
-            run_overload_experiment,
-        )
-
-        overload = run_overload_experiment(
-            dataset=args.dataset, num_rows=args.rows,
-            num_analysts=args.analysts,
-            queries_per_analyst=min(args.queries, 60),
-            connections=args.connections or args.threads,
-            seed=args.seed, execution=args.execution, shards=args.shards,
-        )
-        check_overload(*overload)
-        report += "\n\n" + format_overload(*overload)
-    if args.json is not None:
-        from repro.experiments.service_throughput import write_json_artifact
-
-        from repro.experiments.service_throughput import fastpath_comparable
-
-        # The pre-overhaul q/s baseline was measured at one specific
-        # configuration; the comparison block is only meaningful there
-        # (shared predicate with the bench script).
-        fast_path_comparable = fastpath_comparable(
-            dataset=args.dataset, rows=args.rows, analysts=args.analysts,
-            queries=args.queries, threads=args.threads, shards=args.shards,
-            batch_size=args.batch_size, epsilon=args.epsilon,
-            seed=args.seed, workload=args.workload,
-            execution=args.execution, fast_lane=not args.no_fast_lane,
-            backend=args.backend)
-        write_json_artifact(args.json, results, comparison, remote,
-                            durability, profile=profile,
-                            fast_path=fast_path_comparable,
-                            overload=overload, mp=mp_comparison,
-                            trace_overhead=trace_overhead,
-                            audit_overhead=audit_overhead)
-        report += f"\nwrote {args.json}"
-    return report
-
-
 def _build_daemon_service(args, durable: bool = True):
     """The service a daemon-side command runs over (shared by ``serve``,
     ``recover``, and ``checkpoint`` so recovery always rebuilds against
@@ -332,10 +150,9 @@ def _build_daemon_service(args, durable: bool = True):
     must never bind a ledger writer (binding repairs a torn tail and
     would mutate the very file the operator is inspecting).
     """
-    from repro.experiments.service_throughput import make_service_analysts
-    from repro.service.service import QueryService
-
     from repro.datasets import load_adult, load_tpch
+    from repro.service.service import QueryService
+    from repro.workloads.service import make_service_analysts
 
     loader = load_adult if args.dataset == "adult" else load_tpch
     kwargs = {} if args.rows is None else (
@@ -361,7 +178,6 @@ def _build_daemon_service(args, durable: bool = True):
     # (recover/checkpoint) have no --backend and rebuild threaded.
     extra = {"noise_streams": "per_view"} if backend == "mp" else {}
     return QueryService.build(bundle, analysts, args.epsilon,
-                              execution=args.execution,
                               shards=args.shards, seed=args.seed,
                               backend=backend,
                               workers=getattr(args, "workers", None),
@@ -392,8 +208,8 @@ def _serve(args) -> str:
 
     print(f"repro serve: listening on {server.url}", flush=True)
     print(f"  dataset={args.dataset} rows={args.rows or 'full'} "
-          f"epsilon={args.epsilon} execution={args.execution} "
-          f"shards={args.shards} backend={args.backend}", flush=True)
+          f"epsilon={args.epsilon} shards={args.shards} "
+          f"backend={args.backend}", flush=True)
     if args.backend == "mp":
         print(f"  mp workers: {args.workers or 'auto'} (forked after "
               f"recovery; charging stays in this process)", flush=True)
@@ -618,8 +434,6 @@ COMMANDS: dict[str, tuple[Callable, str]] = {
     "fig9": (_fig9, "translation validation (Fig. 9)"),
     "table1": (_table("tpch"), "runtime comparison on TPC-H (Table 1)"),
     "table3": (_table("adult"), "runtime comparison on Adult (Table 3)"),
-    "bench-service": (_bench_service,
-                      "service throughput: batched planning vs single"),
 }
 
 
@@ -640,86 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="queries per analyst")
         cmd.add_argument("--repeats", type=int, default=2)
         cmd.add_argument("--seed", type=int, default=0)
-        if name == "bench-service":
-            cmd.add_argument("--threads", type=int, default=8,
-                             help="concurrent worker threads")
-            cmd.add_argument("--batch-size", type=int, default=32,
-                             help="queries per submit_batch call")
-            cmd.add_argument("--analysts", type=int, default=8,
-                             help="number of analysts in the workload")
-            cmd.add_argument("--epsilon", type=float, default=12.0,
-                             help="table-level privacy budget")
-            cmd.add_argument("--shards", type=int, default=8,
-                             help="shard count for the sharded service")
-            cmd.add_argument("--execution", choices=("sharded", "global"),
-                             default="sharded",
-                             help="service execution mode")
-            cmd.add_argument("--workload", choices=("mixed", "disjoint"),
-                             default="mixed",
-                             help="paper-style mix or per-analyst "
-                                  "disjoint wide views")
-            cmd.add_argument("--backend", choices=("threaded", "mp"),
-                             default="threaded",
-                             help="execution backend: shard threads "
-                                  "(threaded) or forked worker processes "
-                                  "with shared-memory synopses (mp)")
-            cmd.add_argument("--workers", type=int, default=None,
-                             help="mp worker process count "
-                                  "(default: min(4, usable CPUs))")
-            cmd.add_argument("--compare-threaded", action="store_true",
-                             help="replay the identical workload through "
-                                  "both backends and assert bit-identical "
-                                  "accounting (answers, per-analyst "
-                                  "epsilon, fresh releases) plus the mp "
-                                  "q/s floor")
-            cmd.add_argument("--compare-global", action="store_true",
-                             help="also run the disjoint-view sharded vs "
-                                  "global-lock comparison")
-            cmd.add_argument("--remote", action="store_true",
-                             help="also measure the same workload over the "
-                                  "HTTP wire (in-process server, ephemeral "
-                                  "port): q/s + p50/p95 latency")
-            cmd.add_argument("--connections", type=int, default=None,
-                             help="client connections for --remote "
-                                  "(default: --threads)")
-            cmd.add_argument("--rate", type=float, default=None,
-                             help="with --remote: add an open-loop run "
-                                  "with Poisson arrivals at RATE q/s")
-            cmd.add_argument("--durability", action="store_true",
-                             help="also measure the write-ahead ledger's "
-                                  "fsync-policy q/s tax (none vs "
-                                  "off/batch/always) and assert identical "
-                                  "accounting")
-            cmd.add_argument("--overload", action="store_true",
-                             help="also run the overload scenario: "
-                                  "open-loop arrivals far above the "
-                                  "per-analyst rate limit, asserting "
-                                  "bounded p95, cheap 429s, and exact "
-                                  "accounting replay vs in-process")
-            cmd.add_argument("--trace-overhead", action="store_true",
-                             help="also replay the workload with tracing "
-                                  "on vs off, asserting bit-identical "
-                                  "answers and q/s no worse than the "
-                                  "0.95x floor")
-            cmd.add_argument("--audit-overhead", action="store_true",
-                             help="also replay the workload with the "
-                                  "budget-audit tailer on vs off, "
-                                  "asserting bit-identical answers, "
-                                  "fresh-path q/s no worse than the "
-                                  "0.95x floor, and zero audit events "
-                                  "on the memoized fast lane")
-            cmd.add_argument("--profile", action="store_true",
-                             help="cProfile one inline replay and print "
-                                  "the top-20 cumulative hotspot table "
-                                  "(also embedded in the --json artifact)")
-            cmd.add_argument("--no-fast-lane", action="store_true",
-                             help="disable the memoized-answer fast lane "
-                                  "(measures the slow path; accounting is "
-                                  "identical either way)")
-            cmd.add_argument("--json", nargs="?", metavar="PATH",
-                             const="BENCH_service_throughput.json",
-                             default=None,
-                             help="write the machine-readable artifact")
 
     def add_daemon_args(cmd, data_dir_required: bool) -> None:
         """Dataset/roster options shared by serve/recover/checkpoint —
@@ -734,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="table-level privacy budget")
         cmd.add_argument("--shards", type=int, default=8,
                          help="shard count for the sharded service")
-        cmd.add_argument("--execution", choices=("sharded", "global"),
-                         default="sharded", help="service execution mode")
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--data-dir", required=data_dir_required,
                          default=None, metavar="PATH",
@@ -782,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--micro-batch", action="store_true",
                        help="coalesce queued single queries into planner "
                             "batches when the server is under queueing "
-                            "pressure (accounting is identical; see "
-                            "--overload in bench-service)")
+                            "pressure (accounting is identical)")
     serve.add_argument("--request-timeout", type=float, default=30.0,
                        metavar="SECONDS",
                        help="per-connection socket timeout: a client "

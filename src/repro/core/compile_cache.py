@@ -23,7 +23,7 @@ answers served from cached synopses it is the dominant per-query cost.
 
 Accuracy/epsilon knobs deliberately stay *out* of both keys: workloads
 jitter the accuracy per request (see
-:func:`repro.service.loadgen.build_mixed_workload`), and the
+:func:`repro.workloads.service.build_disjoint_workload`), and the
 accuracy-dependent half of compilation — collapsing the dual submission
 modes to a variance target — is a couple of float operations computed per
 request from the cached query.  Keying on the knobs would reduce the hit
@@ -223,8 +223,8 @@ class StatementCache:
     compilation is most expensive.  ``max_entries=None`` disables
     eviction (statistics still tracked); ``max_entries=0`` disables the
     cache entirely — every probe misses and nothing is retained, which
-    is how the perf gate's same-window baseline re-measures the
-    cacheless pre-overhaul configuration.  Counters are exposed via
+    makes it the full-parser reference the bit-identity tests compare
+    against.  Counters are exposed via
     :meth:`counters` — the service's ``snapshot()`` ships them for
     monitoring.
     """

@@ -156,14 +156,6 @@ class DProvDB:
         #: ~1.55x/query probe multiplier).  Plain-int increment: exact
         #: sequentially, at worst undercounted under racing threads.
         self.compile_calls = 0
-        #: Dispatch toggle for the one-resolution promise.  When False
-        #: the serving layers forget each resolution instead of handing
-        #: it down, so every submit layer re-probes the statement cache
-        #: exactly as the pre-overhaul dispatch did — the same-window
-        #: perf gate's baseline axis turns this off (together with the
-        #: cache and the fast lane) to re-measure the pre-overhaul
-        #: configuration on today's hardware.
-        self.thread_compiled = True
         #: Memoized-answer fast lane toggle.  When on, requests an
         #: analyst's cached local synopsis already satisfies are answered
         #: through a versioned lock-free lookup that skips the view

@@ -309,8 +309,7 @@ class Tracer:
     ``enabled=False`` turns the whole facility off: :meth:`start`
     returns ``None``, ``activate(None)`` keeps the context empty, and
     every ``span()`` call degrades to a single ``ContextVar`` read —
-    the configuration the ``bench-service --trace-overhead`` axis
-    compares against.
+    the control arm of ``perf/``'s ``metrics.observer_overhead_ratio``.
 
     ``sample`` is the self-minted stride: :meth:`start` records one
     request in every ``sample`` when it has to mint the id itself, but

@@ -757,7 +757,6 @@ class ReproServer:
             "uptime_seconds": time.monotonic() - self._started,
             "open_sessions": snapshot["open_sessions"],
             "in_flight": self._gate.in_flight,
-            "execution": snapshot["execution"],
             "shards": snapshot["shards"],
             "backend": snapshot["backend"]["mode"],
             "submitted": snapshot["service"]["submitted"],

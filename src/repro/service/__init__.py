@@ -9,35 +9,24 @@
 * :mod:`repro.service.cache` — LRU-bounded synopsis storage with hit/miss
   statistics (internally locked for concurrent probes).
 * :mod:`repro.service.service` — :class:`QueryService`: the thread-safe
-  front-end.  Sharded execution is the default — no global critical
-  section; atomic check-and-charge lives in the provenance table and
-  synopsis consistency in the engine's per-view sections — with
-  ``execution="global"`` as the serialised baseline.
+  front-end.  There is no global critical section: atomic check-and-charge
+  lives in the provenance table and synopsis consistency in the engine's
+  per-view sections.
 * :mod:`repro.service.executor` — engine-level execution functions shared
   by every backend (one code path for threaded and mp).
 * :mod:`repro.service.mp_backend` — the multiprocessing backend: forked
   view-shard workers, shared-memory synopses, parent-brokered accounting
   (``QueryService(backend="mp")``).
-* :mod:`repro.service.loadgen` — mixed and disjoint-view load generation
-  and the throughput harness behind ``python -m repro bench-service``.
+
+Request streams and analyst rosters for driving a service live in
+:mod:`repro.workloads.service`; the benchmark is ``perf/``.
 """
 
 from repro.service.cache import LruSynopsisStore
-from repro.service.loadgen import (
-    ThroughputResult,
-    build_disjoint_workload,
-    build_mixed_workload,
-    disjoint_view_attribute_sets,
-    format_throughput,
-    register_disjoint_views,
-    run_remote_throughput,
-    run_throughput,
-)
 from repro.service.planner import BatchPlan, PlannedQuery, plan_batch
 from repro.service.service import (
     BACKENDS,
     DEFAULT_MAX_CACHED,
-    EXECUTION_MODES,
     QueryService,
     ServiceStats,
 )
@@ -49,7 +38,6 @@ __all__ = [
     "BatchPlan",
     "DEFAULT_MAX_CACHED",
     "DEFAULT_NUM_SHARDS",
-    "EXECUTION_MODES",
     "LruSynopsisStore",
     "PlannedQuery",
     "QueryRequest",
@@ -58,13 +46,5 @@ __all__ = [
     "ServiceStats",
     "Session",
     "ShardManager",
-    "ThroughputResult",
-    "build_disjoint_workload",
-    "build_mixed_workload",
-    "disjoint_view_attribute_sets",
-    "format_throughput",
     "plan_batch",
-    "register_disjoint_views",
-    "run_remote_throughput",
-    "run_throughput",
 ]

@@ -98,10 +98,6 @@ def execute_request(engine: DProvDB, analyst: str, index: int,
                 # routing kind is a plain attribute read — compiling
                 # here would only throw the work away.
                 is_group_by = bool(sql.group_by)
-        if not engine.thread_compiled:
-            # Gate-baseline dispatch: forget the resolution so every
-            # submit layer re-probes, as the pre-overhaul path did.
-            compiled = None
         if is_group_by:
             groups = engine.submit_group_by(
                 analyst, sql, accuracy=request.accuracy,
@@ -131,8 +127,7 @@ def execute_planned(engine: DProvDB, analyst: str,
         return execute_request(engine, analyst, item.index, item.request,
                                is_group_by=item.is_group_by,
                                statement=item.statement,
-                               compiled=item.entry
-                               if engine.thread_compiled else None)
+                               compiled=item.entry)
     try:
         answer = engine.submit_compiled(
             analyst, item.statement, item.view, item.query, item.target)

@@ -46,8 +46,8 @@ Determinism: with ``noise_streams="per_view"`` (see
 :data:`repro.core.mechanism.NOISE_STREAMS`) each view's noise sequence
 depends only on that view's own release order, which a single worker
 owns — so an mp run is bit-identical to a sequential threaded replay of
-the same workload (the ``bench-service --backend mp
---compare-threaded`` gate).  Replacement workers bump their stream
+the same workload (``tests/test_mp_backend.py`` replays one seeded
+stream through both).  Replacement workers bump their stream
 incarnation so a restarted process never replays noise its predecessor
 already published.
 

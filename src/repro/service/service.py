@@ -5,8 +5,8 @@ engine.  It adds what the bare engine lacks for concurrent operation:
 
 * **sessions** — many connections (e.g. one per worker thread) mapped onto
   the engine's registered analysts;
-* **sharded execution** (the default) — there is *no* global critical
-  section: check-then-charge atomicity lives in
+* **sharded execution** — there is *no* global critical section:
+  check-then-charge atomicity lives in
   :meth:`repro.core.provenance.ProvenanceTable.reserve`, synopsis
   consistency in the engine's per-view sections
   (:meth:`repro.core.engine.DProvDB.view_section`, acquired in sorted
@@ -15,28 +15,23 @@ engine.  It adds what the bare engine lacks for concurrent operation:
   parallel (see ``tests/test_service_sharding.py`` for the invariants);
 * **batched planning** — :func:`repro.service.planner.plan_batch` orders a
   batch view-by-view, strictest accuracy first, so one synopsis refresh
-  answers many queries; under sharded execution the per-view groups of a
-  batch are dispatched concurrently through a
-  :class:`repro.service.sharding.ShardManager` worker pool;
+  answers many queries; the per-view groups of a batch are dispatched
+  concurrently through a :class:`repro.service.sharding.ShardManager`
+  worker pool;
 * **a bounded synopsis cache** — local synopses live in an LRU store with
   hit/miss statistics (:class:`repro.metrics.runtime.CacheStats`).
 
-``execution="global"`` restores the PR 1 behaviour — one reentrant lock
-serialising every submission end to end — and exists as the measured
-baseline for the sharding speedup (``bench-service --compare-global``).
-
-Orthogonal to the execution mode is the **backend**: ``"threaded"``
+The **backend** decides where a batch's view groups run: ``"threaded"``
 (default) runs everything in-process; ``"mp"`` dispatches the per-view
 groups to forked worker processes with shared-memory synopses and
 parent-brokered accounting (:mod:`repro.service.mp_backend`), escaping
 the GIL for CPU-bound workloads.  Accounting semantics are identical —
-``bench-service --backend mp --compare-threaded`` gates on a
-bit-identical sequential replay.
+``tests/test_mp_backend.py`` replays one seeded stream through both
+backends and demands bit-identical answers.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 import time
@@ -54,11 +49,7 @@ from repro.metrics.runtime import CacheStats, CompensatedSum
 from repro.metrics.tracing import Tracer
 from repro.persistence.schema import provenance_summary
 from repro.service.cache import LruSynopsisStore
-from repro.service.executor import (
-    execute_planned,
-    execute_planned_group,
-    execute_request,
-)
+from repro.service.executor import execute_planned_group, execute_request
 from repro.service.planner import BatchPlan, PlannedQuery, _plan_one, \
     plan_batch
 from repro.service.session import QueryRequest, QueryResponse, Session
@@ -70,9 +61,6 @@ from repro.service.sharding import DEFAULT_NUM_SHARDS, ShardManager
 #: free — re-deriving the synopsis later is a fresh release (see
 #: :mod:`repro.service.cache`).
 DEFAULT_MAX_CACHED = 256
-
-#: Supported execution modes.
-EXECUTION_MODES = ("sharded", "global")
 
 #: Supported execution backends: ``"threaded"`` shares the interpreter,
 #: ``"mp"`` forks worker processes (see :mod:`repro.service.mp_backend`).
@@ -93,8 +81,8 @@ class ServiceStats:
     Mutation happens only under the owning service's dedicated stats lock
     (never the execution path's view locks), so the counters stay exact
     under sharded submission.  ``busy_seconds`` sums per-submission
-    execution time; overlapping submissions in sharded mode can therefore
-    sum to more than wall-clock — the ratio is the effective parallelism.
+    execution time; overlapping submissions can therefore sum to more
+    than wall-clock — the ratio is the effective parallelism.
 
     Per-analyst epsilon is accumulated with Neumaier compensation
     (:class:`repro.metrics.runtime.CompensatedSum`): a plain float sum
@@ -157,23 +145,15 @@ class QueryService:
 
     def __init__(self, engine: DProvDB,
                  max_cached_synopses: int | None = DEFAULT_MAX_CACHED, *,
-                 execution: str = "sharded",
                  shards: int = DEFAULT_NUM_SHARDS,
                  backend: str = "threaded",
                  workers: int | None = None,
                  durability=None,
                  tracer: Tracer | None = None,
                  audit: bool = True) -> None:
-        if execution not in EXECUTION_MODES:
-            raise ReproError(f"unknown execution mode {execution!r}; "
-                             f"choose from {EXECUTION_MODES}")
         if backend not in BACKENDS:
             raise ReproError(f"unknown backend {backend!r}; "
                              f"choose from {BACKENDS}")
-        if backend == "mp" and execution != "sharded":
-            raise ReproError(
-                "the mp backend requires sharded execution (a global "
-                "critical section and a worker pool are contradictory)")
         if engine.mechanism.store.local_keys or \
                 engine.mechanism.store.global_views:
             raise ReproError(
@@ -189,9 +169,6 @@ class QueryService:
                 "with max_cached_synopses= instead"
             )
         self._engine = engine
-        self._execution = execution
-        #: Global-mode critical section (PR 1 baseline); unused when sharded.
-        self._lock = threading.RLock()
         self._sessions_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._sessions: dict[int, Session] = {}
@@ -226,8 +203,7 @@ class QueryService:
                 raise ReproError(
                     "workers= is an mp-backend knob; the threaded backend "
                     "sizes its pool with shards=")
-            self.sharding = (ShardManager(shards) if execution == "sharded"
-                             else None)
+            self.sharding = ShardManager(shards)
             self._backend_impl = None
         #: Optional :class:`repro.persistence.DurabilityManager`.  Bound
         #: last — the manager runs crash recovery against the fully
@@ -251,8 +227,8 @@ class QueryService:
         #: attached *after* durability so the ledger keeps assigning
         #: sequence numbers before the trail reads them, and so recovery
         #: never replays through a live hook.  ``audit=False`` strips it
-        #: entirely — the control arm of ``bench-service
-        #: --audit-overhead``.
+        #: entirely (``perf/`` measures its cost as
+        #: ``metrics.observer_overhead_ratio``).
         self.audit = AuditTrail(engine, durability) if audit else None
         if self.audit is not None:
             self.audit.attach(self)
@@ -261,7 +237,6 @@ class QueryService:
     def build(cls, bundle: DatasetBundle, analysts: Sequence[Analyst],
               epsilon: float, *,
               max_cached_synopses: int | None = DEFAULT_MAX_CACHED,
-              execution: str = "sharded",
               shards: int = DEFAULT_NUM_SHARDS,
               backend: str = "threaded",
               workers: int | None = None,
@@ -271,8 +246,7 @@ class QueryService:
               **engine_kwargs) -> "QueryService":
         """Construct an engine and wrap it in one step."""
         return cls(DProvDB(bundle, analysts, epsilon, **engine_kwargs),
-                   max_cached_synopses=max_cached_synopses,
-                   execution=execution, shards=shards,
+                   max_cached_synopses=max_cached_synopses, shards=shards,
                    backend=backend, workers=workers,
                    durability=durability, tracer=tracer, audit=audit)
 
@@ -281,11 +255,6 @@ class QueryService:
         """The wrapped engine.  Safe to read; prefer the session API for
         submissions so service counters stay consistent."""
         return self._engine
-
-    @property
-    def execution(self) -> str:
-        """``"sharded"`` (no global lock) or ``"global"`` (PR 1 baseline)."""
-        return self._execution
 
     @property
     def backend(self) -> str:
@@ -347,13 +316,6 @@ class QueryService:
     def _check_open(self) -> None:
         if self._closed:
             raise ServiceClosed("QueryService is closed")
-
-    def _critical_section(self):
-        """The PR 1 global lock in ``"global"`` mode; a no-op when sharded
-        (atomicity then lives in the provenance table and view sections)."""
-        if self._execution == "global":
-            return self._lock
-        return contextlib.nullcontext()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -455,12 +417,9 @@ class QueryService:
         request = QueryRequest(sql, accuracy=accuracy, epsilon=epsilon)
         trace = self._maybe_trace()
         if trace is None:
-            with self._critical_section():
-                return self._submit_one(session, request)
+            return self._submit_one(session, request)
         try:
-            with tracing.activate(trace), \
-                    tracing.span("service.submit"), \
-                    self._critical_section():
+            with tracing.activate(trace), tracing.span("service.submit"):
                 return self._submit_one(session, request)
         finally:
             self.tracer.finish(trace)
@@ -492,32 +451,24 @@ class QueryService:
         """Answer a batch through the view-grouping planner.
 
         Responses are returned in the order of ``requests`` regardless of
-        execution order.  Under sharded execution the plan's per-view
-        groups run concurrently on the shard pool (each group still in
-        strictest-first order); under global execution the whole batch
-        runs inside the service lock, as in PR 1.
+        execution order.  The plan's per-view groups run concurrently on
+        the shard pool (each group still in strictest-first order).
         """
         self._check_open()
         batch = [r if isinstance(r, QueryRequest) else QueryRequest(r)
                  for r in requests]
-        parallel = self._execution == "sharded"
         trace = self._maybe_trace()
         if trace is None:
-            with self._critical_section():
-                return self._submit_batch_inner(session, batch,
-                                                parallel=parallel)
+            return self._submit_batch_inner(session, batch)
         try:
-            with tracing.activate(trace), \
-                    tracing.span("service.submit"), \
-                    self._critical_section():
-                return self._submit_batch_inner(session, batch,
-                                                parallel=parallel)
+            with tracing.activate(trace), tracing.span("service.submit"):
+                return self._submit_batch_inner(session, batch)
         finally:
             self.tracer.finish(trace)
 
     def _submit_batch_inner(self, session: Session | int,
-                            batch: list[QueryRequest],
-                            parallel: bool) -> list[QueryResponse]:
+                            batch: list[QueryRequest]
+                            ) -> list[QueryResponse]:
         live = self._resolve_session(session)
         started = time.perf_counter()
         responses: list[QueryResponse | None] = [None] * len(batch)
@@ -551,7 +502,7 @@ class QueryService:
                     execute_planned_group(self._engine, live.analyst,
                                           view_name, items, responses)
 
-            if parallel and self.sharding is not None and len(groups) > 1:
+            if len(groups) > 1:
                 self.sharding.run_groups(list(groups.items()), run_group)
             else:
                 for view_name, items in groups.items():
@@ -602,27 +553,7 @@ class QueryService:
 
     def plan(self, requests: Sequence[QueryRequest]) -> BatchPlan:
         """Expose the planner's decision for a batch (no execution)."""
-        with self._critical_section():
-            return plan_batch(self._engine, list(requests))
-
-    # Execution itself lives in :mod:`repro.service.executor` — free
-    # functions over the engine, shared verbatim with the mp backend's
-    # worker processes.  The thin wrappers below keep the historical
-    # private-method surface for tests and subclasses.
-    def _execute_planned_group(self, analyst: str, view_name: str | None,
-                               items: list[PlannedQuery],
-                               responses: list) -> None:
-        execute_planned_group(self._engine, analyst, view_name, items,
-                              responses)
-
-    def _execute_planned(self, analyst: str, item) -> QueryResponse:
-        return execute_planned(self._engine, analyst, item)
-
-    def _execute(self, analyst: str, index: int, request: QueryRequest,
-                 is_group_by: bool | None,
-                 statement=None) -> QueryResponse:
-        return execute_request(self._engine, analyst, index, request,
-                               is_group_by, statement=statement)
+        return plan_batch(self._engine, list(requests))
 
     def _account(self, session: Session, response: QueryResponse,
                  elapsed: float = 0.0) -> None:
@@ -729,7 +660,7 @@ class QueryService:
                        "Sessions currently open",
                        lambda: len(self._sessions))
         registry.gauge("repro_shards",
-                       "Shard count (0 = global execution)",
+                       "Shard count (0 = mp backend)",
                        lambda: (self.sharding.num_shards
                                 if self.sharding else 0))
         statements = self._engine.statement_cache
@@ -893,7 +824,6 @@ class QueryService:
             # fast lane.
             "compiled_statements": self._engine.statement_cache.counters(),
             "fast_lane": self._engine.fast_lane_counters(),
-            "execution": self._execution,
             "shards": (self.sharding.num_shards if self.sharding else 0),
             "backend": (self._backend_impl.describe()
                         if self._backend_impl is not None
@@ -914,5 +844,5 @@ class QueryService:
         }
 
 
-__all__ = ["BACKENDS", "DEFAULT_MAX_CACHED", "EXECUTION_MODES",
-           "MAX_CLOSED_SESSIONS", "QueryService", "ServiceStats"]
+__all__ = ["BACKENDS", "DEFAULT_MAX_CACHED", "MAX_CLOSED_SESSIONS",
+           "QueryService", "ServiceStats"]

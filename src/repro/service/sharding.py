@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.exceptions import ReproError
 
-#: Default shard count: eight ways matches the benchmark's thread count
-#: and bounds the pool; raise it for wider view sets on bigger hosts.
+#: Default shard count: at most eight view groups of one batch run at
+#: once; raise it for wider view sets on bigger hosts.
 DEFAULT_NUM_SHARDS = 8
 
 T = TypeVar("T")
@@ -93,33 +93,21 @@ class ShardManager:
                 )
             return self._pool
 
-    def run_view_groups(self, groups: Sequence[tuple[str | None, Iterable[T]]],
-                        fn: Callable[[T], None]) -> None:
-        """Execute ``fn(item)`` for every item of every ``(view, items)`` group.
-
-        Items within one group run in order (the planner's strictest-first
-        order must be preserved for the cache economics); groups falling
-        into the same shard run sequentially; groups in distinct shards
-        run concurrently on the pool.  ``fn`` is expected to capture its
-        own results/errors (the service stores responses by index); a
-        non-``ReproError`` exception escaping ``fn`` is re-raised here
-        after all shards finish, so no work is silently dropped.
-        """
-        def per_item(view_name: str | None, items: Iterable[T]) -> None:
-            for item in items:
-                fn(item)
-
-        self.run_groups(groups, per_item)
-
     def run_groups(self, groups: Sequence[tuple[str | None, Iterable[T]]],
                    group_fn: Callable[[str | None, Iterable[T]], None]
                    ) -> None:
         """Execute ``group_fn(view_name, items)`` once per group.
 
-        Same routing and error contract as :meth:`run_view_groups`, but
-        the callee receives whole groups — the granularity the service's
+        The callee receives whole groups — the granularity the service's
         batched fast lane wants (one versioned cached lookup can answer a
-        group's tail in a single pass).
+        group's tail in a single pass) — and must keep each group's items
+        in order (the planner's strictest-first order carries the cache
+        economics).  Groups falling into the same shard run sequentially;
+        groups in distinct shards run concurrently on the pool.
+        ``group_fn`` is expected to capture its own results/errors (the
+        service stores responses by index); an exception escaping it is
+        re-raised here after all shards finish, so no work is silently
+        dropped.
         """
         by_shard: dict[int, list[tuple[str | None, Iterable[T]]]] = {}
         for view_name, items in groups:

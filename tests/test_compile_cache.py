@@ -1,16 +1,11 @@
-"""Compiled-statement cache, perf-gate script, and checkpoint timer."""
+"""Compiled-statement cache and checkpoint timer."""
 
 from __future__ import annotations
 
 import json
-import sys
 import time
-from pathlib import Path
 
 import pytest
-
-# The perf-gate script lives in scripts/ (run by CI, not installed).
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 from repro import Analyst, DProvDB, QueryService
 from repro.core.compile_cache import CompiledStatement, StatementCache
@@ -338,83 +333,6 @@ class TestOneCompilePerQuery:
             execute_planned_group(engine, "low", view_name, items, responses)
         assert all(r is not None and r.error is None for r in responses)
         assert engine.compile_calls - before == len(requests)
-
-    def test_thread_compiled_off_reprobes_per_layer(self, engine,
-                                                    adult_bundle):
-        # The same-window perf gate's baseline axis relies on this
-        # toggle actually restoring the pre-overhaul dispatch: the
-        # resolution made for classification is forgotten, so the
-        # submit layer probes (and, with the cache disabled, compiles)
-        # again.
-        from repro.service.executor import execute_request
-        from repro.service.session import QueryRequest
-
-        table = adult_bundle.fact_table
-        sql = f"SELECT sex, COUNT(*) FROM {table} GROUP BY sex"
-        engine.thread_compiled = False
-        try:
-            before = engine.compile_calls
-            response = execute_request(engine, "low", 0,
-                                       QueryRequest(sql, accuracy=1e6),
-                                       is_group_by=None)
-        finally:
-            engine.thread_compiled = True
-        assert response.error is None
-        assert engine.compile_calls - before == 2
-
-
-class TestBenchRegressionGate:
-    @staticmethod
-    def artifact(tmp_path, name, single, batched):
-        doc = {"runs": [
-            {"mode": "single", "transport": "inproc", "arrival": "closed",
-             "queries_per_second": single},
-            {"mode": "batched", "transport": "inproc", "arrival": "closed",
-             "queries_per_second": batched},
-            {"mode": "batched", "transport": "remote", "arrival": "closed",
-             "queries_per_second": 1.0},
-        ]}
-        path = tmp_path / name
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        return str(path)
-
-    def test_within_tolerance_passes(self, tmp_path):
-        import check_bench_regression as gate
-
-        fresh = self.artifact(tmp_path, "fresh.json", 900.0, 950.0)
-        base = self.artifact(tmp_path, "base.json", 1000.0, 1000.0)
-        assert gate.main([fresh, base, "--tolerance", "0.15"]) == 0
-
-    def test_regression_fails(self, tmp_path, capsys):
-        import check_bench_regression as gate
-
-        fresh = self.artifact(tmp_path, "fresh.json", 1000.0, 700.0)
-        base = self.artifact(tmp_path, "base.json", 1000.0, 1000.0)
-        assert gate.main([fresh, base, "--tolerance", "0.15"]) == 2
-        err = capsys.readouterr().err
-        assert "batched" in err and "skip-perf-gate" in err
-
-    def test_remote_rows_ignored(self, tmp_path):
-        import check_bench_regression as gate
-
-        # Remote rows are slow by design; only inproc rows are gated.
-        fresh = self.artifact(tmp_path, "fresh.json", 1000.0, 1000.0)
-        base = self.artifact(tmp_path, "base.json", 1000.0, 1000.0)
-        assert gate.main([fresh, base]) == 0
-
-    def test_env_tolerance(self, tmp_path, monkeypatch):
-        import check_bench_regression as gate
-
-        monkeypatch.setenv("BENCH_REGRESSION_TOLERANCE", "0.5")
-        fresh = self.artifact(tmp_path, "fresh.json", 600.0, 600.0)
-        base = self.artifact(tmp_path, "base.json", 1000.0, 1000.0)
-        assert gate.main([fresh, base]) == 0
-
-    def test_missing_artifact_is_an_error(self, tmp_path):
-        import check_bench_regression as gate
-
-        base = self.artifact(tmp_path, "base.json", 1000.0, 1000.0)
-        assert gate.main([str(tmp_path / "nope.json"), base]) == 2
 
 
 class TestCheckpointTimer:

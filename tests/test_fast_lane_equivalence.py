@@ -425,10 +425,9 @@ class TestConcurrentStress:
         land on exactly the serial replay's accounting (order-independent
         workload => exact equality, the sharding suite's invariant kept
         under the batch lane)."""
-        from repro.service.loadgen import (
+        from repro.workloads.service import (
             build_disjoint_workload,
             disjoint_view_attribute_sets,
-            register_disjoint_views,
         )
 
         roster = [Analyst(f"a{i}", privilege=2) for i in range(4)]
@@ -441,7 +440,8 @@ class TestConcurrentStress:
         def run(threads):
             service = QueryService.build(adult_bundle, roster, 64.0,
                                          seed=31)
-            register_disjoint_views(service.engine, attribute_sets)
+            for attrs in attribute_sets:
+                service.engine.register_view(attrs)
             try:
                 errors = []
                 barrier = threading.Barrier(threads)

@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import socket
 import threading
@@ -25,10 +26,11 @@ from repro.client import RemoteAnalyst
 from repro.client.remote import RemoteError
 from repro.datasets import load_adult
 from repro.exceptions import ReproError
-from repro.experiments.service_throughput import make_service_analysts
 from repro.server import framing
 from repro.server.daemon import ReproServer
 from repro.service.service import QueryService
+from repro.service.session import QueryRequest
+from repro.workloads.service import make_service_analysts
 from test_tls import certificate  # noqa: F401  (module-scoped fixture)
 
 SQL = "SELECT COUNT(*) FROM adult WHERE age BETWEEN 30 AND 40"
@@ -283,6 +285,39 @@ def test_exactly_one_sendall_per_side_per_query(server, counted):
     assert (accepted[0].sendalls, accepted[0].sends) == (messages, 0)
 
 
+def test_neither_end_runs_the_stdlib_header_parser(server, monkeypatch):
+    """``email.feedparser`` is what ``http.client`` and
+    ``BaseHTTPRequestHandler`` parse headers with; the hand-framed wire
+    never reaches it, on the client thread or the handler thread."""
+    import email.feedparser
+
+    fed: list[str] = []
+    feed = email.feedparser.FeedParser.feed
+
+    def counting_feed(self, data):
+        fed.append(threading.current_thread().name)
+        return feed(self, data)
+
+    monkeypatch.setattr(email.feedparser.FeedParser, "feed", counting_feed)
+    with RemoteAnalyst(server.url, token="analyst_00") as client:
+        session = client.open_session()
+        assert client.submit(session, SQL, accuracy=ACCURACY).ok
+        assert client.submit(session, "SELECT sex, COUNT(*) FROM adult "
+                             "GROUP BY sex", accuracy=ACCURACY).ok
+        batch = client.submit_batch(session, [QueryRequest(
+            f"SELECT COUNT(*) FROM adult WHERE age >= {low}",
+            accuracy=ACCURACY) for low in (20, 30, 40)])
+        assert len(batch) == 3 and all(r.error is None for r in batch)
+        with pytest.raises(RemoteError) as refused:
+            client.submit(99999, SQL, accuracy=ACCURACY)
+        assert refused.value.status == 404
+        assert "repro_requests_total" in client.metrics_text()
+    assert fed == []
+    # The counter does see the stdlib parser when it runs.
+    http.client.parse_headers(io.BytesIO(b"Host: repro\r\n\r\n"))
+    assert fed == [threading.current_thread().name]
+
+
 # -- the reconnect rule --------------------------------------------------------
 
 class StubServer:
@@ -401,9 +436,11 @@ def test_tls_round_trip_keep_alive_and_idle_reconnect(bundle, certificate,
 # -- RemoteAnalyst URL handling ------------------------------------------------
 
 @pytest.mark.parametrize("url", ("http://127.0.0.1:abc", "127.0.0.1:abc",
-                                 "http://127.0.0.1:70000", "http://[::1"))
+                                 "http://127.0.0.1:70000", "http://[::1",
+                                 "ftp://localhost:8321"))
 def test_bad_port_or_host_is_a_repro_error(url):
-    with pytest.raises(ReproError, match="bad base url"):
+    with pytest.raises(ReproError,
+                       match="bad base url|unsupported scheme 'ftp'"):
         RemoteAnalyst(url, token="t")
 
 
@@ -414,6 +451,9 @@ def test_bad_port_or_host_is_a_repro_error(url):
     ("https://example.org", "example.org", 443),
     ("bench-host:80", "bench-host", 80),
     ("localhost", "localhost", 80),
+    ("localhost:8321", "localhost", 8321),
+    ("127.0.0.1:8321", "127.0.0.1", 8321),
+    ("http://localhost:8321", "localhost", 8321),
 ))
 def test_url_host_and_port(url, host, port):
     client = RemoteAnalyst(url, token="t")

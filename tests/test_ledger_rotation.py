@@ -24,7 +24,6 @@ import pytest
 
 from repro.datasets import load_adult
 from repro.exceptions import DurabilityError
-from repro.experiments.service_throughput import make_service_analysts
 from repro.persistence import DurabilityManager, LedgerWriter
 from repro.persistence.ledger import (
     read_ledger_chain,
@@ -32,6 +31,7 @@ from repro.persistence.ledger import (
     segment_paths,
 )
 from repro.service.service import QueryService
+from repro.workloads.service import make_service_analysts
 
 ROWS = 1200
 EPSILON = 32.0

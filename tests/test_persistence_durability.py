@@ -23,7 +23,6 @@ from repro.exceptions import (
     RecoveryError,
     ReproError,
 )
-from repro.experiments.service_throughput import make_service_analysts
 from repro.persistence import (
     DurabilityManager,
     LedgerWriter,
@@ -35,6 +34,7 @@ from repro.persistence import (
 from repro.persistence.recovery import LEDGER_FILE
 from repro.server.daemon import load_token_table
 from repro.service.service import QueryService
+from repro.workloads.service import make_service_analysts
 
 ROWS = 1200
 EPSILON = 32.0

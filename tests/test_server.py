@@ -30,14 +30,13 @@ from repro.exceptions import (
 )
 from repro.server.daemon import ReproServer
 from repro.client.remote import RemoteError
-from repro.experiments.service_throughput import make_service_analysts
-from repro.service.loadgen import (
-    build_disjoint_workload,
-    disjoint_view_attribute_sets,
-    register_disjoint_views,
-)
 from repro.service.service import QueryService
 from repro.service.session import QueryRequest
+from repro.workloads.service import (
+    build_disjoint_workload,
+    disjoint_view_attribute_sets,
+    make_service_analysts,
+)
 
 ROWS = 800
 EPSILON = 48.0
@@ -54,7 +53,8 @@ def make_service(bundle, num_analysts=2, **kwargs) -> QueryService:
     service = QueryService.build(bundle, analysts, EPSILON, seed=0,
                                  **kwargs)
     sets_ = disjoint_view_attribute_sets(bundle, num_analysts)
-    register_disjoint_views(service.engine, sets_)
+    for attrs in sets_:
+        service.engine.register_view(attrs)
     return service
 
 

@@ -21,14 +21,13 @@ import pytest
 from repro.client import RateLimited, RemoteAnalyst
 from repro.datasets import load_adult
 from repro.exceptions import ReproError
-from repro.experiments.service_throughput import make_service_analysts
 from repro.metrics import parse_exposition
 from repro.server.daemon import ReproServer
-from repro.service.loadgen import (
-    disjoint_view_attribute_sets,
-    register_disjoint_views,
-)
 from repro.service.service import QueryService
+from repro.workloads.service import (
+    disjoint_view_attribute_sets,
+    make_service_analysts,
+)
 
 ROWS = 800
 EPSILON = 48.0
@@ -47,7 +46,8 @@ def make_service(bundle, num_analysts=2, **kwargs) -> QueryService:
     service = QueryService.build(bundle, analysts, EPSILON, seed=0,
                                  **kwargs)
     sets_ = disjoint_view_attribute_sets(bundle, num_analysts)
-    register_disjoint_views(service.engine, sets_)
+    for attrs in sets_:
+        service.engine.register_view(attrs)
     return service
 
 

@@ -261,49 +261,6 @@ class TestLruCache:
             assert service.engine.provenance.get("high", view) <= eps + 1e-9
 
 
-class TestLoadGenerator:
-    def test_more_threads_than_analysts_terminates(self, adult_bundle):
-        """Regression: idle workers used to leave the start barrier waiting
-        for parties that never launch (deadlock)."""
-        from repro.service import build_mixed_workload, run_throughput
-
-        workload = build_mixed_workload(adult_bundle, ANALYSTS, 5, seed=3)
-        service = QueryService.build(adult_bundle, ANALYSTS, epsilon=4.0,
-                                     seed=3)
-        result = run_throughput(service, ANALYSTS, workload,
-                                mode="batched", threads=8, batch_size=4)
-        assert result.threads == len(ANALYSTS)
-        assert result.total_queries == 2 * 5
-
-    def test_rejects_unknown_mode(self, adult_bundle):
-        from repro.service import build_mixed_workload, run_throughput
-
-        workload = build_mixed_workload(adult_bundle, ANALYSTS, 2, seed=3)
-        service = QueryService.build(adult_bundle, ANALYSTS, epsilon=4.0,
-                                     seed=3)
-        with pytest.raises(ReproError):
-            run_throughput(service, ANALYSTS, workload, mode="warp")
-
-    def test_reused_service_reports_per_run_deltas(self, adult_bundle):
-        # Regression: cumulative service counters used to leak into the
-        # second run's ThroughputResult, inflating q/s.
-        from repro.service import build_mixed_workload, run_throughput
-
-        workload = build_mixed_workload(adult_bundle, ANALYSTS, 6, seed=3)
-        service = QueryService.build(adult_bundle, ANALYSTS, epsilon=4.0,
-                                     seed=3)
-        first = run_throughput(service, ANALYSTS, workload,
-                               mode="batched", threads=2)
-        second = run_throughput(service, ANALYSTS, workload,
-                                mode="batched", threads=2)
-        assert first.total_queries == second.total_queries == 2 * 6
-        assert second.answered + second.rejected + second.failed == 2 * 6
-        # Second replay of an identical workload is pure cache hits.
-        assert second.fresh_releases == 0
-        assert second.answer_cache_hit_rate == pytest.approx(1.0)
-        assert second.total_epsilon_spent == pytest.approx(0.0, abs=1e-12)
-
-
 class TestStatsAndSnapshot:
     def test_snapshot_shape(self, service):
         session = service.open_session("low")

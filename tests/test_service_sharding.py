@@ -5,10 +5,9 @@ The tentpole claims under test:
 * 8 threads over 4+ wide views with mixed single-view and multi-view
   batches terminate (no deadlock), never violate a row/column/table
   constraint, and lose no updates;
-* on the disjoint-view workload, sharded execution produces accounting
+* on the disjoint-view workload, 8 threads produce accounting
   (provenance matrix, fresh releases, epsilon by analyst) identical to a
-  serial replay — reordering across views cannot change per-view state;
-* the ``execution="global"`` baseline still behaves like PR 1;
+  one-thread replay — reordering across views cannot change per-view state;
 * :class:`ShardManager` routes stably, preserves in-group order, and
   propagates worker errors.
 """
@@ -22,11 +21,10 @@ import pytest
 
 from repro import Analyst, QueryService
 from repro.exceptions import ReproError
-from repro.service import QueryRequest, ShardManager
-from repro.service.loadgen import (
+from repro.service import ShardManager
+from repro.workloads.service import (
     build_disjoint_workload,
     disjoint_view_attribute_sets,
-    register_disjoint_views,
 )
 
 NUM_THREADS = 8
@@ -34,13 +32,13 @@ NUM_THREADS = 8
 ANALYSTS = [Analyst(f"analyst_{i}", 1 + i) for i in range(NUM_THREADS)]
 
 
-def build_sharded_service(bundle, *, execution="sharded", epsilon=48.0,
-                          mechanism="additive", seed=9):
+def build_sharded_service(bundle, *, epsilon=48.0, mechanism="additive",
+                          seed=9):
     service = QueryService.build(bundle, ANALYSTS, epsilon,
-                                 mechanism=mechanism, execution=execution,
+                                 mechanism=mechanism,
                                  max_cached_synopses=64, seed=seed)
     attribute_sets = disjoint_view_attribute_sets(bundle, len(ANALYSTS))
-    views = register_disjoint_views(service.engine, attribute_sets)
+    views = [service.engine.register_view(attrs) for attrs in attribute_sets]
     return service, attribute_sets, views
 
 
@@ -79,14 +77,13 @@ class TestShardManager:
         seen: dict[str, list[int]] = {}
         lock = threading.Lock()
 
-        def fn(item):
-            view, value = item
-            with lock:
-                seen.setdefault(view, []).append(value)
+        def fn(view, items):
+            for value in items:
+                with lock:
+                    seen.setdefault(view, []).append(value)
 
-        groups = [(f"view_{g}", [(f"view_{g}", i) for i in range(20)])
-                  for g in range(6)]
-        manager.run_view_groups(groups, fn)
+        groups = [(f"view_{g}", list(range(20))) for g in range(6)]
+        manager.run_groups(groups, fn)
         manager.close()
         assert set(seen) == {f"view_{g}" for g in range(6)}
         for values in seen.values():
@@ -96,18 +93,18 @@ class TestShardManager:
     def test_worker_errors_propagate(self, force_pool):
         manager = ShardManager(4, force_pool=force_pool)
 
-        def fn(item):
-            if item == 13:
+        def fn(view, items):
+            if 13 in items:
                 raise RuntimeError("boom")
 
         groups = [("a", [1, 2]), ("b", [13]), ("c", [3])]
         with pytest.raises(RuntimeError):
-            manager.run_view_groups(groups, fn)
+            manager.run_groups(groups, fn)
         manager.close()
 
     def test_close_is_idempotent_and_blocks_reuse(self):
         manager = ShardManager(2, force_pool=True)
-        manager.run_view_groups([("a", [1]), ("b", [2])], lambda item: None)
+        manager.run_groups([("a", [1]), ("b", [2])], lambda view, items: None)
         manager.close()
         manager.close()
 
@@ -230,11 +227,12 @@ class TestSerialEquivalence:
     def test_sharded_matches_serial_accounting(self, adult_bundle, mechanism,
                                                use_batches):
         """Disjoint views: concurrent execution == serial execution, in
-        provenance-matrix, epsilon, and fresh-release terms."""
+        provenance-matrix, epsilon, and fresh-release terms.  The serial
+        reference is the same service driven by one thread."""
 
-        def run(execution: str, threads: int):
+        def run(threads: int):
             service, attribute_sets, _ = build_sharded_service(
-                adult_bundle, execution=execution, mechanism=mechanism)
+                adult_bundle, mechanism=mechanism)
             streams = build_disjoint_workload(adult_bundle, ANALYSTS, 15,
                                               attribute_sets, accuracy=2e5,
                                               seed=17)
@@ -280,9 +278,9 @@ class TestSerialEquivalence:
             return outcome
 
         serial_matrix, serial_eps, serial_fresh, serial_failed = \
-            run("global", threads=1)
+            run(threads=1)
         sharded_matrix, sharded_eps, sharded_fresh, sharded_failed = \
-            run("sharded", threads=NUM_THREADS)
+            run(threads=NUM_THREADS)
 
         assert serial_failed == 0 and sharded_failed == 0
         np.testing.assert_array_equal(serial_matrix, sharded_matrix)
@@ -335,27 +333,11 @@ class TestDelegationConcurrency:
         assert engine.provenance.row_total("grantor") >= grant.consumed - 1e-9
 
 
-class TestExecutionModes:
-    def test_unknown_execution_mode_rejected(self, adult_bundle):
-        with pytest.raises(ReproError):
+class TestShardedService:
+    def test_there_is_no_execution_mode(self, adult_bundle):
+        with pytest.raises(TypeError):
             QueryService.build(adult_bundle, ANALYSTS[:2], 2.0,
-                               execution="optimistic")
-
-    def test_global_mode_still_serves(self, adult_bundle):
-        service = QueryService.build(adult_bundle, ANALYSTS[:2], 2.0,
-                                     execution="global", seed=4)
-        assert service.execution == "global"
-        assert service.sharding is None
-        session = service.open_session(ANALYSTS[0].name)
-        sql = "SELECT COUNT(*) FROM adult WHERE age BETWEEN 25 AND 40"
-        response = service.submit(session, sql, accuracy=5000.0)
-        assert response.ok
-        batch = [QueryRequest(sql, accuracy=4000.0),
-                 QueryRequest(sql, accuracy=6000.0)]
-        responses = service.submit_batch(session, batch)
-        assert all(r.ok for r in responses)
-        assert service.stats.submitted == 3
-        service.close()
+                               execution="global")
 
     def test_sharded_service_snapshot_consistent(self, adult_bundle):
         service, attribute_sets, _ = build_sharded_service(adult_bundle)

@@ -19,10 +19,10 @@ import pytest
 from repro.client import RemoteAnalyst
 from repro.datasets import load_adult
 from repro.exceptions import ReproError
-from repro.experiments.service_throughput import make_service_analysts
 from repro.server.daemon import ReproServer
 from repro.service.service import QueryService
 from repro.service.session import QueryRequest
+from repro.workloads.service import make_service_analysts
 
 ROWS = 800
 EPSILON = 48.0

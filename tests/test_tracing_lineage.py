@@ -29,7 +29,6 @@ import threading
 import pytest
 
 from repro.datasets import load_adult
-from repro.experiments.service_throughput import make_service_analysts
 from repro.metrics import tracing
 from repro.metrics.monitor import evaluate, family_total
 from repro.metrics.telemetry import (
@@ -47,12 +46,12 @@ from repro.server.protocol import (
     decode_response,
     encode_response,
 )
-from repro.service.loadgen import (
-    disjoint_view_attribute_sets,
-    register_disjoint_views,
-)
 from repro.service.service import QueryService
 from repro.service.session import Lineage, QueryRequest, QueryResponse
+from repro.workloads.service import (
+    disjoint_view_attribute_sets,
+    make_service_analysts,
+)
 
 ROWS = 800
 EPSILON = 48.0
@@ -69,7 +68,8 @@ def make_service(bundle, num_analysts=2, **kwargs) -> QueryService:
     service = QueryService.build(bundle, analysts, EPSILON, seed=0,
                                  **kwargs)
     sets_ = disjoint_view_attribute_sets(bundle, num_analysts)
-    register_disjoint_views(service.engine, sets_)
+    for attrs in sets_:
+        service.engine.register_view(attrs)
     return service
 
 
@@ -143,7 +143,7 @@ class TestSpanTrees:
             service.close()
 
     def test_mp_grafts_worker_spans_under_dispatch(self, bundle):
-        service = make_service(bundle, execution="sharded", backend="mp",
+        service = make_service(bundle, backend="mp",
                                workers=2, noise_streams="per_view")
         try:
             session = service.open_session("analyst_00")
@@ -274,7 +274,7 @@ class TestLineage:
 
     def test_lineage_identical_mp_vs_threaded(self, bundle):
         threaded = replay_lineages(bundle)
-        mp = replay_lineages(bundle, execution="sharded", backend="mp",
+        mp = replay_lineages(bundle, backend="mp",
                              workers=2, noise_streams="per_view")
         assert [accounting_fields(l) for l in threaded] == \
             [accounting_fields(l) for l in mp]
