@@ -172,16 +172,9 @@ def _build_daemon_service(args, durable: bool = True):
                                        segment_bytes=getattr(
                                            args, "ledger_segment_bytes",
                                            None))
-    backend = getattr(args, "backend", "threaded")
-    # The mp backend's determinism contract needs per-view noise
-    # streams (its constructor enforces this); the offline tools
-    # (recover/checkpoint) have no --backend and rebuild threaded.
-    extra = {"noise_streams": "per_view"} if backend == "mp" else {}
     return QueryService.build(bundle, analysts, args.epsilon,
                               shards=args.shards, seed=args.seed,
-                              backend=backend,
-                              workers=getattr(args, "workers", None),
-                              durability=durability, **extra)
+                              durability=durability)
 
 
 def _serve(args) -> str:
@@ -208,11 +201,7 @@ def _serve(args) -> str:
 
     print(f"repro serve: listening on {server.url}", flush=True)
     print(f"  dataset={args.dataset} rows={args.rows or 'full'} "
-          f"epsilon={args.epsilon} shards={args.shards} "
-          f"backend={args.backend}", flush=True)
-    if args.backend == "mp":
-        print(f"  mp workers: {args.workers or 'auto'} (forked after "
-              f"recovery; charging stays in this process)", flush=True)
+          f"epsilon={args.epsilon} shards={args.shards}", flush=True)
     if server.tls:
         print(f"  tls: cert={args.tls_cert} (TLS >= 1.2)", flush=True)
     if args.rate_limit is not None:
@@ -524,15 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="BYTES",
                        help="largest request body accepted before the "
                             "server answers 413 (default: 8 MiB)")
-    serve.add_argument("--backend", choices=("threaded", "mp"),
-                       default="threaded",
-                       help="execution backend; mp forks worker "
-                            "processes after durability recovery "
-                            "(shared-memory synopses, charging stays "
-                            "in the daemon process)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="mp worker process count "
-                            "(default: min(4, usable CPUs))")
     serve.add_argument("--tls-cert", default=None, metavar="PEM",
                        help="TLS certificate chain; with --tls-key, "
                             "serves https (TLS >= 1.2)")
@@ -601,8 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     monitor = sub.add_parser(
         "monitor", help="heartbeat watcher: scrape a daemon's "
                         "/v1/metrics on an interval and alert on stale "
-                        "scrapes, ledger-lag growth, mp worker crashes, "
-                        "and 429 spikes (nonzero exit on any alert)")
+                        "scrapes, ledger-lag growth and 429 spikes "
+                        "(nonzero exit on any alert)")
     monitor.add_argument("--url", default="http://127.0.0.1:8321",
                          help="daemon base url (default: "
                               "http://127.0.0.1:8321)")

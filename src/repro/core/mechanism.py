@@ -32,9 +32,8 @@ from repro.views.registry import ViewRegistry
 #: Noise-stream layouts: one shared generator for every draw (the
 #: historical behaviour) or one deterministic stream per view.  Per-view
 #: streams make the draw sequence on a view a function of that view's
-#: release order alone — the property the multiprocessing backend needs
-#: for bit-identical replays, since each view's traffic is owned by one
-#: worker process.
+#: release order alone, so batched replays whose per-view groups run
+#: concurrently stay bit-identical.
 NOISE_STREAMS = ("shared", "per_view")
 
 
@@ -87,12 +86,9 @@ class MechanismBase:
         self.precision = precision
         #: Noise-stream layout (see :data:`NOISE_STREAMS`).  ``per_view``
         #: derives one deterministic generator per view from
-        #: ``stream_seed``; ``stream_incarnation`` salts the derivation so
-        #: a restarted worker process never replays a stream prefix whose
-        #: draws were already published.
+        #: ``stream_seed``.
         self.noise_streams = noise_streams
         self._stream_seed = stream_seed
-        self.stream_incarnation = 0
         self._view_rngs: dict[str, np.random.Generator] = {}
         #: Per-analyst count of fresh releases charged to them — the delta
         #: ledger (each release adds one per-query delta, Theorem 3.1).
@@ -142,25 +138,20 @@ class MechanismBase:
 
         ``"shared"`` mode returns the single mechanism generator (every
         existing replay stays bit-identical).  ``"per_view"`` mode lazily
-        derives one stream per view from ``(stream_seed, view name,
-        incarnation)`` via :func:`repro.dp.rng.stable_seed`, so the draw
-        sequence on a view depends only on that view's own release order.
+        derives one stream per view from ``(stream_seed, view name)`` via
+        :func:`repro.dp.rng.stable_seed`, so the draw sequence on a view
+        depends only on that view's own release order.
         """
         if self.noise_streams == "shared":
             return self.rng
         rng = self._view_rngs.get(view_name)
         if rng is None:
+            # The trailing 0 keeps every per-view seed what it has always
+            # been: changing the key tuple would change every draw.
             seed = stable_seed(self._stream_seed, "noise-stream", view_name,
-                               self.stream_incarnation)
+                               0)
             rng = self._view_rngs[view_name] = ensure_generator(seed)
         return rng
-
-    def set_stream_incarnation(self, incarnation: int) -> None:
-        """Re-key every per-view stream (used after a worker restart so
-        the replacement process draws fresh noise, never a prefix already
-        published by its predecessor)."""
-        self.stream_incarnation = incarnation
-        self._view_rngs.clear()
 
     # -- helpers --------------------------------------------------------------
     def _sensitivity(self, view: HistogramView) -> float:

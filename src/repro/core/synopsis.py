@@ -79,11 +79,6 @@ class SynopsisStore:
         self._global: dict[str, Synopsis] = {}
         self._local: dict[tuple[str, str], Synopsis] = {}
         self._local_generation: dict[tuple[str, str], int] = {}
-        #: Optional observer ``f(synopsis)`` fired after every successful
-        #: :meth:`put_global`/:meth:`put_local`.  The multiprocessing
-        #: backend's workers publish each stored synopsis into a shared-
-        #: memory slab through this hook; it must not mutate the store.
-        self.on_put = None
 
     # -- global ----------------------------------------------------------------
     def global_synopsis(self, view: str) -> Synopsis | None:
@@ -93,8 +88,6 @@ class SynopsisStore:
         if not synopsis.is_global:
             raise ValueError("global synopsis cannot have an analyst owner")
         self._global[synopsis.view_name] = synopsis
-        if self.on_put is not None:
-            self.on_put(synopsis)
 
     # -- local -----------------------------------------------------------------
     def local_synopsis(self, analyst: str, view: str) -> Synopsis | None:
@@ -119,8 +112,6 @@ class SynopsisStore:
         key = (synopsis.analyst, synopsis.view_name)
         self._local[key] = synopsis
         self._bump_local_generation(*key)
-        if self.on_put is not None:
-            self.on_put(synopsis)
 
     # -- generations (fast-lane versioning) --------------------------------------
     def local_generation(self, analyst: str, view: str) -> int:

@@ -1,8 +1,8 @@
 """AST -> SQL text (the inverse of :func:`repro.db.sql.parser.parse`).
 
-Used by the multiprocessing backend (statements submitted as objects ride
-the worker pipe as canonical SQL), by workload generators that manipulate
-statements programmatically, and by the parser round-trip property tests.
+Used by the wire protocol (statements submitted as objects travel as
+canonical SQL), by workload generators that manipulate statements
+programmatically, and by the parser round-trip property tests.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 This subpackage is the noise/accounting substrate for the DProvDB
 reproduction: the analytic Gaussian mechanism of Balle & Wang (2018) with both
 calibration directions (``(eps, delta) -> sigma`` and ``sigma -> minimal
-eps``), the classical Gaussian and Laplace mechanisms, and privacy accountants
-(basic sequential composition, advanced/Kairouz composition, Renyi DP, zCDP).
+eps``), the classical Gaussian mechanism, and privacy accountants (Renyi DP,
+zCDP).
 """
 
 from repro.dp.gaussian import (
@@ -14,14 +14,6 @@ from repro.dp.gaussian import (
     gaussian_delta,
     minimal_epsilon,
 )
-from repro.dp.geometric import GeometricMechanism, geometric_variance
-from repro.dp.laplace import LaplaceMechanism, laplace_scale
-from repro.dp.composition import (
-    PrivacyLoss,
-    advanced_composition,
-    basic_composition,
-    kairouz_composition,
-)
 from repro.dp.rdp import RdpAccountant
 from repro.dp.zcdp import ZCdpAccountant, rho_from_sigma, zcdp_to_approx_dp
 from repro.dp.rng import ensure_generator
@@ -29,22 +21,14 @@ from repro.dp.sensitivity import Neighboring, histogram_l2_sensitivity
 
 __all__ = [
     "GaussianMechanism",
-    "GeometricMechanism",
-    "LaplaceMechanism",
     "Neighboring",
-    "PrivacyLoss",
     "RdpAccountant",
     "ZCdpAccountant",
-    "advanced_composition",
     "analytic_gaussian_sigma",
-    "basic_composition",
     "classical_gaussian_sigma",
     "ensure_generator",
     "gaussian_delta",
-    "geometric_variance",
     "histogram_l2_sensitivity",
-    "kairouz_composition",
-    "laplace_scale",
     "minimal_epsilon",
     "rho_from_sigma",
     "zcdp_to_approx_dp",

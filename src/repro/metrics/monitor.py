@@ -10,8 +10,6 @@ conditions an operator actually pages on:
 * **ledger lag** — ``repro_ledger_lag_records`` above an absolute bound,
   or growing faster per interval than the growth bound (the write-ahead
   ledger outrunning checkpoint compaction).
-* **worker crashes** — any increase in ``repro_mp_crashes_total``
-  (each one is a SIGKILLed/faulted mp worker the parent restarted).
 * **429 spike** — ``repro_rate_limited_total`` climbing faster than the
   allowed rate (admission control refusing a meaningful share of load).
 * **budget exhaustion** — any ``repro_exhaustion_seconds`` forecast
@@ -89,8 +87,8 @@ def evaluate(prev: Sample | None, cur: Sample, *,
     """Alert strings for the sample ``cur`` given the previous one.
 
     ``prev is None`` (the first sample, or ``--once``) limits the checks
-    to absolute conditions; the delta checks (crash increase, 429 rate,
-    lag growth, stale uptime) need two samples by nature.
+    to absolute conditions; the delta checks (429 rate, lag growth,
+    stale uptime) need two samples by nature.
     """
     alerts: list[str] = []
 
@@ -129,13 +127,6 @@ def evaluate(prev: Sample | None, cur: Sample, *,
             alerts.append(
                 f"ledger lag grew by {lag_growth:.0f} records in one "
                 f"interval (bound {max_ledger_lag_growth:.0f})")
-
-        crashes = family_total(cur, "repro_mp_crashes_total") \
-            - family_total(prev, "repro_mp_crashes_total")
-        if crashes > 0:
-            alerts.append(f"{crashes:.0f} mp worker crash(es) since the "
-                          f"last scrape (workers were restarted; check "
-                          f"the daemon's stderr)")
 
         refused = family_total(cur, "repro_rate_limited_total") \
             - family_total(prev, "repro_rate_limited_total")

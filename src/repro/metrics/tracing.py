@@ -14,16 +14,9 @@ whole request path reports into it through two module-level helpers:
 
 ``activate(trace)`` / ``capture()`` / ``activate_context(ctx)``
     Propagation.  ``ContextVar`` context does not follow work onto pool
-    threads, so code that fans out (the shard pool, the mp dispatch
-    pool) captures ``(trace, parent_span_id)`` before submitting and
-    re-activates it inside the worker thread.
-
-The mp backend's *processes* cannot share a ``Trace`` object at all:
-workers record spans into their own trace (same trace id, their own
-clock origin) and ship :meth:`Trace.export` over the pipe; the parent
-grafts them under its dispatch span with :meth:`Trace.graft`, so a
-worker's compute and the parent's provenance brokering appear as one
-tree.
+    threads, so code that fans out (the shard pool) captures
+    ``(trace, parent_span_id)`` before submitting and re-activates it
+    inside the worker thread.
 
 Finished traces land in a :class:`Tracer` ring buffer (bounded deque)
 that ``GET /v1/trace`` serves.  Nothing here touches accounting, RNG
@@ -137,40 +130,6 @@ class Trace:
                 span.attrs = dict(attrs)
             self.spans.append(span)
         return span
-
-    # -- cross-process shipping ------------------------------------------------
-    def export(self) -> list[tuple]:
-        """Plain-tuple span list for the mp pipe: ``(span_id, parent_id,
-        name, start, duration, attrs)`` with offsets relative to *this*
-        trace's origin."""
-        with self._lock:
-            return [(s.span_id, s.parent_id, s.name, s.start, s.duration,
-                     dict(s.attrs) if s.attrs else None)
-                    for s in self.spans]
-
-    def graft(self, exported: list[tuple], parent_id: int | None,
-              base_offset: float) -> None:
-        """Adopt another process's :meth:`export` under ``parent_id``.
-
-        Worker offsets are relative to the worker's own origin; they are
-        shifted by ``base_offset`` (the parent-side dispatch span's
-        start) — the two clocks are never compared directly.
-        """
-        id_map: dict[int, int] = {}
-        with self._lock:
-            for sid, pid, name, start, duration, attrs in exported:
-                if len(self.spans) >= MAX_SPANS_PER_TRACE:
-                    self.dropped += len(exported) - len(id_map)
-                    break
-                span = Span(len(self.spans),
-                            id_map.get(pid, parent_id) if pid is not None
-                            else parent_id,
-                            name, base_offset + start)
-                span.duration = duration
-                if attrs:
-                    span.attrs = dict(attrs)
-                self.spans.append(span)
-                id_map[sid] = span.span_id
 
     # -- reporting -------------------------------------------------------------
     def as_dict(self) -> dict:
@@ -293,16 +252,6 @@ def current_trace() -> Trace | None:
     return current[0] if current is not None else None
 
 
-def current_span_start() -> float:
-    """Start offset of the active span (0.0 without one) — the graft
-    base for worker-exported spans."""
-    current = _CURRENT.get()
-    if current is None or current[1] is None:
-        return 0.0
-    trace, span_id = current
-    return trace.spans[span_id].start
-
-
 class Tracer:
     """Mints trace ids, owns the bounded ring of finished traces.
 
@@ -387,5 +336,5 @@ class Tracer:
 __all__ = ["DEFAULT_TRACE_CAPACITY", "DEFAULT_TRACE_SAMPLE",
            "MAX_SPANS_PER_TRACE", "Span",
            "Trace", "Tracer", "activate", "activate_context", "capture",
-           "current_trace", "current_span_start", "event", "record_span",
+           "current_trace", "event", "record_span",
            "span"]

@@ -379,6 +379,19 @@ def _json_finite(forecast: dict) -> dict:
     return {key: finite_or_none(value) for key, value in forecast.items()}
 
 
+def _query_int(query: str, name: str, default: int | None) -> int | None:
+    """The digits of ``name=`` in a query string, or ``default``.  A digit
+    run past Python's int-string limit is a 400, never a 500."""
+    match = re.search(rf"(?:^|&){name}=(\d+)", query)
+    if match is None:
+        return default
+    try:
+        return int(match.group(1))
+    except ValueError:
+        raise WireFormatError(
+            f"query parameter {name!r} is out of range") from None
+
+
 _FIXED_ROUTES = frozenset(("/v1/health", "/v1/snapshot", "/v1/metrics",
                            "/v1/trace", "/v1/audit", "/v1/sessions"))
 
@@ -587,10 +600,6 @@ class ReproServer:
         """Serve on a background thread; returns ``self`` for chaining."""
         if self._thread is not None:
             raise ReproError("server already started")
-        # Pre-fork the mp worker pool (no-op when threaded) before the
-        # listener accepts traffic: the workers inherit the recovered
-        # parent state, and the first query pays no fork latency.
-        self.service.start_backend()
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         name="repro-server", daemon=True)
         self._thread.start()
@@ -713,14 +722,11 @@ class ReproServer:
         if method == "GET" and path == "/v1/snapshot":
             return 200, json_ready(self.service.snapshot())
         if method == "GET" and path == "/v1/trace":
-            limit = None
-            match = re.search(r"(?:^|&)limit=(\d+)", query)
-            if match is not None:
-                limit = int(match.group(1))
             tracer = self.service.tracer
+            traces = tracer.recent(_query_int(query, "limit", None))
             return 200, {"protocol": PROTOCOL_VERSION,
                          "tracing": tracer.counters(),
-                         "traces": json_ready(tracer.recent(limit))}
+                         "traces": json_ready(traces)}
         if method == "GET" and path == "/v1/audit":
             return 200, self._audit(query)
         if method == "POST" and path == "/v1/sessions":
@@ -758,7 +764,6 @@ class ReproServer:
             "open_sessions": snapshot["open_sessions"],
             "in_flight": self._gate.in_flight,
             "shards": snapshot["shards"],
-            "backend": snapshot["backend"]["mode"],
             "submitted": snapshot["service"]["submitted"],
             "answered": snapshot["service"]["answered"],
             "rate_limited": int(self._m_rate_limited.total()),
@@ -786,10 +791,8 @@ class ReproServer:
         match = re.search(r"(?:^|&)analyst=([^&]*)", query)
         if match is not None:
             analyst = unquote(match.group(1))
-        match = re.search(r"(?:^|&)since_seq=(\d+)", query)
-        since_seq = int(match.group(1)) if match is not None else 0
-        match = re.search(r"(?:^|&)limit=(\d+)", query)
-        limit = int(match.group(1)) if match is not None else 256
+        since_seq = _query_int(query, "since_seq", 0)
+        limit = _query_int(query, "limit", 256)
         events = trail.events(analyst=analyst, since_seq=since_seq,
                               limit=limit)
         payload = {

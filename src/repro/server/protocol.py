@@ -197,9 +197,6 @@ def _encode_lineage(lineage: Lineage) -> dict:
         "synopsis_generation": int(lineage.synopsis_generation),
         "ledger_seq": (None if lineage.ledger_seq is None
                        else int(lineage.ledger_seq)),
-        "worker": None if lineage.worker is None else int(lineage.worker),
-        "incarnation": (None if lineage.incarnation is None
-                        else int(lineage.incarnation)),
         "trace_id": lineage.trace_id,
     }
 
@@ -231,8 +228,6 @@ def _decode_lineage(payload: Any, context: str) -> Lineage:
         composition=text("composition"),
         synopsis_generation=integer("synopsis_generation") or 0,
         ledger_seq=integer("ledger_seq"),
-        worker=integer("worker"),
-        incarnation=integer("incarnation"),
         trace_id=text("trace_id"),
     )
 

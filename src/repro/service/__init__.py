@@ -12,11 +12,8 @@
   front-end.  There is no global critical section: atomic check-and-charge
   lives in the provenance table and synopsis consistency in the engine's
   per-view sections.
-* :mod:`repro.service.executor` — engine-level execution functions shared
-  by every backend (one code path for threaded and mp).
-* :mod:`repro.service.mp_backend` — the multiprocessing backend: forked
-  view-shard workers, shared-memory synopses, parent-brokered accounting
-  (``QueryService(backend="mp")``).
+* :mod:`repro.service.executor` — engine-level execution functions: one
+  request, one planned entry, one per-view group.
 
 Request streams and analyst rosters for driving a service live in
 :mod:`repro.workloads.service`; the benchmark is ``perf/``.
@@ -25,7 +22,6 @@ Request streams and analyst rosters for driving a service live in
 from repro.service.cache import LruSynopsisStore
 from repro.service.planner import BatchPlan, PlannedQuery, plan_batch
 from repro.service.service import (
-    BACKENDS,
     DEFAULT_MAX_CACHED,
     QueryService,
     ServiceStats,
@@ -34,7 +30,6 @@ from repro.service.session import QueryRequest, QueryResponse, Session
 from repro.service.sharding import DEFAULT_NUM_SHARDS, ShardManager
 
 __all__ = [
-    "BACKENDS",
     "BatchPlan",
     "DEFAULT_MAX_CACHED",
     "DEFAULT_NUM_SHARDS",

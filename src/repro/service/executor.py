@@ -1,11 +1,6 @@
-"""Engine-level batch execution, shared by every service backend.
-
-These are the request-to-response functions the threaded
-:class:`repro.service.QueryService` historically carried as private
-methods.  The multiprocessing backend (:mod:`repro.service.mp_backend`)
-runs the *same* functions inside its worker processes — one code path,
-two backends — so the execution semantics (batch fast lane, prefix rule,
-error classification) cannot drift between them.
+"""Engine-level batch execution: the request-to-response functions
+:class:`repro.service.QueryService` runs for single submissions and for
+each per-view group of a planned batch.
 
 Everything here operates on a :class:`repro.core.engine.DProvDB` alone:
 no service state, no session bookkeeping, no stats locks.  Callers own
@@ -13,8 +8,6 @@ accounting.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.core.engine import DProvDB
 from repro.exceptions import QueryRejected, ReproError
@@ -147,9 +140,7 @@ def execute_planned(engine: DProvDB, analyst: str,
 def execute_planned_group(engine: DProvDB, analyst: str,
                           view_name: str | None,
                           items: list[PlannedQuery],
-                          responses: list,
-                          on_item: Callable[[int], None] | None = None
-                          ) -> None:
+                          responses: list) -> None:
     """Run one per-view group of a planned batch, filling ``responses``.
 
     The first (strictest) entry always takes the normal path — it is
@@ -161,27 +152,13 @@ def execute_planned_group(engine: DProvDB, analyst: str,
     races) runs through the normal path in plan order, exactly as a
     fast-lane-disabled replay would.
 
-    ``on_item`` (if given) is invoked with a running count after every
-    response lands — the multiprocessing backend's fault-injection hook
-    (a test worker SIGKILLs itself after N answers to exercise the
-    parent's crash recovery).
-
     Tracing reports per *group*, not per query: one ``decisions`` event
     tallies the outcomes (fresh/cached/fast_lane/...) from the lineage
     already attached to each response, so the per-answer hot path
     carries no span machinery (fresh releases and rejections get their
     own spans inside the engine — they are rare and expensive).
     """
-    done = 0
-
-    def note() -> None:
-        nonlocal done
-        done += 1
-        if on_item is not None:
-            on_item(done)
-
     responses[items[0].index] = execute_planned(engine, analyst, items[0])
-    note()
     rest = items[1:]
     if not rest:
         _note_group_decisions(view_name, items, responses)
@@ -202,11 +179,9 @@ def execute_planned_group(engine: DProvDB, analyst: str,
                     engine, analyst,
                     QueryResponse(item.index, answer=answer),
                     source="fast_lane")
-                note()
     for item in rest:
         if responses[item.index] is None:
             responses[item.index] = execute_planned(engine, analyst, item)
-            note()
     _note_group_decisions(view_name, items, responses)
 
 

@@ -20,14 +20,6 @@ engine.  It adds what the bare engine lacks for concurrent operation:
   worker pool;
 * **a bounded synopsis cache** — local synopses live in an LRU store with
   hit/miss statistics (:class:`repro.metrics.runtime.CacheStats`).
-
-The **backend** decides where a batch's view groups run: ``"threaded"``
-(default) runs everything in-process; ``"mp"`` dispatches the per-view
-groups to forked worker processes with shared-memory synopses and
-parent-brokered accounting (:mod:`repro.service.mp_backend`), escaping
-the GIL for CPU-bound workloads.  Accounting semantics are identical —
-``tests/test_mp_backend.py`` replays one seeded stream through both
-backends and demands bit-identical answers.
 """
 
 from __future__ import annotations
@@ -50,8 +42,7 @@ from repro.metrics.tracing import Tracer
 from repro.persistence.schema import provenance_summary
 from repro.service.cache import LruSynopsisStore
 from repro.service.executor import execute_planned_group, execute_request
-from repro.service.planner import BatchPlan, PlannedQuery, _plan_one, \
-    plan_batch
+from repro.service.planner import BatchPlan, PlannedQuery, plan_batch
 from repro.service.session import QueryRequest, QueryResponse, Session
 from repro.service.sharding import DEFAULT_NUM_SHARDS, ShardManager
 
@@ -61,10 +52,6 @@ from repro.service.sharding import DEFAULT_NUM_SHARDS, ShardManager
 #: free — re-deriving the synopsis later is a fresh release (see
 #: :mod:`repro.service.cache`).
 DEFAULT_MAX_CACHED = 256
-
-#: Supported execution backends: ``"threaded"`` shares the interpreter,
-#: ``"mp"`` forks worker processes (see :mod:`repro.service.mp_backend`).
-BACKENDS = ("threaded", "mp")
 
 #: How many *closed* sessions the service remembers (for idempotent
 #: close and the tagged :class:`SessionClosed` error).  A long-running
@@ -146,14 +133,9 @@ class QueryService:
     def __init__(self, engine: DProvDB,
                  max_cached_synopses: int | None = DEFAULT_MAX_CACHED, *,
                  shards: int = DEFAULT_NUM_SHARDS,
-                 backend: str = "threaded",
-                 workers: int | None = None,
                  durability=None,
                  tracer: Tracer | None = None,
                  audit: bool = True) -> None:
-        if backend not in BACKENDS:
-            raise ReproError(f"unknown backend {backend!r}; "
-                             f"choose from {BACKENDS}")
         if engine.mechanism.store.local_keys or \
                 engine.mechanism.store.global_views:
             raise ReproError(
@@ -188,23 +170,7 @@ class QueryService:
         #: ``Tracer(enabled=False)`` to strip tracing to a single
         #: context-var read per span site.
         self.tracer = tracer if tracer is not None else Tracer()
-        self._backend = backend
-        if backend == "mp":
-            # Imported lazily: the mp backend needs POSIX fork +
-            # multiprocessing.shared_memory, and its constructor
-            # validates the engine (additive mechanism, per-view noise
-            # streams) with actionable errors.
-            from repro.service.mp_backend import MpBackend
-
-            self.sharding = None
-            self._backend_impl = MpBackend(self, workers)
-        else:
-            if workers is not None:
-                raise ReproError(
-                    "workers= is an mp-backend knob; the threaded backend "
-                    "sizes its pool with shards=")
-            self.sharding = ShardManager(shards)
-            self._backend_impl = None
+        self.sharding = ShardManager(shards)
         #: Optional :class:`repro.persistence.DurabilityManager`.  Bound
         #: last — the manager runs crash recovery against the fully
         #: constructed service (bounded store in place, no traffic yet)
@@ -218,10 +184,7 @@ class QueryService:
                 # Recovery refused (e.g. strict mode on a torn tail):
                 # the caller never receives the instance, so release the
                 # shard worker pool here or its threads leak.
-                if self.sharding is not None:
-                    self.sharding.close()
-                if self._backend_impl is not None:
-                    self._backend_impl.close()
+                self.sharding.close()
                 raise
         #: Live budget-audit tailer (:mod:`repro.metrics.audit`):
         #: attached *after* durability so the ledger keeps assigning
@@ -238,8 +201,6 @@ class QueryService:
               epsilon: float, *,
               max_cached_synopses: int | None = DEFAULT_MAX_CACHED,
               shards: int = DEFAULT_NUM_SHARDS,
-              backend: str = "threaded",
-              workers: int | None = None,
               durability=None,
               tracer: Tracer | None = None,
               audit: bool = True,
@@ -247,7 +208,6 @@ class QueryService:
         """Construct an engine and wrap it in one step."""
         return cls(DProvDB(bundle, analysts, epsilon, **engine_kwargs),
                    max_cached_synopses=max_cached_synopses, shards=shards,
-                   backend=backend, workers=workers,
                    durability=durability, tracer=tracer, audit=audit)
 
     @property
@@ -255,27 +215,6 @@ class QueryService:
         """The wrapped engine.  Safe to read; prefer the session API for
         submissions so service counters stay consistent."""
         return self._engine
-
-    @property
-    def backend(self) -> str:
-        """``"threaded"`` (in-process) or ``"mp"`` (forked workers)."""
-        return self._backend
-
-    @property
-    def mp_backend(self):
-        """The :class:`repro.service.mp_backend.MpBackend` instance, or
-        ``None`` on the threaded backend."""
-        return self._backend_impl
-
-    def start_backend(self) -> None:
-        """Eagerly start the execution backend (no-op when threaded).
-
-        ``repro serve`` calls this after durability recovery so the mp
-        workers fork from the fully recovered parent state instead of
-        lazily on the first query.
-        """
-        if self._backend_impl is not None:
-            self._backend_impl.ensure_started()
 
     @property
     def closed(self) -> bool:
@@ -291,10 +230,7 @@ class QueryService:
         front-end maps it to 409).  Counters and snapshots stay readable.
         """
         self._closed = True
-        if self.sharding is not None:
-            self.sharding.close()
-        if self._backend_impl is not None:
-            self._backend_impl.close()
+        self.sharding.close()
         if self.durability is not None:
             self.durability.close()
 
@@ -428,18 +364,8 @@ class QueryService:
                     request: QueryRequest) -> QueryResponse:
         live = self._resolve_session(session)
         started = time.perf_counter()
-        if self._backend_impl is not None:
-            # mp backend: route even a single query through the planner
-            # so it lands on its view's worker process.
-            with tracing.span("plan"):
-                item = _plan_one(self._engine, 0, request)
-            responses: list[QueryResponse | None] = [None]
-            self._backend_impl.execute_batch(
-                live.analyst, {item.view_name: [item]}, responses)
-            response = self._ensure_response(responses, 0)
-        else:
-            response = execute_request(self._engine, live.analyst, 0,
-                                       request, is_group_by=None)
+        response = execute_request(self._engine, live.analyst, 0,
+                                   request, is_group_by=None)
         elapsed = time.perf_counter() - started
         response = self._seal_lineage(response)
         self._account(live, response, elapsed)
@@ -473,40 +399,29 @@ class QueryService:
         started = time.perf_counter()
         responses: list[QueryResponse | None] = [None] * len(batch)
 
-        # Single-worker mp: hand the raw batch to the worker, which runs
-        # the planner itself — compiling here too would double the whole
-        # planning cost of the serving path (see MpBackend.try_execute_raw).
-        if self._backend_impl is not None and \
-                self._backend_impl.try_execute_raw(live.analyst, batch,
-                                                   responses):
-            return self._account_batch(live, responses, started)
-
         with tracing.span("plan", queries=len(batch)):
             plan = plan_batch(self._engine, batch)
         groups: dict[str | None, list[PlannedQuery]] = {}
         for item in plan.ordered:
             groups.setdefault(item.view_name, []).append(item)
 
-        if self._backend_impl is not None:
-            self._backend_impl.execute_batch(live.analyst, groups, responses)
+        # Shard-pool threads don't inherit this thread's context-var
+        # state, so the trace context rides into the closure.
+        trace_ctx = tracing.capture()
+
+        def run_group(view_name: str | None,
+                      items: list[PlannedQuery]) -> None:
+            with tracing.activate_context(trace_ctx), \
+                    tracing.span("shard_group", view=view_name,
+                                 items=len(items)):
+                execute_planned_group(self._engine, live.analyst,
+                                      view_name, items, responses)
+
+        if len(groups) > 1:
+            self.sharding.run_groups(list(groups.items()), run_group)
         else:
-            # Shard-pool threads don't inherit this thread's context-var
-            # state, so the trace context rides into the closure.
-            trace_ctx = tracing.capture()
-
-            def run_group(view_name: str | None,
-                          items: list[PlannedQuery]) -> None:
-                with tracing.activate_context(trace_ctx), \
-                        tracing.span("shard_group", view=view_name,
-                                     items=len(items)):
-                    execute_planned_group(self._engine, live.analyst,
-                                          view_name, items, responses)
-
-            if len(groups) > 1:
-                self.sharding.run_groups(list(groups.items()), run_group)
-            else:
-                for view_name, items in groups.items():
-                    run_group(view_name, items)
+            for view_name, items in groups.items():
+                run_group(view_name, items)
         return self._account_batch(live, responses, started)
 
     def _account_batch(self, live: Session, responses: list,
@@ -527,9 +442,8 @@ class QueryService:
         """Stamp the durable ledger's high-water mark into the lineage at
         accounting time.
 
-        By now every charge this response caused has committed (the mp
-        parent commits brokered charges before unpacking responses; the
-        threaded path journals inside execution), so recovery to at least
+        By now every charge this response caused has committed (execution
+        journals each charge as it commits), so recovery to at least
         this sequence provably includes the answer's charge.  Descriptive
         only — nothing downstream reads it back.
         """
@@ -542,12 +456,12 @@ class QueryService:
 
     @staticmethod
     def _ensure_response(responses: list, index: int) -> QueryResponse:
-        """Every index must answer; a hole is a backend bug surfaced as a
-        failed (never silently dropped, never charged) response."""
+        """Every index must answer; a hole is an executor bug surfaced as
+        a failed (never silently dropped, never charged) response."""
         response = responses[index]
         if response is None:
             response = QueryResponse(
-                index, error="internal: backend returned no response")
+                index, error="internal: executor returned no response")
             responses[index] = response
         return response
 
@@ -659,10 +573,9 @@ class QueryService:
         registry.gauge("repro_open_sessions",
                        "Sessions currently open",
                        lambda: len(self._sessions))
-        registry.gauge("repro_shards",
-                       "Shard count (0 = mp backend)",
-                       lambda: (self.sharding.num_shards
-                                if self.sharding else 0))
+        sharding = self.sharding
+        registry.gauge("repro_shards", "Shard count",
+                       lambda: sharding.num_shards)
         statements = self._engine.statement_cache
         registry.gauge("repro_statement_cache_total",
                        "Compiled-statement cache lookups, by result",
@@ -712,49 +625,12 @@ class QueryService:
         registry.gauge("repro_traces_retained",
                        "Finished traces held in the /v1/trace ring",
                        lambda: tracer.counters()["retained"])
-        if self._backend_impl is not None:
-            backend = self._backend_impl
-            registry.gauge("repro_mp_workers",
-                           "Forked worker processes (mp backend)",
-                           lambda: backend.num_workers)
-            registry.gauge("repro_mp_restarts_total",
-                           "Worker processes respawned after a crash",
-                           lambda: backend.restarts)
-            registry.gauge("repro_mp_crashes_total",
-                           "Worker crashes observed mid-conversation",
-                           lambda: backend.crashes)
-            registry.gauge("repro_mp_brokered_charges_total",
-                           "Provenance charges brokered for workers",
-                           lambda: backend.brokered_charges)
-            registry.gauge("repro_mp_charge_rejections_total",
-                           "Brokered charges the parent refused",
-                           lambda: backend.charge_rejections)
-            registry.gauge("repro_mp_charge_messages_total",
-                           "Standalone per-charge pipe messages (0 under "
-                           "coalesced settlement)",
-                           lambda: backend.charge_messages)
-            registry.gauge("repro_mp_charge_mismatches_total",
-                           "Worker charge replays that diverged from the "
-                           "authoritative ledger (unwound, respawned)",
-                           lambda: backend.charge_mismatches)
-            registry.gauge("repro_mp_conversations_total",
-                           "Batch conversations dispatched to workers",
-                           lambda: backend.conversations)
-            registry.gauge("repro_mp_worker_incarnation",
-                           "Per-shard worker incarnation (bumps on "
-                           "respawn)",
-                           lambda: {str(i): inc for i, inc in
-                                    enumerate(backend.describe()
-                                              ["incarnations"])},
-                           expand_label="shard")
-        if self.sharding is not None:
-            sharding = self.sharding
-            registry.gauge("repro_shard_groups_total",
-                           "View groups dispatched to shards",
-                           lambda: sharding.groups_dispatched)
-            registry.gauge("repro_shard_parallel_batches_total",
-                           "Group batches that ran on the worker pool",
-                           lambda: sharding.parallel_batches)
+        registry.gauge("repro_shard_groups_total",
+                       "View groups dispatched to shards",
+                       lambda: sharding.groups_dispatched)
+        registry.gauge("repro_shard_parallel_batches_total",
+                       "Group batches that ran on the worker pool",
+                       lambda: sharding.parallel_batches)
         if self.audit is not None:
             trail = self.audit
             for window in trail.windows:
@@ -824,10 +700,7 @@ class QueryService:
             # fast lane.
             "compiled_statements": self._engine.statement_cache.counters(),
             "fast_lane": self._engine.fast_lane_counters(),
-            "shards": (self.sharding.num_shards if self.sharding else 0),
-            "backend": (self._backend_impl.describe()
-                        if self._backend_impl is not None
-                        else {"mode": "threaded"}),
+            "shards": self.sharding.num_shards,
             # Probes of the registry's column-set routing index.
             "view_routing": self._engine.registry.routing_counters(),
             "tracing": self.tracer.counters(),
@@ -844,5 +717,5 @@ class QueryService:
         }
 
 
-__all__ = ["BACKENDS", "DEFAULT_MAX_CACHED", "MAX_CLOSED_SESSIONS",
+__all__ = ["DEFAULT_MAX_CACHED", "MAX_CLOSED_SESSIONS",
            "QueryService", "ServiceStats"]

@@ -39,13 +39,11 @@ class Lineage(NamedTuple):
 
     ``ledger_seq`` is the durable ledger's high-water mark at accounting
     time (recovery to at least this sequence includes this answer's
-    charge); ``None`` without durability.  ``worker``/``incarnation``
-    identify the mp worker process that computed the answer; ``None``
-    under the threaded backend.
+    charge); ``None`` without durability.
 
     Field order puts the seven per-answer fields first so the executor's
     hot-path construction is fully positional (no kwargs dict); the
-    trailing three are stamped later by ``_replace``/the mp parent.
+    trailing ``ledger_seq`` is stamped later by ``_replace``.
     """
 
     view: str | None = None
@@ -56,8 +54,6 @@ class Lineage(NamedTuple):
     synopsis_generation: int = 0
     trace_id: str | None = None
     ledger_seq: int | None = None
-    worker: int | None = None
-    incarnation: int | None = None
 
 
 @dataclass(frozen=True)

@@ -238,7 +238,7 @@ class TestOfflineFold:
 
 
 # ---------------------------------------------------------------------------
-# Exposition equality (the --verify contract) on both backends
+# Exposition equality (the --verify contract)
 # ---------------------------------------------------------------------------
 
 class TestVerifyAgainstMetrics:
@@ -248,18 +248,6 @@ class TestVerifyAgainstMetrics:
         run_workload(service)
         families = scrape_registry(service)
         service.close()
-        report = fold_data_dir(tmp_path / "d")
-        assert verify_report(report, families) == []
-
-    def test_mp_fold_matches_exposition_exactly(self, bundle, tmp_path):
-        service = build_service(bundle, tmp_path / "d", backend="mp",
-                                workers=2, noise_streams="per_view")
-        try:
-            service.start_backend()
-            run_workload(service)
-            families = scrape_registry(service)
-        finally:
-            service.close()
         report = fold_data_dir(tmp_path / "d")
         assert verify_report(report, families) == []
 

@@ -31,6 +31,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
 
+    @pytest.mark.parametrize("flag", (["--backend", "mp"],
+                                      ["--workers", "2"]))
+    def test_serve_has_one_execution_path(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", *flag])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestMain:
     def test_list(self, capsys):

@@ -106,3 +106,109 @@ class TestZCdp:
     def test_record_rho_rejects_negative(self):
         with pytest.raises(ValueError):
             ZCdpAccountant().record_rho(-0.1)
+
+
+class TestCompositionTheorems:
+    """Composition identities both accountants must satisfy exactly (the
+    tight counterparts of basic composition, Theorem 2.1)."""
+
+    @pytest.mark.parametrize("k", (1, 4, 16))
+    def test_zcdp_k_releases_equal_one_release_at_sigma_over_root_k(self, k):
+        many = ZCdpAccountant()
+        for _ in range(k):
+            many.record_gaussian(2.0)
+        one = ZCdpAccountant()
+        one.record_gaussian(2.0 / math.sqrt(k))
+        assert many.rho == pytest.approx(one.rho, rel=1e-12)
+        assert many.epsilon(1e-9) == pytest.approx(one.epsilon(1e-9),
+                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("k", (1, 4, 16))
+    def test_rdp_k_releases_equal_one_release_at_sigma_over_root_k(self, k):
+        many = RdpAccountant()
+        for _ in range(k):
+            many.record_gaussian(2.0)
+        one = RdpAccountant()
+        one.record_gaussian(2.0 / math.sqrt(k))
+        assert many.epsilon(1e-9) == pytest.approx(one.epsilon(1e-9),
+                                                   rel=1e-12)
+
+    def test_composition_is_order_independent(self):
+        sigmas = (0.5, 3.0, 1.25, 8.0)
+        forward, backward = RdpAccountant(), RdpAccountant()
+        zforward, zbackward = ZCdpAccountant(), ZCdpAccountant()
+        for sigma in sigmas:
+            forward.record_gaussian(sigma)
+            zforward.record_gaussian(sigma)
+        for sigma in reversed(sigmas):
+            backward.record_gaussian(sigma)
+            zbackward.record_gaussian(sigma)
+        assert forward.epsilon(1e-6) == pytest.approx(backward.epsilon(1e-6),
+                                                      rel=1e-12)
+        assert zforward.rho == pytest.approx(zbackward.rho, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", (0.5, 2.0, 20.0))
+    def test_rdp_grid_never_beats_the_zcdp_closed_form(self, sigma):
+        """A Gaussian's RDP curve is ``alpha * rho``; minimising
+        ``alpha rho + ln(1/delta)/(alpha - 1)`` over all alpha > 1 gives
+        ``rho + 2 sqrt(rho ln(1/delta))``, so a finite grid can only match
+        the zCDP conversion or lose to it — and the default grid is dense
+        enough to stay within 5%."""
+        rdp, zcdp = RdpAccountant(), ZCdpAccountant()
+        rdp.record_gaussian(sigma)
+        zcdp.record_gaussian(sigma)
+        exact = zcdp.epsilon(1e-9)
+        assert rdp.epsilon(1e-9) >= exact - 1e-12
+        assert rdp.epsilon(1e-9) <= 1.05 * exact
+
+    @pytest.mark.parametrize("accountant", (RdpAccountant, ZCdpAccountant))
+    def test_epsilon_grows_with_every_release(self, accountant):
+        acc = accountant()
+        previous = 0.0
+        for _ in range(5):
+            acc.record_gaussian(4.0)
+            current = acc.epsilon(1e-9)
+            assert current > previous
+            previous = current
+
+    @pytest.mark.parametrize("accountant", (RdpAccountant, ZCdpAccountant))
+    def test_epsilon_shrinks_as_delta_grows(self, accountant):
+        acc = accountant()
+        acc.record_gaussian(1.0)
+        assert acc.epsilon(1e-3) < acc.epsilon(1e-6) < acc.epsilon(1e-12)
+
+
+class TestConversionInputs:
+    @pytest.mark.parametrize("delta", (0.0, 1.0, 1.5, -1e-9))
+    def test_zcdp_conversion_rejects_delta_outside_unit_interval(self, delta):
+        with pytest.raises(ValueError):
+            zcdp_to_approx_dp(0.1, delta)
+
+    def test_zcdp_conversion_rejects_negative_rho(self):
+        with pytest.raises(ValueError):
+            zcdp_to_approx_dp(-0.1, 1e-9)
+
+    def test_zero_rho_converts_to_zero_epsilon(self):
+        assert zcdp_to_approx_dp(0.0, 1e-9) == 0.0
+
+    @pytest.mark.parametrize("epsilon", (0.0, -1.0))
+    def test_rho_for_epsilon_rejects_nonpositive_epsilon(self, epsilon):
+        with pytest.raises(ValueError):
+            rho_for_epsilon(epsilon, 1e-9)
+
+    @pytest.mark.parametrize("sigma", (0.0, -1.0))
+    def test_rho_from_sigma_rejects_nonpositive_sigma(self, sigma):
+        with pytest.raises(ValueError):
+            rho_from_sigma(sigma)
+
+    def test_rdp_conversion_ignores_orders_at_most_one(self):
+        # Order 1 would divide by zero; it is skipped, not fatal.
+        assert rdp_to_approx_dp([1.0, 2.0], [0.0, 0.5], 0.5) == \
+            pytest.approx(0.5 + math.log(2.0))
+
+    def test_rdp_conversion_takes_the_best_order(self):
+        orders, curve = (2.0, 11.0), (5.0, 0.1)
+        expected = min(5.0 + math.log(1e6) / 1.0,
+                       0.1 + math.log(1e6) / 10.0)
+        assert rdp_to_approx_dp(orders, curve, 1e-6) == \
+            pytest.approx(expected)

@@ -1,4 +1,4 @@
-"""Tests for Laplace, sensitivity conventions and RNG helpers."""
+"""Tests for sensitivity conventions and RNG helpers."""
 
 from __future__ import annotations
 
@@ -7,35 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.dp.laplace import LaplaceMechanism, laplace_scale
 from repro.dp.rng import ensure_generator, spawn, stable_seed
 from repro.dp.sensitivity import (
     Neighboring,
     clipped_value_bound,
     histogram_l2_sensitivity,
 )
-
-
-class TestLaplace:
-    def test_scale(self):
-        assert laplace_scale(2.0, sensitivity=4.0) == pytest.approx(2.0)
-
-    def test_variance(self):
-        mech = LaplaceMechanism(epsilon=1.0, sensitivity=1.0)
-        assert mech.variance == pytest.approx(2.0)
-
-    def test_empirical_scale(self, rng):
-        mech = LaplaceMechanism(epsilon=1.0)
-        noise = mech.release(np.zeros(50000), rng)
-        assert noise.std() == pytest.approx(math.sqrt(2.0), rel=0.05)
-
-    def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            laplace_scale(0.0)
-
-    def test_rejects_bad_sensitivity(self):
-        with pytest.raises(ValueError):
-            laplace_scale(1.0, sensitivity=-1.0)
 
 
 class TestSensitivity:

@@ -94,6 +94,11 @@ def replay(bundle, analysts, streams, *, fast_lane, mechanism="additive",
            mode="single", max_cached=256, batch_size=8, epsilon=16.0,
            pair_views=(), **engine_kwargs):
     """One deterministic single-threaded replay; returns the evidence."""
+    if mode == "batched":
+        # A batch's per-view groups run on concurrent shard threads; one
+        # shared generator would hand out draws in scheduling order, so
+        # batched replays give each view its own seeded stream.
+        engine_kwargs.setdefault("noise_streams", "per_view")
     service = QueryService.build(bundle, analysts, epsilon,
                                  mechanism=mechanism,
                                  max_cached_synopses=max_cached, seed=123,

@@ -28,7 +28,8 @@ from repro.exceptions import (
     SessionClosed,
     UnknownAnalyst,
 )
-from repro.server.daemon import ReproServer
+from repro.server.daemon import ReproServer, _query_int
+from repro.server.protocol import WireFormatError
 from repro.client.remote import RemoteError
 from repro.service.service import QueryService
 from repro.service.session import QueryRequest
@@ -202,6 +203,54 @@ class TestStatusMapping:
         assert reply.status == 400
         assert json.loads(reply.read())["kind"] == "bad_request"
         conn.close()
+
+    def test_oversized_integer_parameter_is_400(self, server):
+        """A digit run past Python's int-string limit (4300 digits) used
+        to escape ``int()`` as a 500."""
+        digits = "9" * 5000
+        conn = http.client.HTTPConnection(server.host, server.port)
+        for path in (f"/v1/trace?limit={digits}",
+                     f"/v1/audit?since_seq={digits}",
+                     f"/v1/audit?limit={digits}"):
+            conn.request("GET", path)
+            reply = conn.getresponse()
+            body = json.loads(reply.read())
+            assert reply.status == 400, (path[:20], body)
+            assert body["kind"] == "bad_request"
+        conn.close()
+        conn = http.client.HTTPConnection(server.host, server.port)
+        conn.request("GET", "/v1/trace?limit=2")
+        reply = conn.getresponse()
+        assert reply.status == 200
+        assert len(json.loads(reply.read())["traces"]) <= 2
+        conn.close()
+
+    @pytest.mark.parametrize("query, expected", [
+        ("", 7),
+        ("limit=5", 5),
+        ("analyst=a&limit=12", 12),
+        ("limit=0042", 42),
+        ("limit=", 7),
+        ("limit=-3", 7),
+        ("limit=abc", 7),
+        ("sublimit=5", 7),
+        ("limit=3&limit=9", 3),
+    ])
+    def test_query_int_reads_the_first_anchored_digit_run(self, query,
+                                                          expected):
+        """Only a whole ``name=`` key counts, the first occurrence wins,
+        and anything but a digit run falls back to the default."""
+        assert _query_int(query, "limit", 7) == expected
+
+    def test_query_int_refuses_a_digit_run_past_the_int_limit(self):
+        with pytest.raises(WireFormatError, match="'limit'"):
+            _query_int("limit=" + "9" * 5000, "limit", 7)
+
+    def test_health_reports_no_execution_backend(self, server):
+        with RemoteAnalyst(server.url, token="analyst_01") as client:
+            health = client.health()
+        assert "backend" not in health
+        assert health["shards"] == server.service.sharding.num_shards
 
     @pytest.mark.parametrize("field", ("accuracy", "epsilon"))
     @pytest.mark.parametrize("token", ("NaN", "Infinity", "1e999"))

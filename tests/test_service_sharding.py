@@ -19,7 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import Analyst, QueryService
+from repro import Analyst, DProvDB, QueryService
 from repro.exceptions import ReproError
 from repro.service import ShardManager
 from repro.workloads.service import (
@@ -338,6 +338,13 @@ class TestShardedService:
         with pytest.raises(TypeError):
             QueryService.build(adult_bundle, ANALYSTS[:2], 2.0,
                                execution="global")
+
+    def test_there_is_no_execution_backend(self, adult_bundle):
+        engine = DProvDB(adult_bundle, ANALYSTS[:2], 2.0)
+        with pytest.raises(TypeError):
+            QueryService(engine, **{"backend": "mp"})
+        with pytest.raises(TypeError):
+            QueryService.build(adult_bundle, ANALYSTS[:2], 2.0, workers=2)
 
     def test_sharded_service_snapshot_consistent(self, adult_bundle):
         service, attribute_sets, _ = build_sharded_service(adult_bundle)

@@ -2,15 +2,13 @@
 
 Four contracts under test:
 
-* **Span trees** — the threaded service nests plan/shard spans under one
-  request trace; the mp backend ships worker spans over the pipe and
-  grafts them under the parent's dispatch span (same trace id, two
-  clocks, one tree).
+* **Span trees** — the service nests plan/shard spans under one
+  request trace.
 * **Lineage** — every answer carries a :class:`Lineage` record derived
   from what already happened (view, source, epsilon, mechanism,
   composition, synopsis generation), and the *accounting-bearing*
   fields are bit-identical whether tracing is on or off, fast lane on
-  or off, threaded or mp.
+  or off.
 * **The wire** — lineage is an optional response field: servers omit
   the key when absent, old clients ignore it, and the codec
   round-trips every populated field exactly.
@@ -142,27 +140,6 @@ class TestSpanTrees:
         finally:
             service.close()
 
-    def test_mp_grafts_worker_spans_under_dispatch(self, bundle):
-        service = make_service(bundle, backend="mp",
-                               workers=2, noise_streams="per_view")
-        try:
-            session = service.open_session("analyst_00")
-            response = service.submit(session, first_attribute_sql(bundle),
-                                      accuracy=ACCURACY)
-            assert response.ok, response.error
-            newest = service.tracer.recent()[0]
-            by_name = span_index(newest)
-            assert "mp_conversation" in by_name
-            assert "worker.serve" in by_name
-            dispatch = by_name["mp_conversation"][0]
-            serve = by_name["worker.serve"][0]
-            assert serve["parent"] == dispatch["id"], \
-                "worker spans must graft under the parent dispatch span"
-            assert serve["attrs"]["worker"] in (0, 1)
-            assert serve["attrs"]["incarnation"] == 0
-        finally:
-            service.close()
-
     def test_disabled_tracer_records_nothing(self, bundle):
         service = make_service(bundle, tracer=Tracer(enabled=False))
         try:
@@ -189,29 +166,6 @@ class TestSpanTrees:
             trace.begin_span(f"s{i}", None)
         assert len(trace.spans) == MAX_SPANS_PER_TRACE
         assert trace.dropped == 10
-
-    def test_export_graft_roundtrip(self):
-        worker = Trace("t-1")
-        root = worker.begin_span("worker.serve", None)
-        child = worker.begin_span("decision", root.span_id)
-        child.set(outcome="fresh")
-        worker.end_span(child)
-        worker.end_span(root)
-
-        parent = Trace("t-1")
-        dispatch = parent.begin_span("mp_conversation", None)
-        parent.graft(worker.export(), dispatch.span_id, base_offset=1.5)
-        parent.end_span(dispatch)
-
-        by_name = {s.name: s for s in parent.spans}
-        grafted_root = by_name["worker.serve"]
-        grafted_child = by_name["decision"]
-        assert grafted_root.parent_id == dispatch.span_id
-        assert grafted_child.parent_id == grafted_root.span_id
-        assert grafted_child.attrs == {"outcome": "fresh"}
-        # Worker offsets shift by the dispatch base, never clock-compared.
-        assert grafted_root.start == pytest.approx(
-            1.5 + worker.spans[0].start)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +226,6 @@ class TestLineage:
         assert all(l.source == "cached" for l in slow[1:]), \
             "without the fast lane repeats come from the slow-path cache"
 
-    def test_lineage_identical_mp_vs_threaded(self, bundle):
-        threaded = replay_lineages(bundle)
-        mp = replay_lineages(bundle, backend="mp",
-                             workers=2, noise_streams="per_view")
-        assert [accounting_fields(l) for l in threaded] == \
-            [accounting_fields(l) for l in mp]
-        assert all(l.worker is None for l in threaded)
-        assert all(l.worker is not None for l in mp)
-        assert all(l.incarnation == 0 for l in mp)
-
 
 # ---------------------------------------------------------------------------
 # The wire
@@ -297,13 +241,24 @@ class TestWire:
         lineage = Lineage(view="adult.age", source="fresh",
                           epsilon=0.25, mechanism="additive",
                           composition="max", synopsis_generation=3,
-                          ledger_seq=17, worker=1, incarnation=2,
+                          ledger_seq=17,
                           trace_id="c-abcd1234-00000001")
         response = QueryResponse(7, answer=wire_answer(), lineage=lineage)
         body = encode_response(response)
         assert "lineage" in body
         decoded = decode_response(body)
         assert decoded.lineage == lineage
+        # Older servers sent two more lineage keys (the worker process and
+        # its incarnation); the tolerant decoder drops unknown keys.
+        body["lineage"].update(worker=1, incarnation=2)
+        assert decode_response(body).lineage == lineage
+
+    def test_wire_keys_are_exactly_the_lineage_fields(self):
+        """Every field crosses the wire, and nothing else does."""
+        response = QueryResponse(7, answer=wire_answer(),
+                                 lineage=Lineage(view="adult.age"))
+        assert set(encode_response(response)["lineage"]) == \
+            set(Lineage._fields)
 
     def test_absent_lineage_omits_key(self):
         response = QueryResponse(7, answer=wire_answer())
@@ -452,11 +407,9 @@ class TestMonitorEvaluate:
     def test_quiet_samples_no_alerts(self):
         prev = sample(repro_uptime_seconds=10.0,
                       repro_ledger_lag_records=5,
-                      repro_mp_crashes_total=0,
                       repro_rate_limited_total=0)
         cur = sample(repro_uptime_seconds=20.0,
                      repro_ledger_lag_records=5,
-                     repro_mp_crashes_total=0,
                      repro_rate_limited_total=2)
         assert evaluate(prev, cur) == []
 
@@ -484,14 +437,6 @@ class TestMonitorEvaluate:
         alerts = evaluate(prev, cur)
         assert any("grew by 5000" in a for a in alerts)
 
-    def test_worker_crash_increase(self):
-        prev = sample(repro_uptime_seconds=1.0,
-                      repro_mp_crashes_total=1)
-        cur = sample(repro_uptime_seconds=2.0,
-                     repro_mp_crashes_total=3)
-        alerts = evaluate(prev, cur)
-        assert any("2 mp worker crash" in a for a in alerts)
-
     def test_429_spike_rate(self):
         prev = sample(repro_uptime_seconds=1.0,
                       repro_rate_limited_total=0)
@@ -502,6 +447,15 @@ class TestMonitorEvaluate:
         assert any("refused 200 submissions" in a for a in alerts)
         assert evaluate(prev, cur, interval=10.0,
                         max_rate_limited_rate=25.0) == []
+
+    def test_families_without_a_rule_raise_no_alert(self):
+        # A counter the monitor has no rule for (say, one an older server
+        # still exports) stays quiet even while it grows.
+        prev = sample(repro_uptime_seconds=1.0,
+                      repro_retired_failures_total=1)
+        cur = sample(repro_uptime_seconds=2.0,
+                     repro_retired_failures_total=3)
+        assert evaluate(prev, cur) == []
 
     def test_family_total_sums_label_sets(self):
         cur = {"repro_rate_limited_total": {
