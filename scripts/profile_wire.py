@@ -2,6 +2,8 @@
 one keep-alive ``RemoteAnalyst``, N mixed queries (7 ranges, 2 dyadic
 ranges, 1 GROUP BY per ten) -- once under cProfile on the client thread,
 once on the daemon's handler thread; prints the top 15 by self time of each.
+The GROUP BY is over ``age``, a 74-group result, so the codec's per-group
+cost shows in the tables (``sex`` would have only two groups).
 
     PYTHONPATH=src python scripts/profile_wire.py [N]
 
@@ -37,7 +39,7 @@ def queries(bundle, count: int, offset: int) -> list[tuple[str, float]]:
     for i in range(offset, offset + count):
         accuracy = 2e4 * (1.0 + (i * 7 % 10) / 10.0)
         if i % 10 == 9:
-            sql = f"SELECT sex, COUNT(*) FROM {table} GROUP BY sex"
+            sql = f"SELECT age, COUNT(*) FROM {table} GROUP BY age"
         elif i % 10 >= 7:
             width = 8 << (i % 3)
             low = 17 + width * (i % (64 // width))

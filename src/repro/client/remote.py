@@ -97,8 +97,8 @@ class RateLimited(RemoteError):
 def _inflate(status: int, headers: dict, raw: bytes, context: str) -> bytes:
     """Undo the server's negotiated ``Content-Encoding``.
 
-    Protocol v2 servers gzip-compress large bodies when the client
-    offers it; v1 servers (and small bodies) stay identity-encoded.
+    The server gzip-compresses a large body when the request's
+    ``Accept-Encoding`` admits gzip; small bodies stay identity-encoded.
     """
     encoding = headers.get("content-encoding", "").lower()
     if encoding in ("", "identity"):
@@ -190,9 +190,9 @@ class RemoteAnalyst:
         self.last_trace_id: str | None = None
         self._trace_prefix = os.urandom(4).hex()
         self._trace_ids = itertools.count(1)
-        #: ``Host`` and the fixed request headers.  Offering gzip is
-        #: protocol v2; v1 servers ignore the header and answer
-        #: identity-encoded, so the offer is always safe to make.
+        #: ``Host`` and the fixed request headers.  Gzip is negotiated
+        #: by ``Accept-Encoding`` alone, independent of the protocol
+        #: version; a server that never compresses ignores the offer.
         self._headers = [
             ("Host", f"[{host}]:{port}" if ":" in host else f"{host}:{port}"),
             ("Accept-Encoding", "gzip"),

@@ -643,70 +643,87 @@ class DProvDB:
         if compiled.kind != "group_by":
             raise UnanswerableQuery("statement has no GROUP BY keys")
         view = compiled.view
+        live = self._group_targets(compiled, accuracy, epsilon)
+        probes = [(query, query.per_bin_variance_for(target))
+                  for query, target in live]
+        mechanism = self.mechanism
         if self.fast_lane:
-            results = self._group_by_from_cache(analyst, compiled, accuracy,
-                                                epsilon)
-            if results is not None:
+            # Every non-empty group from the cached synopsis, or none: a
+            # single inadequate group means the slow path refreshes once
+            # for all of them.
+            outcomes = mechanism.cached_answers_fast(analyst, view, probes) \
+                if probes else []
+            if outcomes is not None:
                 self._note_fast_lane(hits=1)
                 self._mark_source("fast_lane")
-                return results
+                return self._group_results(analyst, compiled, outcomes)
             self._note_fast_lane(misses=1)
-        results = []
+        outcomes = []
         started = time.perf_counter()
         with self.view_section(view.name):
-            for key, query in compiled.group_parts:
-                if not np.any(query.weights):
-                    # Group excluded by the predicate: exact zero, no
-                    # privacy cost.
-                    results.append((key, Answer(analyst, 0.0, 0.0, view.name,
-                                                0.0, 0.0, True)))
-                    continue
-                target = self._accuracy_for(query, accuracy, epsilon, view)
-                outcome = self.mechanism.answer(analyst, view, query, target)
-                results.append((key, Answer(analyst, outcome.value,
-                                            outcome.epsilon_charged,
-                                            outcome.view_name,
-                                            outcome.per_bin_variance,
-                                            outcome.answer_variance,
-                                            outcome.cache_hit)))
-        source = "fresh" if any(not answer.cache_hit
-                                for _, answer in results) else "cached"
+            # The groups the current synopsis covers are answered in one
+            # probe; the first that needs a fresh release runs the full
+            # ``answer`` template (which records the one miss), and the
+            # probe resumes against whatever that release left behind —
+            # the same sequence of lookups, hits and releases as one
+            # ``answer`` call per group.
+            while len(outcomes) < len(live):
+                found = mechanism.cached_answers_fast(
+                    analyst, view, probes[len(outcomes):], prefix=True)
+                for outcome in found:
+                    if outcome is None:
+                        break
+                    outcomes.append(outcome)
+                if len(outcomes) < len(live):
+                    query, target = live[len(outcomes)]
+                    outcomes.append(mechanism.answer(analyst, view, query,
+                                                     target))
+        source = "fresh" if any(not outcome.cache_hit
+                                for outcome in outcomes) else "cached"
         self._mark_source(source)
+        results = self._group_results(analyst, compiled, outcomes)
         if source == "fresh":
             tracing.record_span("decision", started, view=view.name,
                                 outcome=source, groups=len(results))
         return results
 
-    def _group_by_from_cache(self, analyst: str, compiled: CompiledStatement,
-                             accuracy: float | None, epsilon: float | None
-                             ) -> list[tuple[tuple, Answer]] | None:
-        """Fast-lane attempt at a whole GROUP BY: every non-empty group
-        must be answerable from the cached synopsis (all-or-nothing — a
-        single inadequate group means the slow path would refresh once
-        for all of them)."""
+    def _group_targets(self, compiled: CompiledStatement,
+                       accuracy: float | None, epsilon: float | None
+                       ) -> list[tuple]:
+        """``(query, target)`` for every group the predicate leaves
+        non-empty, in group order.  An ``accuracy=`` target is one number
+        for every group; an ``epsilon=`` target scales with the group's
+        ``‖w‖²``.  With no non-empty group nothing is resolved (an
+        all-excluded GROUP BY is exact zeros at no cost)."""
         view = compiled.view
-        probes = []
-        for key, query in compiled.group_parts:
-            if query.weight_norm_sq <= 0:
-                continue
-            target = self._accuracy_for(query, accuracy, epsilon, view)
-            probes.append((query, query.per_bin_variance_for(target)))
-        outcomes = self.mechanism.cached_answers_fast(analyst, view, probes) \
-            if probes else []
-        if outcomes is None:
-            return None
-        results: list[tuple[tuple, Answer]] = []
+        live = [query for _, query in compiled.group_parts
+                if query.weight_norm_sq > 0]
+        if live and epsilon is None:
+            target = self._accuracy_for(None, accuracy, None, view)
+            return [(query, target) for query in live]
+        return [(query, self._accuracy_for(query, accuracy, epsilon, view))
+                for query in live]
+
+    @staticmethod
+    def _group_results(analyst: str, compiled: CompiledStatement,
+                       outcomes) -> list[tuple[tuple, Answer]]:
+        """Zip the non-empty groups' outcomes back into group order; a
+        group the predicate excludes is an exact zero at no privacy
+        cost."""
+        empty = Answer(analyst, 0.0, 0.0, compiled.view.name, 0.0, 0.0, True)
         answered = iter(outcomes)
+        results: list[tuple[tuple, Answer]] = []
         for key, query in compiled.group_parts:
             if query.weight_norm_sq <= 0:
-                results.append((key, Answer(analyst, 0.0, 0.0, view.name,
-                                            0.0, 0.0, True)))
+                results.append((key, empty))
                 continue
             outcome = next(answered)
-            results.append((key, Answer(analyst, outcome.value, 0.0,
+            results.append((key, Answer(analyst, outcome.value,
+                                        outcome.epsilon_charged,
                                         outcome.view_name,
                                         outcome.per_bin_variance,
-                                        outcome.answer_variance, True)))
+                                        outcome.answer_variance,
+                                        outcome.cache_hit)))
         return results
 
     def answer_batch_from_cache(self, analyst: str, view,

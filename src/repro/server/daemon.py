@@ -127,12 +127,12 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 #: planner micro-batches (when micro-batching is enabled).
 DEFAULT_MICRO_BATCH_THRESHOLD = 4
 
-#: Smallest response body worth gzip-compressing when the client offers
-#: ``Accept-Encoding: gzip`` (protocol v2).  Below this the gzip header
-#: plus the deflate call cost more than the bytes saved; above it —
-#: large GROUP BY result sets, metrics scrapes — JSON compresses ~5-10x.
-#: Clients that send no ``Accept-Encoding`` get identity bodies exactly
-#: as before, so v1 clients interoperate unchanged.
+#: Smallest response body worth gzip-compressing when the client's
+#: ``Accept-Encoding`` admits gzip (see :func:`_accepts_gzip`).  Below
+#: this the gzip header plus the deflate call cost more than the bytes
+#: saved; above it — large batches, metrics scrapes — JSON compresses
+#: ~5-10x.  A client that sends no ``Accept-Encoding``, or refuses gzip
+#: with ``q=0``, always gets identity bodies.
 GZIP_MIN_BYTES = 2048
 
 #: How long the micro-batcher lets a window fill before dispatching.
@@ -142,6 +142,13 @@ DEFAULT_MICRO_BATCH_WAIT = 0.002
 DEFAULT_MICRO_BATCH_MAX = 32
 
 _SESSION_PATH = re.compile(r"^/v1/sessions/(\d+)(?:/(query|batch))?$")
+
+#: A client-propagated trace id the daemon adopts: 1-128 letters, digits
+#: and ``._:-``.  Any other id — oversized, control characters,
+#: non-ASCII — counts as absent: it would otherwise sit in the tracer
+#: ring, be echoed in every ``lineage.trace_id`` and land verbatim in
+#: the ``--log-json`` line.
+_TRACE_ID = re.compile(r"[A-Za-z0-9._:-]{1,128}")
 
 
 def load_token_table(path: str | Path) -> dict[str, str]:
@@ -377,6 +384,31 @@ class _MicroBatcher:
 def _json_finite(forecast: dict) -> dict:
     """Strict-JSON coercion for forecasts: ``inf`` (idle) -> ``None``."""
     return {key: finite_or_none(value) for key, value in forecast.items()}
+
+
+def _accepts_gzip(header: str) -> bool:
+    """Whether an ``Accept-Encoding`` value admits gzip: its ``gzip`` (or
+    ``x-gzip``) entry, failing that its ``*`` entry, has a non-zero
+    q-value.  ``q=0`` means "not acceptable" (RFC 9110 §12.5.3); an
+    unparseable q-value counts as 0, since identity is always safe."""
+    wildcard = False
+    for entry in header.split(","):
+        coding, _, params = entry.partition(";")
+        coding = coding.strip().lower()
+        if coding not in ("gzip", "x-gzip", "*"):
+            continue
+        quality = 1.0
+        for param in params.split(";"):
+            name, _, value = param.partition("=")
+            if name.strip().lower() == "q":
+                try:
+                    quality = float(value)
+                except ValueError:
+                    quality = 0.0
+        if coding != "*":
+            return quality > 0.0
+        wildcard = quality > 0.0
+    return wildcard
 
 
 def _query_int(query: str, name: str, default: int | None) -> int | None:
@@ -894,18 +926,21 @@ class ReproServer:
         The client's propagated id rides as an optional top-level
         ``"trace"`` key in the POST payload (``decode_request`` reads
         only its own fields, so old clients and old servers are both
-        untouched).  The handler thread's body-read window — measured
-        before any trace could exist — is adopted retroactively, and the
-        finished trace lands in the shared ``service.tracer`` ring.
-        With the trace active, ``QueryService.submit`` sees a current
-        trace and reports into it instead of minting its own.
+        untouched); it is adopted only if it matches ``_TRACE_ID``,
+        otherwise the request is traced as if it carried none.  The
+        handler thread's body-read window — measured before any trace
+        could exist — is adopted retroactively, and the finished trace
+        lands in the shared ``service.tracer`` ring.  With the trace
+        active, ``QueryService.submit`` sees a current trace and reports
+        into it instead of minting its own.
         """
         tracer = self.service.tracer
         body_read = getattr(self._handler_local, "body_read", None)
         self._handler_local.body_read = None
         trace_id = payload.get("trace")
-        trace = tracer.start(trace_id if isinstance(trace_id, str)
-                             and trace_id else None)
+        if not (isinstance(trace_id, str) and _TRACE_ID.fullmatch(trace_id)):
+            trace_id = None
+        trace = tracer.start(trace_id)
         if trace is None:  # tracing disabled, or this request sampled out
             yield None
             return
@@ -1099,8 +1134,8 @@ def _build_handler(server: ReproServer) -> type:
                         extra = (("Retry-After",
                                   f"{payload['retry_after']:.3f}"),)
                 self._status = status
-                if len(data) >= GZIP_MIN_BYTES and "gzip" in \
-                        self.headers.get("accept-encoding", "").lower():
+                if len(data) >= GZIP_MIN_BYTES and _accepts_gzip(
+                        self.headers.get("accept-encoding", "")):
                     # mtime=0 keeps the body deterministic (same answer,
                     # same bytes) — useful for replay comparison and
                     # cache-friendly anyway.

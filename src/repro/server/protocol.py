@@ -14,6 +14,12 @@ Design rules:
   (tuples in process) travel as lists and are restored to tuples on
   decode; :func:`json_ready` is the shared sanitizer for anything
   shipped verbatim (snapshots, stats).
+* **Columnar GROUP BY** — a response's ``groups`` is one object of
+  equal-length lists: ``keys`` (each a list of JSON scalars) plus one
+  column per :class:`~repro.core.engine.Answer` field, so a G-group
+  result costs G list entries per field rather than G nested objects.
+  Each column is type-checked once on decode; the in-process shape is
+  still ``((key, Answer), ...)``.
 
 Malformed payloads raise :class:`WireFormatError`, which the daemon maps
 to ``400`` with a ``{"error": ...}`` body.
@@ -22,6 +28,7 @@ to ``400`` with a ``{"error": ...}`` body.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Any
 
 from repro.core.engine import Answer
@@ -31,8 +38,9 @@ from repro.exceptions import ReproError
 from repro.service.session import Lineage, QueryRequest, QueryResponse
 
 #: Version of the wire format.  Bump on any incompatible envelope change;
-#: decoders refuse envelopes stamped with a different version.
-PROTOCOL_VERSION = 1
+#: decoders refuse envelopes stamped with a different version.  Version 2
+#: made a GROUP BY's ``groups`` columnar.
+PROTOCOL_VERSION = 2
 
 #: Machine ``kind`` tags used in error envelopes, mapped onto HTTP status
 #: codes by the daemon (and back onto exceptions by the client).
@@ -175,16 +183,103 @@ def _decode_answer(payload: Any, context: str) -> Answer:
                   num("per_bin_variance"), num("answer_variance"), cache_hit)
 
 
-def _decode_group_key(raw: Any, context: str) -> tuple:
-    if not isinstance(raw, list):
-        raise WireFormatError(f"{context}: group 'key' must be a list")
-    for part in raw:
-        if part is not None and isinstance(part, bool):
-            continue
-        if part is not None and not isinstance(part, (str, int, float)):
-            raise WireFormatError(f"{context}: group key parts must be "
-                                  f"JSON scalars")
-    return tuple(raw)
+#: Entry types each kind of GROUP BY column admits, matched by exact
+#: ``type`` (what ``json.loads`` produces), so a bool is never a number.
+_NUMBER_TYPES = frozenset((int, float))
+_STRING_TYPES = frozenset((str,))
+_BOOL_TYPES = frozenset((bool,))
+_KEY_PART_TYPES = frozenset((str, int, float, bool, type(None)))
+#: Key parts that are already their own strict-JSON image (a float may
+#: be non-finite, so floats take the :func:`json_ready` path).
+_PLAIN_KEY_TYPES = frozenset((str, int, bool, type(None)))
+
+
+def _finite_column(values) -> list:
+    """:func:`finite_or_none` over a column, in one C-level pass when
+    every entry is finite (the normal case)."""
+    numbers = list(map(float, values))
+    if all(map(math.isfinite, numbers)):
+        return numbers
+    return [number if math.isfinite(number) else None for number in numbers]
+
+
+def _encode_groups(groups) -> dict:
+    keys = [list(key) for key, _ in groups]
+    for key in keys:
+        if not _PLAIN_KEY_TYPES.issuperset(map(type, key)):
+            keys = json_ready(keys)
+            break
+    answers = [answer for _, answer in groups]
+
+    def column(field: str):
+        return map(attrgetter(field), answers)
+
+    return {
+        "keys": keys,
+        "analyst": list(column("analyst")),
+        "view_name": list(column("view_name")),
+        "value": _finite_column(column("value")),
+        "epsilon_charged": _finite_column(column("epsilon_charged")),
+        "per_bin_variance": _finite_column(column("per_bin_variance")),
+        "answer_variance": _finite_column(column("answer_variance")),
+        "cache_hit": list(map(bool, column("cache_hit"))),
+    }
+
+
+def _column(body: dict, field: str, size: int, kinds: frozenset,
+            what: str) -> list:
+    """One GROUP BY column: a list of ``size`` entries whose types are
+    all in ``kinds``."""
+    column = body.get(field)
+    if not isinstance(column, list):
+        raise WireFormatError(f"response.groups: missing column {field!r}")
+    if len(column) != size:
+        raise WireFormatError(f"response.groups: column {field!r} has "
+                              f"{len(column)} entries, 'keys' has {size}")
+    if not kinds.issuperset(map(type, column)):
+        raise WireFormatError(f"response.groups: column {field!r} must "
+                              f"hold {what}")
+    return column
+
+
+def _numbers(body: dict, field: str, size: int) -> list[float]:
+    """A numeric column as finite floats.  ``json.loads`` accepts the
+    NaN/Infinity tokens strict JSON lacks, and integer literals beyond
+    float range; :func:`json_ready` never emits either."""
+    column = _column(body, field, size, _NUMBER_TYPES, "numbers")
+    try:
+        numbers = list(map(float, column))
+        if all(map(math.isfinite, numbers)):
+            return numbers
+    except OverflowError:
+        pass
+    raise WireFormatError(f"response.groups: column {field!r} must hold "
+                          f"finite numbers")
+
+
+def _decode_groups(payload: Any) -> tuple:
+    if not isinstance(payload, dict):
+        raise WireFormatError("response: 'groups' must be an object of "
+                              "columns")
+    keys = payload.get("keys")
+    if not isinstance(keys, list):
+        raise WireFormatError("response.groups: missing column 'keys'")
+    size = len(keys)
+    for key in keys:
+        if not isinstance(key, list) or \
+                not _KEY_PART_TYPES.issuperset(map(type, key)):
+            raise WireFormatError("response.groups: each key must be a "
+                                  "list of JSON scalars")
+    answers = map(
+        Answer,
+        _column(payload, "analyst", size, _STRING_TYPES, "strings"),
+        _numbers(payload, "value", size),
+        _numbers(payload, "epsilon_charged", size),
+        _column(payload, "view_name", size, _STRING_TYPES, "strings"),
+        _numbers(payload, "per_bin_variance", size),
+        _numbers(payload, "answer_variance", size),
+        _column(payload, "cache_hit", size, _BOOL_TYPES, "booleans"))
+    return tuple(zip(map(tuple, keys), answers))
 
 
 def _encode_lineage(lineage: Lineage) -> dict:
@@ -248,10 +343,7 @@ def encode_response(response: QueryResponse) -> dict:
     if response.answer is not None:
         body["answer"] = _encode_answer(response.answer)
     if response.groups is not None:
-        body["groups"] = [
-            {"key": json_ready(list(key)), "answer": _encode_answer(answer)}
-            for key, answer in response.groups
-        ]
+        body["groups"] = _encode_groups(response.groups)
     if response.lineage is not None:
         body["lineage"] = _encode_lineage(response.lineage)
     return body
@@ -273,17 +365,7 @@ def decode_response(payload: Any) -> QueryResponse:
     if answer is not None:
         answer = _decode_answer(answer, "response.answer")
     if groups is not None:
-        if not isinstance(groups, list):
-            raise WireFormatError("response: 'groups' must be a list")
-        decoded = []
-        for i, entry in enumerate(groups):
-            context = f"response.groups[{i}]"
-            entry = _require(entry, context)
-            decoded.append((
-                _decode_group_key(entry.get("key"), context),
-                _decode_answer(entry.get("answer"), context),
-            ))
-        groups = tuple(decoded)
+        groups = _decode_groups(groups)
     lineage = body.get("lineage")
     if lineage is not None:
         lineage = _decode_lineage(lineage, "response.lineage")

@@ -33,9 +33,9 @@ def _with_lineage(engine: DProvDB, analyst: str, response: QueryResponse,
     This runs once per answer: the response is always freshly
     constructed by our caller and has not escaped yet, so the lineage
     is attached in place rather than via ``dataclasses.replace``, the
-    scalar shape skips the ``answers()`` tuple and the ε summation
-    loop, and the :class:`Lineage` construction is positional — each
-    measurably moves warm-path q/s on its own.
+    scalar shape skips the ε summation loop, a GROUP BY sums straight
+    off its groups, and the :class:`Lineage` construction is positional
+    — each measurably moves warm-path q/s on its own.
     """
     answer = response.answer
     if answer is not None:
@@ -44,12 +44,12 @@ def _with_lineage(engine: DProvDB, analyst: str, response: QueryResponse,
             source = engine.last_answer_source()
         epsilon = answer.epsilon_charged
     else:
-        answers = response.answers()
-        if answers:
-            view = answers[0].view_name
+        groups = response.groups
+        if groups:
+            view = groups[0][1].view_name
             if source is None:
                 source = engine.last_answer_source()
-            epsilon = sum(a.epsilon_charged for a in answers)
+            epsilon = sum(a.epsilon_charged for _, a in groups)
         else:
             if source is None:
                 source = "rejected" if response.rejected else "error"

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.core.analyst import Analyst
-from repro.core.engine import Answer, DProvDB
+from repro.core.engine import DProvDB
 from repro.core.synopsis import SynopsisStore
 from repro.datasets.base import DatasetBundle
 from repro.exceptions import ReproError, ServiceClosed, SessionClosed
@@ -99,16 +99,6 @@ class ServiceStats:
         """Compensated per-analyst epsilon totals, as plain floats."""
         return {name: term.value
                 for name, term in self.epsilon_terms.items()}
-
-    def _record_answer(self, analyst: str, answer: Answer) -> None:
-        if answer.cache_hit:
-            self.answer_cache_hits += 1
-        else:
-            self.fresh_releases += 1
-        term = self.epsilon_terms.get(analyst)
-        if term is None:
-            term = self.epsilon_terms[analyst] = CompensatedSum()
-        term.add(answer.epsilon_charged)
 
     def as_dict(self) -> dict:
         """Strictly JSON-serializable counters (the wire protocol ships
@@ -478,18 +468,40 @@ class QueryService:
     def _account_locked(self, session: Session,
                         response: QueryResponse) -> None:
         """Fold one response into session + service counters (stats lock
-        held)."""
-        session._record(response)
-        self.stats.submitted += 1
+        held), in one pass over its answers: per answer, the session's
+        plain ε sum and the analyst's compensated term each add its
+        charge in answer order."""
+        stats = self.stats
+        session.submitted += 1
+        stats.submitted += 1
         if not response.ok:
             if response.rejected:
-                self.stats.rejected += 1
+                session.rejected += 1
+                stats.rejected += 1
             else:
-                self.stats.failed += 1
+                session.failed += 1
+                stats.failed += 1
             return
-        self.stats.answered += 1
-        for answer in response.answers():
-            self.stats._record_answer(session.analyst, answer)
+        session.answered += 1
+        stats.answered += 1
+        answer = response.answer
+        answers = (answer,) if answer is not None \
+            else [answer for _, answer in response.groups or ()]
+        if not answers:
+            return
+        term = stats.epsilon_terms.get(session.analyst)
+        if term is None:
+            term = stats.epsilon_terms[session.analyst] = CompensatedSum()
+        hits = 0
+        for answer in answers:
+            epsilon = answer.epsilon_charged
+            session.epsilon_spent += epsilon
+            term.add(epsilon)
+            if answer.cache_hit:
+                hits += 1
+        session.cache_hits += hits
+        stats.answer_cache_hits += hits
+        stats.fresh_releases += len(answers) - hits
 
     # -- reporting ------------------------------------------------------------
     def analyst_spent(self, analyst: str) -> float:

@@ -115,19 +115,5 @@ class Session:
     batches: int = 0
     closed: bool = False
 
-    def _record(self, response: QueryResponse) -> None:
-        self.submitted += 1
-        if not response.ok:
-            if response.rejected:
-                self.rejected += 1
-            else:
-                self.failed += 1
-            return
-        self.answered += 1
-        for answer in response.answers():
-            self.epsilon_spent += answer.epsilon_charged
-            if answer.cache_hit:
-                self.cache_hits += 1
-
 
 __all__ = ["Lineage", "QueryRequest", "QueryResponse", "Session"]

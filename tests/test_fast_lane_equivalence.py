@@ -530,19 +530,22 @@ class TestCompensatedAccounting:
         must agree with provenance_summary to fsum precision."""
         from repro.core.engine import Answer
         from repro.persistence.schema import provenance_summary
-        from repro.service.service import ServiceStats
+        from repro.service.service import QueryService
+        from repro.service.session import QueryResponse
 
         engine = DProvDB(adult_bundle, analysts, epsilon=1e9, seed=0)
         view = engine.registry.view_names[0]
-        stats = ServiceStats()
+        service = QueryService(engine)
+        session = service.open_session("low")
         rng = np.random.default_rng(99)
         charges = (rng.random(10_000) * 1e-3).tolist()
         for charge in charges:
             engine.provenance.add("low", view, charge)
-            stats._record_answer("low", Answer("low", 0.0, charge, view,
-                                               0.0, 0.0, False))
+            service._account(session, QueryResponse(0, answer=Answer(
+                "low", 0.0, charge, view, 0.0, 0.0, False)))
+        service.close()
         ledger = provenance_summary(engine)["epsilon_by_analyst"]["low"]
-        compensated = stats.epsilon_by_analyst["low"]
+        compensated = service.stats.epsilon_by_analyst["low"]
         # The compensated sum is exact to one final rounding...
         assert compensated == pytest.approx(math.fsum(charges), abs=1e-15)
         # ...and therefore within float dust of the ledger's running sum.

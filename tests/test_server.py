@@ -29,7 +29,7 @@ from repro.exceptions import (
     UnknownAnalyst,
 )
 from repro.server.daemon import ReproServer, _query_int
-from repro.server.protocol import WireFormatError
+from repro.server.protocol import PROTOCOL_VERSION, WireFormatError
 from repro.client.remote import RemoteError
 from repro.service.service import QueryService
 from repro.service.session import QueryRequest
@@ -178,7 +178,7 @@ class TestEndToEnd:
         with RemoteAnalyst(server.url, token="analyst_01") as client:
             health = client.health()
             assert health["status"] == "ok"
-            assert health["protocol"] == 1
+            assert health["protocol"] == PROTOCOL_VERSION
             snapshot = client.snapshot()
             json.dumps(snapshot, allow_nan=False)
             assert snapshot == server.service.snapshot()
@@ -343,18 +343,18 @@ class TestStatusMapping:
 
 
 class TestGzipNegotiation:
-    """Protocol v2 content negotiation: bodies at or above
-    ``GZIP_MIN_BYTES`` gzip-compress when the client offers
-    ``Accept-Encoding: gzip``; old clients (no header) and small bodies
-    keep identity encoding, so v1 clients never see compressed bytes.
+    """Content negotiation: bodies at or above ``GZIP_MIN_BYTES``
+    gzip-compress when the request's ``Accept-Encoding`` admits gzip
+    with a non-zero q-value; clients that send no header, refuse gzip
+    with ``q=0``, or get a small body keep identity encoding.
     """
 
     @staticmethod
-    def _raw(server, method, path, body=None, accept_gzip=False):
+    def _raw(server, method, path, body=None, accept=None):
         conn = http.client.HTTPConnection(server.host, server.port)
         headers = {"Content-Type": "application/json"}
-        if accept_gzip:
-            headers["Accept-Encoding"] = "gzip"
+        if accept is not None:
+            headers["Accept-Encoding"] = accept
         conn.request(method, path, body=body, headers=headers)
         reply = conn.getresponse()
         raw = reply.read()
@@ -395,7 +395,7 @@ class TestGzipNegotiation:
     def test_large_body_round_trips_gzipped(self, server, bundle):
         path, body = self._batch(server, bundle, 40)
         reply, raw = self._raw(server, "POST", path, body=body,
-                               accept_gzip=True)
+                               accept="gzip")
         assert reply.status == 200
         assert reply.getheader("Content-Encoding") == "gzip"
         inflated = gzip.decompress(raw)
@@ -408,10 +408,46 @@ class TestGzipNegotiation:
 
     def test_small_body_stays_identity_even_when_offered(self, server):
         reply, raw = self._raw(server, "GET", "/v1/health",
-                               accept_gzip=True)
+                               accept="gzip")
         assert reply.status == 200
         assert reply.getheader("Content-Encoding") is None
         assert json.loads(raw)["status"] == "ok"
+
+    def test_q_zero_means_not_acceptable(self, server, bundle):
+        """A 74-group GROUP BY is well over the threshold; only an
+        ``Accept-Encoding`` that admits gzip with q > 0 gets gzip
+        (RFC 9110 §12.5.3), and every encoding decodes to the same
+        response."""
+        from repro.server.daemon import GZIP_MIN_BYTES
+        from repro.server.protocol import decode_response
+
+        reply, raw = self._raw(server, "POST", "/v1/sessions",
+                               body=json.dumps({"token": "analyst_00"}))
+        path = f"/v1/sessions/{json.loads(raw)['session_id']}/query"
+        body = json.dumps({
+            "sql": f"SELECT age, COUNT(*) FROM {bundle.fact_table} "
+                   f"GROUP BY age", "accuracy": 4e4})
+        cases = [(None, None), ("gzip;q=0", None), ("gzip", "gzip"),
+                 ("GZIP; Q=0.000", None), ("gzip;q=0.5", "gzip"),
+                 ("identity, gzip;q=0", None), ("x-gzip", "gzip"),
+                 ("*", "gzip"), ("*;q=0", None), ("gzip;q=0, *", None),
+                 ("br, *;q=0.1", "gzip"), ("gzip;q=bogus", None),
+                 ("deflate", None)]
+        groups = set()
+        for accept, expected in cases:
+            reply, raw = self._raw(server, "POST", path, body=body,
+                                   accept=accept)
+            assert reply.status == 200
+            assert reply.getheader("Content-Encoding") == expected, accept
+            if expected == "gzip":
+                raw = gzip.decompress(raw)
+            assert len(raw) >= GZIP_MIN_BYTES
+            response = decode_response(json.loads(raw))
+            assert len(response.groups) == 74
+            groups.add(response.groups)
+        # The first query released; every later one is the same cached
+        # synopsis, whatever the encoding.
+        assert len(groups) == 2
 
     def test_remote_client_decompresses_transparently(self, server,
                                                       bundle):

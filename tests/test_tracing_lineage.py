@@ -22,10 +22,13 @@ end — two parsed samples in, alert strings out, no server or clock.
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 
 import pytest
 
+from repro.client import RemoteAnalyst
 from repro.datasets import load_adult
 from repro.metrics import tracing
 from repro.metrics.monitor import evaluate, family_total
@@ -40,6 +43,7 @@ from repro.metrics.tracing import (
     Trace,
     Tracer,
 )
+from repro.server.daemon import ReproServer
 from repro.server.protocol import (
     decode_response,
     encode_response,
@@ -281,6 +285,84 @@ class TestWire:
         decoded = decode_response(body)
         assert decoded.lineage.epsilon == 0.0
         assert decoded.lineage.source == "fresh"
+
+
+class TestPropagatedTraceIds:
+    """The daemon adopts a client's ``"trace"`` id only when it is a
+    short printable token.  Any other id is treated as absent: it is
+    never kept in the tracer ring, echoed in ``lineage.trace_id`` or
+    written to the ``--log-json`` line."""
+
+    HOSTILE = ["x" * 129, "y" * (1 << 20), "line\nbreak", "tab\tid",
+               "nul\x00id", "esc\x1b[31m", "caf\u00e9", ""]
+
+    @staticmethod
+    def _raw_queries(live, bundle, trace_ids) -> list:
+        """POST one query per id over a raw connection; returns each
+        response's decoded lineage trace id."""
+        conn = http.client.HTTPConnection(live.host, live.port)
+
+        def post(path, payload):
+            conn.request("POST", path, body=json.dumps(payload),
+                         headers={"Content-Type": "application/json"})
+            reply = conn.getresponse()
+            return reply.status, json.loads(reply.read())
+
+        try:
+            status, opened = post("/v1/sessions", {"token": "analyst_00"})
+            assert status == 200
+            path = f"/v1/sessions/{opened['session_id']}/query"
+            echoed = []
+            for trace_id in trace_ids:
+                status, body = post(path, {"sql": first_attribute_sql(bundle),
+                                           "accuracy": ACCURACY,
+                                           "trace": trace_id})
+                assert status == 200
+                echoed.append(decode_response(body).lineage.trace_id)
+            return echoed
+        finally:
+            conn.close()
+
+    def test_hostile_ids_neither_retained_nor_echoed(self, bundle, capsys):
+        service = make_service(bundle)
+        live = ReproServer(service, port=0, log_json=True).start()
+        try:
+            echoed = self._raw_queries(live, bundle, self.HOSTILE)
+            retained = [trace["trace_id"]
+                        for trace in service.tracer.recent()]
+        finally:
+            live.shutdown(drain_timeout=10.0)
+        logged = [json.loads(line)["trace"] for line
+                  in capsys.readouterr().err.splitlines()
+                  if line.startswith("{")]
+        assert len(echoed) == len(self.HOSTILE)
+        for hostile in self.HOSTILE:
+            assert hostile not in echoed
+            assert hostile not in retained
+            assert hostile not in logged
+        # Every id the daemon did keep is one it minted itself.
+        assert all(len(trace_id) <= 128 and trace_id.isprintable()
+                   for trace_id in retained + [t for t in echoed if t])
+
+    def test_well_formed_ids_are_adopted(self, bundle):
+        service = make_service(bundle)
+        live = ReproServer(service, port=0).start()
+        try:
+            longest = "a.b:c-d_" * 16  # exactly 128 characters
+            echoed = self._raw_queries(live, bundle, [longest])
+            assert echoed == [longest]
+            with RemoteAnalyst(live.url, token="analyst_01") as client:
+                session = client.open_session()
+                response = client.submit(session,
+                                         first_attribute_sql(bundle),
+                                         accuracy=ACCURACY)
+                minted = client.last_trace_id
+                assert minted and response.lineage.trace_id == minted
+                found = {trace["trace_id"]
+                         for trace in client.traces()["traces"]}
+        finally:
+            live.shutdown(drain_timeout=10.0)
+        assert {longest, minted} <= found
 
 
 # ---------------------------------------------------------------------------

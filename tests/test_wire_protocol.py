@@ -175,6 +175,107 @@ class TestMalformed:
             ("x", "brand_new")
 
 
+def _three_groups() -> QueryResponse:
+    return QueryResponse(4, groups=(
+        (("female", 20), Answer("alice", 12.5, 0.25, "adult.sex_age",
+                                100.0, 200.0, False)),
+        (("male", 20), Answer("alice", -3.0, 0.0, "adult.sex_age",
+                              100.0, 200.0, True)),
+        (("male", 30), Answer("alice", 0.0, 0.0, "adult.sex_age",
+                              0.0, 0.0, True)),
+    ))
+
+
+def _mutated(edit):
+    """A valid columnar GROUP BY payload with ``edit`` applied to it."""
+    body = json.loads(json.dumps(encode_response(_three_groups())))
+    edit(body)
+    return body
+
+
+class TestColumnarGroups:
+    """Protocol 2: a GROUP BY's ``groups`` is one object of equal-length
+    columns, each checked once on decode."""
+
+    def test_columnar_shape_is_pinned(self):
+        body = encode_response(_three_groups())
+        assert body["protocol"] == PROTOCOL_VERSION == 2
+        assert body["groups"] == {
+            "keys": [["female", 20], ["male", 20], ["male", 30]],
+            "analyst": ["alice"] * 3,
+            "view_name": ["adult.sex_age"] * 3,
+            "value": [12.5, -3.0, 0.0],
+            "epsilon_charged": [0.25, 0.0, 0.0],
+            "per_bin_variance": [100.0, 100.0, 0.0],
+            "answer_variance": [200.0, 200.0, 0.0],
+            "cache_hit": [False, True, True],
+        }
+        wire = json.loads(json.dumps(body, allow_nan=False))
+        assert decode_response(wire) == _three_groups()
+
+    def test_empty_group_list_round_trips(self):
+        response = QueryResponse(0, groups=())
+        body = encode_response(response)
+        assert len(body["groups"]) == 8
+        assert all(column == [] for column in body["groups"].values())
+        assert decode_response(body) == response
+
+    def test_integer_numbers_decode_as_floats(self):
+        body = _mutated(lambda b: b["groups"].update(value=[12, -3, 0]))
+        values = [a.value for _, a in decode_response(body).groups]
+        assert values == [12.0, -3.0, 0.0]
+        assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda b: b["groups"]["value"].pop(),
+                     id="short-column"),
+        pytest.param(lambda b: b["groups"]["cache_hit"].append(True),
+                     id="long-column"),
+        pytest.param(lambda b: b["groups"]["keys"].pop(),
+                     id="short-keys"),
+        pytest.param(lambda b: b["groups"]["value"].__setitem__(1, True),
+                     id="bool-number"),
+        pytest.param(lambda b: b["groups"]["epsilon_charged"].__setitem__(
+            0, float("nan")), id="nan-number"),
+        pytest.param(lambda b: b["groups"]["answer_variance"].__setitem__(
+            2, float("inf")), id="inf-number"),
+        pytest.param(lambda b: b["groups"]["per_bin_variance"].__setitem__(
+            0, 10 ** 400), id="huge-int-number"),
+        pytest.param(lambda b: b["groups"]["value"].__setitem__(0, "1.5"),
+                     id="string-number"),
+        pytest.param(lambda b: b["groups"]["value"].__setitem__(0, None),
+                     id="null-number"),
+        pytest.param(lambda b: b["groups"]["cache_hit"].__setitem__(0, 1),
+                     id="int-cache-hit"),
+        pytest.param(lambda b: b["groups"]["cache_hit"].__setitem__(
+            2, "true"), id="string-cache-hit"),
+        pytest.param(lambda b: b["groups"]["analyst"].__setitem__(1, 7),
+                     id="int-analyst"),
+        pytest.param(lambda b: b["groups"]["view_name"].__setitem__(
+            0, None), id="null-view-name"),
+        pytest.param(lambda b: b["groups"]["keys"].__setitem__(0, "male"),
+                     id="key-not-a-list"),
+        pytest.param(lambda b: b["groups"]["keys"].__setitem__(
+            0, [["nested"]]), id="key-part-not-scalar"),
+        pytest.param(lambda b: b["groups"].pop("answer_variance"),
+                     id="missing-column"),
+        pytest.param(lambda b: b["groups"].pop("keys"), id="missing-keys"),
+        pytest.param(lambda b: b["groups"].__setitem__("value", {"0": 1.0}),
+                     id="column-not-a-list"),
+        pytest.param(lambda b: b.__setitem__("groups", [
+            {"key": ["female", 20],
+             "answer": {"analyst": "alice", "value": 12.5,
+                        "epsilon_charged": 0.25, "view_name": "v",
+                        "per_bin_variance": 1.0, "answer_variance": 2.0,
+                        "cache_hit": False}}]), id="protocol-1-row-list"),
+        pytest.param(lambda b: b.__setitem__("protocol", 1),
+                     id="protocol-1-envelope"),
+    ])
+    def test_malformed_columns_refused(self, edit):
+        with pytest.raises(WireFormatError):
+            decode_response(_mutated(edit))
+
+
 class TestJsonReady:
     def test_numpy_scalars_and_tuples(self):
         cooked = json_ready({
