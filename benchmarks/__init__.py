@@ -1,1 +1,2 @@
-"""Benchmark package: one module per paper table/figure (see DESIGN.md §3)."""
+"""Benchmark package: one module per paper table/figure (index in
+``repro.experiments``; how to run them: the README's "Tests" section)."""

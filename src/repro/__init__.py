@@ -14,8 +14,9 @@ Quick start::
         accuracy=2500.0,
     )
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-vs-measured results of every table and figure.
+``repro.experiments`` indexes one regenerator per paper table and figure,
+``benchmarks/bench_*.py`` asserts the qualitative shape of each, and the
+README's "Tests" section shows how to run them.
 """
 
 from repro.core import (

@@ -9,7 +9,8 @@ Usage::
     python -m repro serve --port 8321 --analysts 8 --epsilon 12
     python -m repro list
 
-Each subcommand maps to one experiment regenerator (see DESIGN.md §3);
+Each subcommand maps to one experiment regenerator (indexed in
+:mod:`repro.experiments`; ``benchmarks/bench_*.py`` checks each);
 options control the reduced scale.  Output is the same text tables the
 benchmarks print.  The serving stack's benchmark is ``perf/run.py``
 (see ``perf/README.md``), not a subcommand.

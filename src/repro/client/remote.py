@@ -171,6 +171,13 @@ class RemoteAnalyst:
         if retry_rate_limited < 0:
             raise ReproError(f"retry_rate_limited must be >= 0, "
                              f"got {retry_rate_limited}")
+        # The token travels in every request's Authorization header, so
+        # it must be one line of header-safe text.
+        if not token.isprintable() or token != token.strip() \
+                or max(token, default="") > "\xff":
+            raise ReproError("token must be printable latin-1 text without "
+                             "surrounding spaces (it travels in the "
+                             "Authorization header)")
         self._host, self._port, self._timeout = host, port, timeout
         self.token = token
         #: How many times a 429 is retried (sleeping out the server's
@@ -193,8 +200,10 @@ class RemoteAnalyst:
         #: ``Host`` and the fixed request headers.  Gzip is negotiated
         #: by ``Accept-Encoding`` alone, independent of the protocol
         #: version; a server that never compresses ignores the offer.
+        #: The bearer token authenticates every session-route request.
         self._headers = [
             ("Host", f"[{host}]:{port}" if ":" in host else f"{host}:{port}"),
+            ("Authorization", f"Bearer {token}"),
             ("Accept-Encoding", "gzip"),
             ("Content-Type", "application/json")]
         self._sock: socket.socket | None = None

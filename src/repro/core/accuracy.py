@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import ndtri
+from statistics import NormalDist
 
 from repro.exceptions import ReproError
+
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class ConfidenceInterval:
 
     @property
     def z_score(self) -> float:
-        return float(ndtri((1.0 + self.confidence) / 2.0))
+        return _STANDARD_NORMAL.inv_cdf((1.0 + self.confidence) / 2.0)
 
     def to_variance(self) -> float:
         return (self.half_width / self.z_score) ** 2

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from repro.core.analyst import Analyst
 from repro.core.policies import (
     analyst_constraints_max,
@@ -40,15 +38,27 @@ class CorruptionGraph:
         if len(names) != len(analysts):
             raise ReproError("duplicate analyst names")
 
-        graph = nx.Graph()
-        graph.add_nodes_from(names)
+        # Union-find over analyst names (path halving); each edge merges
+        # the two endpoints' components.
+        parent = {name: name for name in names}
+
+        def root(name: str) -> str:
+            while parent[name] != name:
+                parent[name] = parent[parent[name]]
+                name = parent[name]
+            return name
+
         for u, v in edges:
             if u not in names or v not in names:
                 raise ReproError(f"edge ({u!r}, {v!r}) references unknown analyst")
-            graph.add_edge(u, v)
+            parent[root(u)] = root(v)
+        members: dict[str, set[str]] = {}
+        for name in names:
+            members.setdefault(root(name), set()).add(name)
+        components = sorted((frozenset(c) for c in members.values()), key=min)
 
         limit = t if strict else t + 1  # components must have < limit nodes
-        for component in nx.connected_components(graph):
+        for component in components:
             if len(component) >= limit:
                 raise ReproError(
                     f"component {sorted(component)} has {len(component)} nodes, "
@@ -56,21 +66,16 @@ class CorruptionGraph:
                 )
         self.t = t
         self.n = len(names)
-        self._graph = graph
+        self._components = components
         self._analysts = {a.name: a for a in analysts}
-
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
 
     def components(self) -> list[frozenset[str]]:
         """Disjoint coalitions, deterministically ordered."""
-        comps = [frozenset(c) for c in nx.connected_components(self._graph)]
-        return sorted(comps, key=lambda c: sorted(c)[0])
+        return list(self._components)
 
     @property
     def num_components(self) -> int:
-        return nx.number_connected_components(self._graph)
+        return len(self._components)
 
     def total_budget(self, table_budget: float) -> float:
         """Theorem 7.2: aggregate spendable budget is ``k * psi_P``."""

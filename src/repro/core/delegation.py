@@ -112,27 +112,19 @@ class DelegationManager:
             )
         return grant
 
-    def check_budget(self, grant: Grant, epsilon: float) -> None:
-        """Refuse charges beyond the grant's cap (read-only probe).
+    def reserve(self, grant: Grant, epsilon: float) -> None:
+        """Atomically check the cap and provisionally charge ``epsilon``.
 
-        Raises :class:`QueryRejected` so workload loops treat an exhausted
-        grant like any other budget refusal.
+        Raises :class:`QueryRejected` beyond the grant's cap, so workload
+        loops treat an exhausted grant like any other budget refusal.
         """
         with self._lock:
-            self._check_locked(grant, epsilon)
-
-    def _check_locked(self, grant: Grant, epsilon: float) -> None:
-        if epsilon > grant.remaining + 1e-12:
-            raise QueryRejected(
-                f"grant {grant.grant_id} cap exhausted "
-                f"(remaining {grant.remaining:.4f}, needs {epsilon:.4f})",
-                constraint="row",
-            )
-
-    def reserve(self, grant: Grant, epsilon: float) -> None:
-        """Atomically check the cap and provisionally charge ``epsilon``."""
-        with self._lock:
-            self._check_locked(grant, epsilon)
+            if epsilon > grant.remaining + 1e-12:
+                raise QueryRejected(
+                    f"grant {grant.grant_id} cap exhausted "
+                    f"(remaining {grant.remaining:.4f}, needs {epsilon:.4f})",
+                    constraint="row",
+                )
             grant.consumed += epsilon
 
     def settle(self, grant: Grant, reserved: float, actual: float) -> None:

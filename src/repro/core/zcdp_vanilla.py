@@ -23,7 +23,7 @@ from repro.core.mechanism import Outcome
 from repro.core.vanilla import VanillaMechanism
 from repro.dp.gaussian import analytic_gaussian_sigma
 from repro.dp.zcdp import rho_from_sigma, zcdp_to_approx_dp
-from repro.exceptions import QueryRejected
+from repro.exceptions import QueryRejected, ReproError
 from repro.views.histogram import HistogramView
 from repro.views.linear import LinearQuery
 
@@ -36,6 +36,14 @@ class ZCdpVanillaMechanism(VanillaMechanism):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        if self.constraints.groups:
+            # Theorem 7.2's coalition budget is a sum of epsilons; the rho
+            # checks below never consult it, so accepting groups here would
+            # silently drop the coalition limits.
+            raise ReproError(
+                "coalition limits (Constraints.groups) require "
+                "mechanism='vanilla'; the zCDP checks do not compose "
+                "coalitions")
         # Rho ledgers are the zCDP analogue of the provenance tallies; the
         # lock makes their check-then-charge one atomic step (the epsilon
         # provenance entries are charged via the table's own atomic ops).

@@ -14,8 +14,12 @@ Three entry points matter to the rest of the system:
 
 The calibration implements Algorithm 1 of Balle & Wang exactly (the
 ``B⁺``/``B⁻`` characterisation with a doubling bracket followed by bisection),
-computed in log space via ``scipy.special.log_ndtr`` so that large ``eps``
-does not overflow ``exp(eps) * Phi(b)``.
+computed in log space so that large ``eps`` does not overflow
+``exp(eps) * Phi(b)``.  The normal CDF and its logarithm (:func:`ndtr`,
+:func:`log_ndtr`) are built on the C library's ``erfc`` through
+:mod:`math`, with the standard asymptotic series below the point where
+``erfc`` underflows; they agree with ``scipy.special`` to ~1e-13 relative,
+which the tests check with scipy as the oracle.
 
 **Both directions are memoised on their exact arguments.**  Each is a pure
 function of a handful of floats — ``(σ, δ, Δ, upper, p)`` one way,
@@ -50,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from repro.dp.rng import SeedLike, ensure_generator
 
@@ -62,6 +65,42 @@ DEFAULT_TOLERANCE = 1e-12
 #: 1.7 MiB), not a tuning knob: one ``fresh_rounds`` benchmark epoch asks
 #: 443 + 75 distinct tuples.
 CALIBRATION_MEMO_SIZE = 4096
+
+_SQRT_HALF = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+#: Below this ``x`` the lower tail ``Phi(x)`` nears ``erfc``'s underflow
+#: (``erfc(26.6)`` is subnormal), so :func:`log_ndtr` sums the asymptotic
+#: series instead; at ``x = -36`` it converges in six terms.
+_LOG_NDTR_SERIES_BELOW = -36.0
+
+
+def ndtr(x: float) -> float:
+    """Standard normal CDF ``Phi(x)``, accurate in both tails."""
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def log_ndtr(x: float) -> float:
+    """``log Phi(x)`` without underflow for any finite ``x``.
+
+    Near the upper tail ``log1p`` keeps ``log(1 - Phi(-x))`` exact; in the
+    lower tail ``Phi(x)`` is a normal float down to ``x = -36``, and below
+    that ``log Phi(x) = -x²/2 - log(-x) - log sqrt(2π)
+    + log(1 - 1/x² + 3/x⁴ - 15/x⁶ + ...)``.
+    """
+    if x >= _LOG_NDTR_SERIES_BELOW or x != x:  # NaN propagates
+        if x > -1.0:
+            return math.log1p(-0.5 * math.erfc(x * _SQRT_HALF))
+        return math.log(0.5 * math.erfc(-x * _SQRT_HALF))
+    inverse_square = 1.0 / (x * x)
+    term = total = 1.0
+    k = 1
+    while True:
+        term *= -(2 * k - 1) * inverse_square
+        if total + term == total:
+            break
+        total += term
+        k += 1
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log(total)
 
 
 def _require_finite(**arguments: float) -> None:
@@ -89,24 +128,42 @@ def gaussian_delta(epsilon: float, sigma: float, sensitivity: float = 1.0) -> fl
         return 1.0
     if sensitivity <= 0:
         return 0.0
-    a = sensitivity / (2.0 * sigma) - epsilon * sigma / sensitivity
-    b = -sensitivity / (2.0 * sigma) - epsilon * sigma / sensitivity
-    # ndtr(a) - exp(eps + log Phi(b)), guarded in log space for large eps.
-    second = math.exp(min(epsilon + float(log_ndtr(b)), 700.0))
-    delta = float(ndtr(a)) - second
-    return max(delta, 0.0)
+    half = sensitivity / (2.0 * sigma)
+    shift = epsilon * sigma / sensitivity
+    b = -half - shift
+    # Phi(a) - exp(eps + log Phi(b)) with a = half - shift, in log space so
+    # large eps cannot overflow.  ``b <= 0`` (eps >= 0), so above the series
+    # cut-off ``log Phi(b)`` is the log of ``erfc`` itself: the searches'
+    # hot branch, inlined.  The conditional expressions are ``min``/``max``
+    # (NaN included) without a builtin call per bisection step.
+    if b < _LOG_NDTR_SERIES_BELOW:
+        exponent = epsilon + log_ndtr(b)
+    else:
+        exponent = epsilon + math.log(0.5 * math.erfc(-b * _SQRT_HALF))
+    delta = 0.5 * math.erfc((shift - half) * _SQRT_HALF) \
+        - math.exp(700.0 if exponent > 700.0 else exponent)
+    return 0.0 if delta < 0.0 else delta
+
+
+def _scaled_tail(v: float, epsilon: float) -> float:
+    """``e^ε · Phi(-sqrt(ε(v + 2)))``, the term ``B⁺`` and ``B⁻`` share,
+    in log space as in :func:`gaussian_delta` (hot branch inlined)."""
+    x = -math.sqrt(epsilon * (v + 2.0))
+    if x < _LOG_NDTR_SERIES_BELOW:
+        exponent = epsilon + log_ndtr(x)
+    else:
+        exponent = epsilon + math.log(0.5 * math.erfc(-x * _SQRT_HALF))
+    return math.exp(700.0 if exponent > 700.0 else exponent)
 
 
 def _b_plus(v: float, epsilon: float) -> float:
     """Balle-Wang ``B⁺_ε(v)`` (monotone increasing in ``v``)."""
-    term = math.exp(min(epsilon + float(log_ndtr(-math.sqrt(epsilon * (v + 2.0)))), 700.0))
-    return float(ndtr(math.sqrt(epsilon * v))) - term
+    return ndtr(math.sqrt(epsilon * v)) - _scaled_tail(v, epsilon)
 
 
 def _b_minus(v: float, epsilon: float) -> float:
     """Balle-Wang ``B⁻_ε(v)`` (monotone decreasing in ``v``)."""
-    term = math.exp(min(epsilon + float(log_ndtr(-math.sqrt(epsilon * (v + 2.0)))), 700.0))
-    return float(ndtr(-math.sqrt(epsilon * v))) - term
+    return ndtr(-math.sqrt(epsilon * v)) - _scaled_tail(v, epsilon)
 
 
 def _bracket_and_bisect(func, target: float, increasing: bool,
@@ -267,5 +324,7 @@ __all__ = [
     "analytic_gaussian_sigma",
     "classical_gaussian_sigma",
     "gaussian_delta",
+    "log_ndtr",
     "minimal_epsilon",
+    "ndtr",
 ]

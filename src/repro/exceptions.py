@@ -33,10 +33,6 @@ class QueryRejected(ReproError):
         self.constraint = constraint
 
 
-class BudgetExceeded(ReproError):
-    """An operation asked for more privacy budget than remains available."""
-
-
 class TranslationError(ReproError):
     """Accuracy-to-privacy translation could not find a feasible budget."""
 

@@ -2,10 +2,11 @@
 
 Every module exposes a ``run_*`` function returning structured results and a
 ``format_*`` function printing the same rows/series the paper reports.  The
-``benchmarks/`` directory wires each of these into a pytest-benchmark target;
-``EXPERIMENTS.md`` records paper-vs-measured outcomes.
+``benchmarks/`` directory wires each of these into a pytest-benchmark target
+(``benchmarks/bench_*.py``) that asserts the paper's qualitative shape; the
+README's "Tests" section shows how to run them.
 
-Index (see DESIGN.md section 3):
+Index:
 
 =======  ==========================================  =============================
 Exp id   Paper artifact                              Module

@@ -17,13 +17,19 @@ resource tree::
 Authentication is the paper's trust model in miniature: the server is
 configured with an ``auth token -> analyst`` table and each opened
 session is bound to the analyst its token names — analysts never name
-themselves on the wire, so one analyst cannot submit (and spend) as
-another.  Query-level outcomes (rejections, unanswerable queries) stay
-HTTP 200 — they are payload, carried in the response envelope exactly as
-the in-process API returns them.  Transport-level failures map onto
-status codes via the envelope's ``kind`` tag: 400 malformed, 401 unknown
-token, 404 unknown session, 409 closed service/session, 429 rate
-limited, 503 draining.
+themselves on the wire.  Every request on a session route carries the
+token again as ``Authorization: Bearer <token>`` and is refused before
+admission, the drain gate or any engine work unless the token names the
+session's analyst (401 for a missing or unknown token, the unknown-id 404
+for another analyst's session), so one analyst cannot submit (and spend)
+as another, nor close another's session.  :meth:`ReproServer.handle`, the
+in-process entry, is not authenticated.  Query-level outcomes
+(rejections, unanswerable queries) stay HTTP 200 — they are payload,
+carried in the response envelope exactly as the in-process API returns
+them.  Transport-level failures map onto status codes via the
+envelope's ``kind`` tag: 400 malformed, 401 missing or unknown token, 404
+unknown session, 409 closed service/session, 429 rate limited, 503
+draining.
 
 Overload defenses (all opt-in by constructor/CLI flags):
 
@@ -141,7 +147,10 @@ DEFAULT_MICRO_BATCH_WAIT = 0.002
 #: Most queries one micro-batch dispatch coalesces per session.
 DEFAULT_MICRO_BATCH_MAX = 32
 
-_SESSION_PATH = re.compile(r"^/v1/sessions/(\d+)(?:/(query|batch))?$")
+#: A session route.  An id has at most 18 digits: no service issues a
+#: longer one, and ``int()`` refuses over 4300 digits, so a longer id is
+#: the 400 of a path with no route rather than an error in the handler.
+_SESSION_PATH = re.compile(r"^/v1/sessions/(\d{1,18})(?:/(query|batch))?$")
 
 #: A client-propagated trace id the daemon adopts: 1-128 letters, digits
 #: and ``._:-``.  Any other id — oversized, control characters,
@@ -882,6 +891,26 @@ class ReproServer:
         except KeyError:
             raise UnknownAnalyst("unknown auth token") from None
 
+    def _authorize(self, session_id: int,
+                   authorization: str) -> tuple[int, dict] | None:
+        """Bind one session-route request to its caller; ``None`` admits.
+
+        ``authorization`` is the request's ``Authorization`` header.  A
+        missing or unknown bearer token is 401; a session another analyst
+        owns gets the very 404 an id never issued gets, so a caller learns
+        nothing about other analysts' sessions.
+        """
+        scheme, _, token = authorization.partition(" ")
+        analyst = self.tokens.get(token) if scheme.lower() == "bearer" \
+            else None
+        if analyst is None:
+            return 401, encode_error("missing or unknown bearer token",
+                                     "unauthorized")
+        if self.service.session_analyst(session_id) not in (None, analyst):
+            return 404, encode_error(f"no open session {session_id}",
+                                     "not_found")
+        return None
+
     def _admit(self, session_id: int,
                cost: float) -> tuple[int, dict] | None:
         """Admission control for one submission; ``None`` admits.
@@ -1125,8 +1154,11 @@ def _build_handler(server: ReproServer) -> type:
                                    "charset=utf-8"
                     status = 200
                 else:
-                    status, payload = server._handle(method, path, query,
-                                                     match, body)
+                    refusal = None if match is None else server._authorize(
+                        int(match.group(1)),
+                        self.headers.get("authorization", ""))
+                    status, payload = refusal or server._handle(
+                        method, path, query, match, body)
                     data = json.dumps(payload).encode("utf-8")
                     content_type = "application/json"
                     if status == 429 and isinstance(

@@ -298,6 +298,13 @@ class QueryService:
                                       epsilon_spent=closed.epsilon_spent)
         return closed
 
+    def session_analyst(self, session_id: int) -> str | None:
+        """The analyst who opened ``session_id`` (open or retained closed),
+        ``None`` for an id this service does not know."""
+        session = self._sessions.get(session_id) or \
+            self._closed_sessions.get(session_id)
+        return None if session is None else session.analyst
+
     def active_sessions(self) -> tuple[Session, ...]:
         with self._sessions_lock:
             return tuple(self._sessions.values())

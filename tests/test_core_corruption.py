@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.analyst import Analyst
 from repro.core.corruption import CorruptionGraph
@@ -95,3 +97,69 @@ class TestBudgets:
                                 strict=False)
         assert graph.num_components == 1
         assert graph.total_budget(1.0) == pytest.approx(1.0)
+
+
+def _bfs_components(names, edges):
+    """Test-local reference: connected components by breadth-first search."""
+    neighbours = {name: set() for name in names}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen, components = set(), []
+    for start in names:
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            for other in neighbours[frontier.pop()] - component:
+                component.add(other)
+                frontier.append(other)
+        seen |= component
+        components.append(frozenset(component))
+    return sorted(components, key=min)
+
+
+class TestComponents:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1)),
+                             max_size=2 * n))))
+    def test_union_find_matches_bfs(self, graph_spec):
+        n, pairs = graph_spec
+        analysts = [Analyst(f"x{i:02d}", privilege=1 + i % 10)
+                    for i in range(n)]
+        names = [a.name for a in analysts]
+        edges = [(names[u], names[v]) for u, v in pairs]
+        expected = _bfs_components(names, edges)
+        graph = CorruptionGraph(analysts, edges,
+                                t=max(len(c) for c in expected))
+        assert graph.components() == expected
+        assert graph.num_components == len(expected)
+
+    def test_components_are_a_fresh_list(self, five_analysts):
+        graph = CorruptionGraph(five_analysts, edges=[("a0", "a1")], t=2)
+        graph.components().clear()
+        assert graph.num_components == 4
+
+    def test_violation_message(self, five_analysts):
+        with pytest.raises(ReproError) as info:
+            CorruptionGraph(five_analysts,
+                            edges=[("a2", "a0"), ("a1", "a2")], t=2)
+        assert str(info.value) == (
+            "component ['a0', 'a1', 'a2'] has 3 nodes, violating the "
+            "(2, 5)-compromised assumption")
+
+    def test_strict_violation_message(self, five_analysts):
+        with pytest.raises(ReproError) as info:
+            CorruptionGraph(five_analysts, edges=[("a3", "a4")], t=2,
+                            strict=True)
+        assert str(info.value) == (
+            "component ['a3', 'a4'] has 2 nodes, violating the "
+            "(2, 5)-compromised assumption")
+
+    def test_unknown_analyst_message(self, five_analysts):
+        with pytest.raises(ReproError) as info:
+            CorruptionGraph(five_analysts, edges=[("a0", "zzz")], t=2)
+        assert str(info.value) == \
+            "edge ('a0', 'zzz') references unknown analyst"

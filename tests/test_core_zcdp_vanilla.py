@@ -89,3 +89,54 @@ class TestZCdpVanilla:
         assert engine.analyst_consumed("high") > 0
         # Provenance ledger still records the raw epsilon.
         assert engine.provenance.row_total("high") == pytest.approx(charged)
+
+
+class TestCoalitionLimits:
+    """Regression: ``vanilla_zcdp`` used to accept ``Constraints.groups``
+    and never check them.  Three analysts, coalitions {a, b} and {c} capped
+    at 1.0, 40 tightening ``age`` COUNTs alternating between a and b: the
+    vanilla mechanism answers 5 and keeps the coalition's epsilon sum at
+    0.68, while the zCDP mechanism answered 31, charging the coalition
+    6.67 in epsilon and 1.39 in converted zCDP loss.  Theorem 7.2's
+    coalition budget is an epsilon sum, so the zCDP mechanism now refuses
+    coalitions outright.
+    """
+
+    ANALYSTS = (Analyst("a", 2), Analyst("b", 2), Analyst("c", 2))
+    GROUP_LIMIT = 1.0
+
+    def _engine(self, bundle, mechanism):
+        from dataclasses import replace
+
+        from repro.core.policies import build_constraints
+        from repro.views.registry import ViewRegistry
+
+        registry = ViewRegistry(bundle.database)
+        registry.add_attribute_views(bundle.fact_table,
+                                     bundle.view_attributes)
+        constraints = replace(
+            build_constraints(list(self.ANALYSTS), registry.view_names, 3.0,
+                              mechanism="vanilla",
+                              delta_cap=bundle.delta_cap()),
+            groups=(frozenset({"a", "b"}), frozenset({"c"})),
+            group_limit=self.GROUP_LIMIT)
+        return DProvDB(bundle, list(self.ANALYSTS), epsilon=3.0,
+                       mechanism=mechanism, constraints=constraints, seed=5)
+
+    def test_vanilla_holds_the_coalition_limit(self, adult_bundle):
+        engine = self._engine(adult_bundle, "vanilla")
+        answered = 0
+        for i in range(40):
+            answer = engine.try_submit(
+                "ab"[i % 2], SQL_TEMPLATE.format(20 + i, 60),
+                accuracy=40000.0 / (1 + i))
+            answered += answer is not None
+        row = engine.provenance.row_totals()
+        assert 0 < answered < 40
+        assert row["a"] + row["b"] <= self.GROUP_LIMIT + 1e-9
+
+    def test_zcdp_refuses_coalitions(self, adult_bundle):
+        from repro.exceptions import ReproError
+
+        with pytest.raises(ReproError, match="coalition"):
+            self._engine(adult_bundle, "vanilla_zcdp")

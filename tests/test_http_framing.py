@@ -73,7 +73,8 @@ def query_request(session_id: int, *header_lines: str,
     """A well-formed single-query POST, plus whatever a case adds."""
     body = json.dumps({"sql": SQL, "accuracy": ACCURACY}).encode()
     lines = [f"POST /v1/sessions/{session_id}/query{target_suffix} {version}",
-             "Host: repro", "Content-Type: application/json", *header_lines]
+             "Host: repro", "Content-Type: application/json",
+             "Authorization: Bearer analyst_00", *header_lines]
     if length:
         lines.append(f"Content-Length: {len(body)}")
     return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
@@ -206,7 +207,8 @@ def test_stdlib_clients_are_still_served(server):
                  headers={"Content-Type": "application/json"})
     opened = json.loads(conn.getresponse().read())
     conn.request("POST", f"/v1/sessions/{opened['session_id']}/query",
-                 body=json.dumps({"sql": SQL, "accuracy": ACCURACY}).encode())
+                 body=json.dumps({"sql": SQL, "accuracy": ACCURACY}).encode(),
+                 headers={"Authorization": "Bearer analyst_00"})
     reply = conn.getresponse()
     assert reply.status == 200 and json.loads(reply.read())["answer"]
     conn.close()

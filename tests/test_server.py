@@ -272,7 +272,8 @@ class TestStatusMapping:
                 conn.request(
                     "POST", f"/v1/sessions/{session.session_id}/{path}",
                     body=payload,
-                    headers={"Content-Type": "application/json"})
+                    headers={"Content-Type": "application/json",
+                             "Authorization": "Bearer analyst_00"})
                 reply = conn.getresponse()
                 error = json.loads(reply.read())
                 assert reply.status == 400
@@ -297,7 +298,8 @@ class TestStatusMapping:
         for _ in range(2 * DEFAULT_TRACE_SAMPLE):
             conn.request("POST", f"/v1/sessions/{session.session_id}/query",
                          body=json.dumps({"sql": sql, "accuracy": ACCURACY}),
-                         headers={"Content-Type": "application/json"})
+                         headers={"Content-Type": "application/json",
+                                  "Authorization": "Bearer analyst_00"})
             reply = conn.getresponse()
             body = json.loads(reply.read())
             assert reply.status == 200, body
@@ -352,7 +354,8 @@ class TestGzipNegotiation:
     @staticmethod
     def _raw(server, method, path, body=None, accept=None):
         conn = http.client.HTTPConnection(server.host, server.port)
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json",
+                   "Authorization": "Bearer analyst_00"}
         if accept is not None:
             headers["Accept-Encoding"] = accept
         conn.request(method, path, body=body, headers=headers)

@@ -99,7 +99,8 @@ class TestRateLimit:
             body = json.dumps({"sql": SQL, "accuracy": ACCURACY}).encode()
             conn.request("POST", f"/v1/sessions/{session.session_id}/query",
                          body=body,
-                         headers={"Content-Type": "application/json"})
+                         headers={"Content-Type": "application/json",
+                                  "Authorization": "Bearer analyst_00"})
             reply = conn.getresponse()
             payload = json.loads(reply.read())
             conn.close()

@@ -125,7 +125,8 @@ def test_over_the_wire_the_bad_item_is_an_envelope_not_a_500(bundle):
         def post(path: str, payload: dict):
             conn = http.client.HTTPConnection(server.host, server.port)
             conn.request("POST", path, body=json.dumps(payload),
-                         headers={"Content-Type": "application/json"})
+                         headers={"Content-Type": "application/json",
+                                  "Authorization": "Bearer a"})
             reply = conn.getresponse()
             body = json.loads(reply.read())
             conn.close()

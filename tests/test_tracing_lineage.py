@@ -304,7 +304,8 @@ class TestPropagatedTraceIds:
 
         def post(path, payload):
             conn.request("POST", path, body=json.dumps(payload),
-                         headers={"Content-Type": "application/json"})
+                         headers={"Content-Type": "application/json",
+                                  "Authorization": "Bearer analyst_00"})
             reply = conn.getresponse()
             return reply.status, json.loads(reply.read())
 
