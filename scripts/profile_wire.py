@@ -1,22 +1,30 @@
 """Profile both ends of the wire: a durable service behind ``ReproServer``,
 one keep-alive ``RemoteAnalyst``, N mixed queries (7 ranges, 2 dyadic
 ranges, 1 GROUP BY per ten) -- once under cProfile on the client thread,
-once on the daemon's handler thread; prints the top 15 by self time of each.
-The GROUP BY is over ``age``, a 74-group result, so the codec's per-group
-cost shows in the tables (``sex`` would have only two groups).
+once on the daemon's handler thread; prints the top 15 by self time of each,
+then the size of one cached ``GROUP BY age`` reply (74 groups) as protocol-3
+JSON, identity and gzip-compressed as the daemon compresses it.  The
+GROUP BY is over ``age`` so a per-group cost would show in the tables
+(``sex`` would have only two groups).
 
     PYTHONPATH=src python scripts/profile_wire.py [N]
 
-Exits 1 if either thread ran an ``email/feedparser.py`` frame: the wire's
-heads are read by ``repro.server.framing``, not the stdlib header parser.
-cProfile inflates python-level calls and not socket waits: read the tables
-for *where*, then measure with ``perf/run.py --workload mix_remote``.
-(Python 3.12's cProfile sees every thread, so there each table is the union.)
+Exits 1 if either thread ran an ``email/feedparser.py`` frame (the wire's
+heads are read by ``repro.server.framing``, not the stdlib header parser),
+or called ``per_bin_variance_for``, ``answer_variance`` or
+``CompensatedSum.add`` more often than it submitted queries (a GROUP BY's
+groups are answered and accounted in columns, never one scalar call per
+group).  cProfile inflates python-level calls and not socket waits: read
+the tables for *where*, then measure with ``perf/run.py --workload
+mix_remote``.  (Python 3.12's cProfile sees every thread, so there each
+table is the union.)
 """
 
 from __future__ import annotations
 
 import cProfile
+import gzip
+import json
 import pstats
 import shutil
 import sys
@@ -31,6 +39,9 @@ from repro import (
     ReproServer,
     load_adult,
 )
+from repro.metrics.runtime import CompensatedSum
+from repro.server.protocol import encode_response
+from repro.views.linear import LinearQuery
 
 
 def queries(bundle, count: int, offset: int) -> list[tuple[str, float]]:
@@ -61,13 +72,52 @@ def drive(url: str, stream) -> None:
         client.close_session(session)
 
 
-def top(title: str, profiler: cProfile.Profile) -> bool:
-    """Print the table; True when the stdlib header parser shows up."""
+#: Scalar methods a query may call at most once on average: calling one
+#: per GROUP BY group would put them above the query count.
+PER_QUERY = {
+    "LinearQuery.per_bin_variance_for": LinearQuery.per_bin_variance_for,
+    "LinearQuery.answer_variance": LinearQuery.answer_variance,
+    "CompensatedSum.add": CompensatedSum.add,
+}
+
+
+def top(title: str, profiler: cProfile.Profile, queries: int) -> bool:
+    """Print the table and the per-query call counts; True when the
+    stdlib header parser shows up or a scalar method ran more often than
+    ``queries``."""
     print(f"--- {title}: top 15 by self time ---", flush=True)
     stats = pstats.Stats(profiler)
     stats.sort_stats("tottime").print_stats(15)
-    return any(path.endswith("email/feedparser.py")
-               for path, _, _ in stats.stats)
+    failed = any(path.endswith("email/feedparser.py")
+                 for path, _, _ in stats.stats)
+    if failed:
+        print("FAIL: an email/feedparser.py frame ran on the wire path",
+              file=sys.stderr)
+    for label, function in PER_QUERY.items():
+        code = function.__code__
+        entry = stats.stats.get(
+            (code.co_filename, code.co_firstlineno, code.co_name))
+        calls = entry[1] if entry else 0
+        print(f"{label}: {calls} calls for {queries} queries")
+        if calls > queries:
+            print(f"FAIL: {label} ran more often than queries were "
+                  f"submitted", file=sys.stderr)
+            failed = True
+    return failed
+
+
+def group_by_reply(service, bundle) -> None:
+    """Print one cached ``GROUP BY age`` reply's size on the wire."""
+    session = service.open_session("a0")
+    sql = f"SELECT age, COUNT(*) FROM {bundle.fact_table} GROUP BY age"
+    for _ in range(2):
+        response = service.submit(session, sql, accuracy=2e4)
+    service.close_session(session)
+    data = json.dumps(encode_response(response)).encode("utf-8")
+    packed = gzip.compress(data, compresslevel=6, mtime=0)
+    print(f"GROUP BY age reply ({len(response.groups)} groups, "
+          f"{response.lineage.source}): {len(data)} B identity, "
+          f"{len(packed)} B gzip")
 
 
 def main(count: int) -> int:
@@ -101,14 +151,12 @@ def main(count: int) -> int:
             print({key: service.snapshot()["service"][key]
                    for key in ("submitted", "answered", "fresh_releases",
                                "rejected", "failed")})
+            group_by_reply(service, bundle)
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
-    stdlib_parser = top("client thread", client_profile)
-    stdlib_parser |= top("handler thread", handler_profile)
-    if stdlib_parser:
-        print("FAIL: an email/feedparser.py frame ran on the wire path",
-              file=sys.stderr)
-    return 1 if stdlib_parser else 0
+    failed = top("client thread", client_profile, count)
+    failed |= top("handler thread", handler_profile, count)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -63,7 +63,10 @@ at-worst slightly undercounted under races.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import count
+
+import numpy as np
 
 from repro.db.sql.ast import Between, InList, SelectStatement
 from repro.db.sql.parser import parse, slot_value
@@ -102,6 +105,15 @@ class CompiledStatement:
     tightest at a fixed answer-accuracy target — which is exactly the
     strictness anchor :func:`repro.service.planner.plan_batch` orders by
     (``None`` only for a GROUP BY whose every group is predicate-excluded).
+
+    A GROUP BY also carries its parts as columns, so answering costs one
+    array pass per column rather than a loop per group: ``group_keys``
+    in group order, ``group_live`` (the queries of the groups the
+    predicate leaves non-empty), their ‖w‖² as one float64
+    ``group_norms`` array (the weights stay in the queries, never
+    copied), and ``group_slots`` — per group, its position in
+    ``group_live`` or ``-1`` when excluded; ``None`` when every group is
+    live.
     """
 
     source: SelectStatement | str | None
@@ -111,6 +123,10 @@ class CompiledStatement:
     group_parts: tuple[tuple[tuple, LinearQuery], ...] | None = None
     avg_parts: tuple[LinearQuery, LinearQuery] | None = None
     strictest: LinearQuery | None = None
+    group_keys: tuple[tuple, ...] | None = None
+    group_live: tuple[LinearQuery, ...] | None = None
+    group_norms: np.ndarray | None = field(default=None, compare=False)
+    group_slots: tuple[int, ...] | None = None
 
     @property
     def statement(self) -> SelectStatement | None:
@@ -133,10 +149,18 @@ def finish(source, kind: str, view, product) -> CompiledStatement:
     query, the (SUM, COUNT) pair, or the GROUP BY parts."""
     if kind == "group_by":
         parts = tuple(product)
-        strictest = max((q for _, q in parts if q.weight_norm_sq > 0),
-                        key=lambda q: q.weight_norm_sq, default=None)
-        return CompiledStatement(source, kind, view, group_parts=parts,
-                                 strictest=strictest)
+        live = tuple(q for _, q in parts if q.weight_norm_sq > 0)
+        rank = count()
+        slots = None if len(live) == len(parts) else tuple(
+            next(rank) if q.weight_norm_sq > 0 else -1 for _, q in parts)
+        return CompiledStatement(
+            source, kind, view, group_parts=parts,
+            strictest=max(live, key=lambda q: q.weight_norm_sq,
+                          default=None),
+            group_keys=tuple(key for key, _ in parts), group_live=live,
+            group_norms=np.fromiter((q.weight_norm_sq for q in live),
+                                    dtype=np.float64, count=len(live)),
+            group_slots=slots)
     if kind == "avg":
         return CompiledStatement(source, kind, view, avg_parts=product,
                                  strictest=product[0])

@@ -31,8 +31,10 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import replace
+from functools import partial
+from itertools import repeat
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,9 +77,14 @@ _MECHANISMS = {
 }
 
 
-@dataclass(frozen=True)
-class Answer:
-    """A released query answer plus its provenance metadata."""
+class Answer(NamedTuple):
+    """A released query answer plus its provenance metadata.
+
+    A ``NamedTuple``, not a frozen dataclass: a GROUP BY returns one per
+    group, and a tuple costs what the mechanism's ``Outcome`` does to
+    build (a frozen dataclass is several times that).  Nothing reads an
+    answer through ``dataclasses`` (``replace``/``asdict``/``fields``).
+    """
 
     analyst: str
     value: float
@@ -86,6 +93,12 @@ class Answer:
     per_bin_variance: float
     answer_variance: float
     cache_hit: bool
+
+
+#: ``Answer._make`` without the Python frame: the :class:`Answer` of one
+#: row of field values.  ``map(answer_from_row, zip(*columns))`` builds a
+#: GROUP BY's answers from its columns in one C-level pass.
+answer_from_row = partial(tuple.__new__, Answer)
 
 
 class DProvDB:
@@ -275,11 +288,13 @@ class DProvDB:
         self.provenance.register_analyst(analyst.name)
         updated = dict(self.constraints.analyst)
         updated[analyst.name] = constraint
-        self.constraints = Constraints(
-            analyst=updated, view=self.constraints.view,
-            table=self.constraints.table, delta=self.constraints.delta,
-            delta_cap=self.constraints.delta_cap,
-        )
+        self._set_constraints(analyst=updated)
+
+    def _set_constraints(self, **changes) -> None:
+        """Swap in constraints with ``changes`` applied; every other
+        field, the Sec. 7.1 coalition ``groups``/``group_limit``
+        included, carries over."""
+        self.constraints = replace(self.constraints, **changes)
         self.mechanism.constraints = self.constraints
 
     def register_view(self, attributes: tuple[str, ...],
@@ -303,12 +318,7 @@ class DProvDB:
         updated_views = dict(self.constraints.view)
         updated_views[name] = (self.constraints.table if constraint is None
                                else constraint)
-        self.constraints = Constraints(
-            analyst=self.constraints.analyst, view=updated_views,
-            table=self.constraints.table, delta=self.constraints.delta,
-            delta_cap=self.constraints.delta_cap,
-        )
-        self.mechanism.constraints = self.constraints
+        self._set_constraints(view=updated_views)
         return name
 
     def register_hierarchical_view(self, attribute: str,
@@ -322,12 +332,7 @@ class DProvDB:
         updated_views = dict(self.constraints.view)
         updated_views[name] = (self.constraints.table if constraint is None
                                else constraint)
-        self.constraints = Constraints(
-            analyst=self.constraints.analyst, view=updated_views,
-            table=self.constraints.table, delta=self.constraints.delta,
-            delta_cap=self.constraints.delta_cap,
-        )
-        self.mechanism.constraints = self.constraints
+        self._set_constraints(view=updated_views)
         return name
 
     # -- submission --------------------------------------------------------------
@@ -445,12 +450,18 @@ class DProvDB:
             raise ReproError("provide exactly one of accuracy= or epsilon=")
         if accuracy is not None:
             return resolve_accuracy(accuracy)
+        return self._release_variance(epsilon, view) \
+            * statement_query.weight_norm_sq
+
+    def _release_variance(self, epsilon: float, view) -> float:
+        """σ² of one release at ``epsilon`` on ``view``: an ``epsilon=``
+        target is this times the query's ‖w‖²."""
         if not (math.isfinite(epsilon) and epsilon > 0):
             raise ReproError(
                 f"epsilon must be finite and positive, got {epsilon}")
         sigma = analytic_gaussian_sigma(epsilon, self.constraints.delta,
                                         view.sensitivity())
-        return sigma ** 2 * statement_query.weight_norm_sq
+        return sigma ** 2
 
     def _check_analyst(self, analyst: str) -> None:
         if analyst not in self.analysts:
@@ -636,6 +647,12 @@ class DProvDB:
         same synopsis, so after the first group the rest are cache hits.
         ``compiled`` skips re-resolving when the caller already holds the
         compiled entry (one resolution per query, see :meth:`submit`).
+
+        The groups are answered in columns: per-bin requirements and
+        answer variances are array operations over the live groups'
+        ‖w‖² (the same IEEE operations the scalar methods do per query,
+        so bit-identical), and the only per-group work is one ``np.dot``
+        and the ``(key, Answer)`` pair returned.
         """
         self._check_analyst(analyst)
         if compiled is None:
@@ -643,22 +660,27 @@ class DProvDB:
         if compiled.kind != "group_by":
             raise UnanswerableQuery("statement has no GROUP BY keys")
         view = compiled.view
-        live = self._group_targets(compiled, accuracy, epsilon)
-        probes = [(query, query.per_bin_variance_for(target))
-                  for query, target in live]
+        live, norms = compiled.group_live, compiled.group_norms
+        targets, per_bins = self._group_targets(view, norms, accuracy,
+                                                epsilon)
         mechanism = self.mechanism
         if self.fast_lane:
             # Every non-empty group from the cached synopsis, or none: a
             # single inadequate group means the slow path refreshes once
             # for all of them.
-            outcomes = mechanism.cached_answers_fast(analyst, view, probes) \
-                if probes else []
-            if outcomes is not None:
+            found = mechanism.cached_group_fast(analyst, view, live,
+                                                per_bins) \
+                if live else ([], 0.0)
+            if found is not None:
+                values, variance = found
                 self._note_fast_lane(hits=1)
                 self._mark_source("fast_lane")
-                return self._group_results(analyst, compiled, outcomes)
+                return self._group_results(
+                    analyst, compiled, values, repeat(0.0),
+                    repeat(variance), (norms * variance).tolist(),
+                    repeat(True))
             self._note_fast_lane(misses=1)
-        outcomes = []
+        values, charged, per_bin, answer_variance, hits = [], [], [], [], []
         started = time.perf_counter()
         with self.view_section(view.name):
             # The groups the current synopsis covers are answered in one
@@ -667,64 +689,75 @@ class DProvDB:
             # probe resumes against whatever that release left behind —
             # the same sequence of lookups, hits and releases as one
             # ``answer`` call per group.
-            while len(outcomes) < len(live):
-                found = mechanism.cached_answers_fast(
-                    analyst, view, probes[len(outcomes):], prefix=True)
-                for outcome in found:
-                    if outcome is None:
-                        break
-                    outcomes.append(outcome)
-                if len(outcomes) < len(live):
-                    query, target = live[len(outcomes)]
-                    outcomes.append(mechanism.answer(analyst, view, query,
-                                                     target))
-        source = "fresh" if any(not outcome.cache_hit
-                                for outcome in outcomes) else "cached"
+            done = 0
+            while done < len(live):
+                got, variance = mechanism.cached_group_fast(
+                    analyst, view, live[done:], per_bins[done:],
+                    prefix=True)
+                if got:
+                    end = done + len(got)
+                    values += got
+                    charged += repeat(0.0, len(got))
+                    per_bin += repeat(variance, len(got))
+                    answer_variance += (norms[done:end] * variance).tolist()
+                    hits += repeat(True, len(got))
+                    done = end
+                if done < len(live):
+                    outcome = mechanism.answer(analyst, view, live[done],
+                                               float(targets[done]))
+                    values.append(outcome.value)
+                    charged.append(outcome.epsilon_charged)
+                    per_bin.append(outcome.per_bin_variance)
+                    answer_variance.append(outcome.answer_variance)
+                    hits.append(outcome.cache_hit)
+                    done += 1
+        source = "cached" if all(hits) else "fresh"
         self._mark_source(source)
-        results = self._group_results(analyst, compiled, outcomes)
+        results = self._group_results(analyst, compiled, values, charged,
+                                      per_bin, answer_variance, hits)
         if source == "fresh":
             tracing.record_span("decision", started, view=view.name,
                                 outcome=source, groups=len(results))
         return results
 
-    def _group_targets(self, compiled: CompiledStatement,
+    def _group_targets(self, view, norms: np.ndarray,
                        accuracy: float | None, epsilon: float | None
-                       ) -> list[tuple]:
-        """``(query, target)`` for every group the predicate leaves
-        non-empty, in group order.  An ``accuracy=`` target is one number
-        for every group; an ``epsilon=`` target scales with the group's
-        ``‖w‖²``.  With no non-empty group nothing is resolved (an
+                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(targets, per_bins)`` of the live groups, as arrays in group
+        order: an ``accuracy=`` target is one number for every group, an
+        ``epsilon=`` target is the release's σ² times the group's ‖w‖²,
+        and a requirement is ``target / ‖w‖²`` — what
+        :meth:`_accuracy_for` and ``per_bin_variance_for`` compute per
+        query.  With no non-empty group nothing is resolved (an
         all-excluded GROUP BY is exact zeros at no cost)."""
-        view = compiled.view
-        live = [query for _, query in compiled.group_parts
-                if query.weight_norm_sq > 0]
-        if live and epsilon is None:
-            target = self._accuracy_for(None, accuracy, None, view)
-            return [(query, target) for query in live]
-        return [(query, self._accuracy_for(query, accuracy, epsilon, view))
-                for query in live]
+        if not len(norms):
+            return None, None
+        if epsilon is None or accuracy is not None:
+            # Accuracy mode, or the "exactly one of" refusal.
+            targets = np.full(len(norms), self._accuracy_for(
+                None, accuracy, epsilon, view))
+        else:
+            targets = self._release_variance(epsilon, view) * norms
+        return targets, targets / norms
 
     @staticmethod
-    def _group_results(analyst: str, compiled: CompiledStatement,
-                       outcomes) -> list[tuple[tuple, Answer]]:
-        """Zip the non-empty groups' outcomes back into group order; a
-        group the predicate excludes is an exact zero at no privacy
-        cost."""
-        empty = Answer(analyst, 0.0, 0.0, compiled.view.name, 0.0, 0.0, True)
-        answered = iter(outcomes)
-        results: list[tuple[tuple, Answer]] = []
-        for key, query in compiled.group_parts:
-            if query.weight_norm_sq <= 0:
-                results.append((key, empty))
-                continue
-            outcome = next(answered)
-            results.append((key, Answer(analyst, outcome.value,
-                                        outcome.epsilon_charged,
-                                        outcome.view_name,
-                                        outcome.per_bin_variance,
-                                        outcome.answer_variance,
-                                        outcome.cache_hit)))
-        return results
+    def _group_results(analyst: str, compiled: CompiledStatement, values,
+                       charged, per_bin, answer_variance, hits
+                       ) -> list[tuple[tuple, Answer]]:
+        """The ``(key, Answer)`` pairs in group order, built from the live
+        groups' columns in one pass; a group the predicate excludes is
+        an exact zero at no privacy cost."""
+        view_name = compiled.view.name
+        answers = list(map(answer_from_row, zip(
+            repeat(analyst), values, charged, repeat(view_name), per_bin,
+            answer_variance, hits)))
+        slots = compiled.group_slots
+        if slots is not None:
+            # Slot -1 (every excluded group) reads the appended zero.
+            answers.append(Answer(analyst, 0.0, 0.0, view_name, 0.0, 0.0,
+                                  True))
+            answers = list(map(answers.__getitem__, slots))
+        return list(zip(compiled.group_keys, answers))
 
     def answer_batch_from_cache(self, analyst: str, view,
                                 pairs: list[tuple]) -> list[Answer | None]:

@@ -15,7 +15,8 @@ single :meth:`MechanismBase.answer` template:
 from __future__ import annotations
 
 import threading
-from typing import NamedTuple, Protocol
+from operator import attrgetter
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from repro.views.registry import ViewRegistry
 #: concurrently stay bit-identical.
 NOISE_STREAMS = ("shared", "per_view")
 
+_weights_of = attrgetter("weights")
+
 
 class GaussianAccountant(Protocol):
     """Anything that can record a Gaussian data access (RDP/zCDP trackers)."""
@@ -43,9 +46,10 @@ class GaussianAccountant(Protocol):
 
 
 class Outcome(NamedTuple):
-    """Result of answering one query.  A ``NamedTuple``: a GROUP BY
-    builds one per group, and a tuple is a third of the cost of a frozen
-    dataclass to construct."""
+    """Result of answering one query.  A ``NamedTuple``: a tuple is a
+    third of the cost of a frozen dataclass to construct.  A GROUP BY's
+    cached groups build none (:meth:`MechanismBase.cached_group_fast`
+    answers them in columns)."""
 
     value: float
     epsilon_charged: float
@@ -240,6 +244,47 @@ class MechanismBase:
         if take < len(parts):
             outcomes.extend([None] * (len(parts) - take))
         return outcomes
+
+    def cached_group_fast(self, analyst: str, view: HistogramView,
+                          queries: Sequence[LinearQuery],
+                          per_bins: np.ndarray, prefix: bool = False
+                          ) -> tuple[list[float], float] | None:
+        """:meth:`cached_answers_fast` for a GROUP BY's live groups, in
+        columns: ``per_bins`` is the float64 array of the groups'
+        per-bin requirements, and the adequacy check is one array
+        comparison.  Returns ``(values, variance)`` — the answered
+        prefix's values and the synopsis variance they carry — under the
+        same versioning, all-or-nothing / ``prefix`` rules and hit
+        counting; ``None`` where :meth:`cached_answers_fast` returns
+        ``None``.  Every cached group's ``answer_variance`` is
+        ``norms * variance``; the caller has the norms.
+        """
+        store = self.store
+        name = view.name
+        generation = store.local_generation(analyst, name)
+        cached = store.local_synopsis(analyst, name)
+        take, variance = 0, 0.0
+        if cached is not None:
+            variance = cached.variance
+            # ``per_bin < variance`` is the scalar probe's stop test,
+            # ``variance > per_bin``.
+            short = np.flatnonzero(per_bins < variance)
+            take = int(short[0]) if len(short) else len(queries)
+        if take < len(queries) and not prefix:
+            return None
+        if take == 0:
+            return [], variance
+        # One BLAS dot per group, in one C-level pass.  ``s.dot(w)`` is
+        # the ``np.dot(w, s)`` of LinearQuery.answer bit for bit: the
+        # same ddot over the same index order, and each product
+        # commutes exactly.
+        values = list(map(float, map(cached.values.dot,
+                                     map(_weights_of, queries[:take]))))
+        if store.local_generation(analyst, name) != generation:
+            # Raced a refresh/eviction: nothing recorded, fall back.
+            return ([], variance) if prefix else None
+        store.note_hits(take)
+        return values, variance
 
     # -- template -------------------------------------------------------------
     def answer(self, analyst: str, view: HistogramView, query: LinearQuery,

@@ -27,7 +27,6 @@ from repro.core.additive import (
 )
 from repro.core.delegation import Grant
 from repro.core.engine import DProvDB
-from repro.core.provenance import Constraints
 from repro.core.synopsis import Synopsis
 from repro.core.zcdp_vanilla import ZCdpVanillaMechanism
 from repro.exceptions import ReproError
@@ -178,12 +177,13 @@ def restore_engine_state(engine: DProvDB, state: dict) -> None:
         )
 
     payload = state["constraints"]
-    engine.constraints = Constraints(
+    # The snapshot holds no coalitions: the Sec. 7.1 ``groups`` and
+    # ``group_limit`` are the restoring engine's own, built with it.
+    engine._set_constraints(
         analyst=payload["analyst"], view=payload["view"],
         table=payload["table"], delta=payload["delta"],
         delta_cap=payload["delta_cap"],
     )
-    engine.mechanism.constraints = engine.constraints
 
     for analyst, row in state["provenance"].items():
         for view, epsilon in row.items():

@@ -182,7 +182,9 @@ def _bracket_and_bisect(func, target: float, increasing: bool,
         if hi > 2.0**80:  # pragma: no cover - safety net
             return hi
     # Bisection phase.
-    while hi - lo > tolerance * max(1.0, hi):
+    # ``hi if hi > 1.0 else 1.0`` is ``max(1.0, hi)`` (same NaN and tie
+    # result) without a builtin call per iteration.
+    while hi - lo > tolerance * (hi if hi > 1.0 else 1.0):
         mid = 0.5 * (lo + hi)
         if predicate(mid):
             hi = mid

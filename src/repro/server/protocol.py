@@ -15,11 +15,16 @@ Design rules:
   decode; :func:`json_ready` is the shared sanitizer for anything
   shipped verbatim (snapshots, stats).
 * **Columnar GROUP BY** — a response's ``groups`` is one object of
-  equal-length lists: ``keys`` (each a list of JSON scalars) plus one
-  column per :class:`~repro.core.engine.Answer` field, so a G-group
-  result costs G list entries per field rather than G nested objects.
-  Each column is type-checked once on decode; the in-process shape is
-  still ``((key, Answer), ...)``.
+  columns: ``keys``, a list of one G-entry column per GROUP BY
+  attribute (JSON scalars), plus one column per
+  :class:`~repro.core.engine.Answer` field.  A field column whose G
+  entries are all equal in type and bits (``-0.0`` is not ``0.0``) is
+  sent as that one JSON scalar — on a cached GROUP BY six of the seven
+  are (``analyst``, ``view_name``, ``epsilon_charged``,
+  ``per_bin_variance``, ``answer_variance``, ``cache_hit``); any other
+  column is a G-entry list.  Each column is type-checked once on decode,
+  then expanded; the decoder rebuilds the key tuples with ``zip``, and
+  the in-process shape is still ``((key, Answer), ...)``.
 
 Malformed payloads raise :class:`WireFormatError`, which the daemon maps
 to ``400`` with a ``{"error": ...}`` body.
@@ -28,10 +33,12 @@ to ``400`` with a ``{"error": ...}`` body.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from array import array
+from itertools import repeat
+from operator import itemgetter
 from typing import Any
 
-from repro.core.engine import Answer
+from repro.core.engine import Answer, answer_from_row
 from repro.db.sql.ast import SelectStatement
 from repro.db.sql.unparse import to_sql
 from repro.exceptions import ReproError
@@ -39,8 +46,9 @@ from repro.service.session import Lineage, QueryRequest, QueryResponse
 
 #: Version of the wire format.  Bump on any incompatible envelope change;
 #: decoders refuse envelopes stamped with a different version.  Version 2
-#: made a GROUP BY's ``groups`` columnar.
-PROTOCOL_VERSION = 2
+#: made a GROUP BY's ``groups`` columnar; version 3 sends a constant
+#: column as its one value and the keys as one column per attribute.
+PROTOCOL_VERSION = 3
 
 #: Machine ``kind`` tags used in error envelopes, mapped onto HTTP status
 #: codes by the daemon (and back onto exceptions by the client).
@@ -194,63 +202,96 @@ _KEY_PART_TYPES = frozenset((str, int, float, bool, type(None)))
 _PLAIN_KEY_TYPES = frozenset((str, int, bool, type(None)))
 
 
-def _finite_column(values) -> list:
-    """:func:`finite_or_none` over a column, in one C-level pass when
-    every entry is finite (the normal case)."""
-    numbers = list(map(float, values))
+def _number_column(values) -> float | list | None:
+    """A numeric column's wire image: its one value when every entry has
+    the same bits (``-0.0`` is not ``0.0``), else the list, with
+    :func:`finite_or_none` applied."""
+    numbers = array("d", values)
+    if numbers and numbers.tobytes() == numbers[:1].tobytes() * len(numbers):
+        return finite_or_none(numbers[0])
     if all(map(math.isfinite, numbers)):
-        return numbers
-    return [number if math.isfinite(number) else None for number in numbers]
+        return numbers.tolist()
+    return [number if math.isfinite(number) else None
+            for number in numbers]
+
+
+def _same_column(values: list):
+    """A string or boolean column's wire image: its one value when every
+    entry equals the first, else the list.  The entries share one type
+    (names are strings, ``cache_hit`` is mapped through ``bool``), so
+    equal values are equal bits."""
+    if values and values.count(values[0]) == len(values):
+        return values[0]
+    return values
 
 
 def _encode_groups(groups) -> dict:
-    keys = [list(key) for key, _ in groups]
-    for key in keys:
-        if not _PLAIN_KEY_TYPES.issuperset(map(type, key)):
-            keys = json_ready(keys)
+    keys = list(map(itemgetter(0), groups))
+    if len(set(map(len, keys))) > 1 or (keys and not keys[0]):
+        raise WireFormatError("GROUP BY keys must all have the same, "
+                              "non-zero number of parts")
+    key_columns = [list(column) for column in zip(*keys)]
+    for column in key_columns:
+        if not _PLAIN_KEY_TYPES.issuperset(map(type, column)):
+            key_columns = json_ready(key_columns)
             break
-    answers = [answer for _, answer in groups]
-
-    def column(field: str):
-        return map(attrgetter(field), answers)
-
+    # An Answer is a tuple: one transpose yields every field's column.
+    (analyst, value, epsilon_charged, view_name, per_bin_variance,
+     answer_variance, cache_hit) = \
+        zip(*map(itemgetter(1), groups)) if groups else ((),) * 7
     return {
-        "keys": keys,
-        "analyst": list(column("analyst")),
-        "view_name": list(column("view_name")),
-        "value": _finite_column(column("value")),
-        "epsilon_charged": _finite_column(column("epsilon_charged")),
-        "per_bin_variance": _finite_column(column("per_bin_variance")),
-        "answer_variance": _finite_column(column("answer_variance")),
-        "cache_hit": list(map(bool, column("cache_hit"))),
+        "keys": key_columns,
+        "analyst": _same_column(list(analyst)),
+        "view_name": _same_column(list(view_name)),
+        "value": _number_column(value),
+        "epsilon_charged": _number_column(epsilon_charged),
+        "per_bin_variance": _number_column(per_bin_variance),
+        "answer_variance": _number_column(answer_variance),
+        "cache_hit": _same_column(list(map(bool, cache_hit))),
     }
 
 
-def _column(body: dict, field: str, size: int, kinds: frozenset,
-            what: str) -> list:
-    """One GROUP BY column: a list of ``size`` entries whose types are
-    all in ``kinds``."""
+def _entries(body: dict, field: str, size: int, kinds: frozenset,
+             what: str) -> list:
+    """One GROUP BY column as sent: a list of ``size`` entries, or one
+    scalar standing for ``size`` equal entries (returned as a one-entry
+    list).  Every entry's type must be in ``kinds``."""
     column = body.get(field)
-    if not isinstance(column, list):
+    if isinstance(column, list):
+        if len(column) != size:
+            raise WireFormatError(f"response.groups: column {field!r} has "
+                                  f"{len(column)} entries, the keys have "
+                                  f"{size}")
+    elif column is None:
         raise WireFormatError(f"response.groups: missing column {field!r}")
-    if len(column) != size:
-        raise WireFormatError(f"response.groups: column {field!r} has "
-                              f"{len(column)} entries, 'keys' has {size}")
+    else:
+        column = [column]
     if not kinds.issuperset(map(type, column)):
         raise WireFormatError(f"response.groups: column {field!r} must "
                               f"hold {what}")
     return column
 
 
-def _numbers(body: dict, field: str, size: int) -> list[float]:
+def _expand(entries: list, size: int):
+    """``entries`` as ``size`` entries: a column sent as one scalar
+    repeats it."""
+    return entries if len(entries) == size else repeat(entries[0], size)
+
+
+def _column(body: dict, field: str, size: int, kinds: frozenset,
+            what: str):
+    return _expand(_entries(body, field, size, kinds, what), size)
+
+
+def _numbers(body: dict, field: str, size: int):
     """A numeric column as finite floats.  ``json.loads`` accepts the
     NaN/Infinity tokens strict JSON lacks, and integer literals beyond
     float range; :func:`json_ready` never emits either."""
-    column = _column(body, field, size, _NUMBER_TYPES, "numbers")
+    entries = _entries(body, field, size, _NUMBER_TYPES, "numbers")
     try:
-        numbers = list(map(float, column))
+        numbers = list(map(float, entries))
         if all(map(math.isfinite, numbers)):
-            return numbers
+            return _expand(numbers, size)
     except OverflowError:
         pass
     raise WireFormatError(f"response.groups: column {field!r} must hold "
@@ -264,22 +305,24 @@ def _decode_groups(payload: Any) -> tuple:
     keys = payload.get("keys")
     if not isinstance(keys, list):
         raise WireFormatError("response.groups: missing column 'keys'")
-    size = len(keys)
-    for key in keys:
-        if not isinstance(key, list) or \
-                not _KEY_PART_TYPES.issuperset(map(type, key)):
-            raise WireFormatError("response.groups: each key must be a "
-                                  "list of JSON scalars")
-    answers = map(
-        Answer,
+    size = len(keys[0]) if keys and isinstance(keys[0], list) else 0
+    for column in keys:
+        if not isinstance(column, list) or \
+                not _KEY_PART_TYPES.issuperset(map(type, column)):
+            raise WireFormatError("response.groups: each key column must "
+                                  "be a list of JSON scalars")
+        if len(column) != size:
+            raise WireFormatError("response.groups: key columns differ in "
+                                  "length")
+    answers = map(answer_from_row, zip(
         _column(payload, "analyst", size, _STRING_TYPES, "strings"),
         _numbers(payload, "value", size),
         _numbers(payload, "epsilon_charged", size),
         _column(payload, "view_name", size, _STRING_TYPES, "strings"),
         _numbers(payload, "per_bin_variance", size),
         _numbers(payload, "answer_variance", size),
-        _column(payload, "cache_hit", size, _BOOL_TYPES, "booleans"))
-    return tuple(zip(map(tuple, keys), answers))
+        _column(payload, "cache_hit", size, _BOOL_TYPES, "booleans")))
+    return tuple(zip(zip(*keys), answers))
 
 
 def _encode_lineage(lineage: Lineage) -> dict:

@@ -9,6 +9,8 @@ accounting.
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
+
 from repro.core.engine import DProvDB
 from repro.exceptions import QueryRejected, ReproError
 from repro.metrics import tracing
@@ -17,6 +19,8 @@ from repro.service.session import Lineage, QueryRequest, QueryResponse
 
 
 _attach = object.__setattr__
+_answer_of = itemgetter(1)
+_charge_of = attrgetter("epsilon_charged")
 
 
 def _with_lineage(engine: DProvDB, analyst: str, response: QueryResponse,
@@ -33,9 +37,10 @@ def _with_lineage(engine: DProvDB, analyst: str, response: QueryResponse,
     This runs once per answer: the response is always freshly
     constructed by our caller and has not escaped yet, so the lineage
     is attached in place rather than via ``dataclasses.replace``, the
-    scalar shape skips the ε summation loop, a GROUP BY sums straight
-    off its groups, and the :class:`Lineage` construction is positional
-    — each measurably moves warm-path q/s on its own.
+    scalar shape skips the ε summation loop, a GROUP BY sums only its
+    non-zero charges (in answer order; adding +0.0 never moves a sum)
+    in one C-level pass, and the :class:`Lineage` construction is
+    positional — each measurably moves warm-path q/s on its own.
     """
     answer = response.answer
     if answer is not None:
@@ -49,7 +54,8 @@ def _with_lineage(engine: DProvDB, analyst: str, response: QueryResponse,
             view = groups[0][1].view_name
             if source is None:
                 source = engine.last_answer_source()
-            epsilon = sum(a.epsilon_charged for _, a in groups)
+            epsilon = sum(filter(None, map(_charge_of, map(_answer_of,
+                                                           groups))), 0.0)
         else:
             if source is None:
                 source = "rejected" if response.rejected else "error"

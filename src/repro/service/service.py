@@ -27,7 +27,8 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from repro.core.analyst import Analyst
@@ -59,6 +60,11 @@ DEFAULT_MAX_CACHED = 256
 #: closed session ages out, submitting to its id degrades to the generic
 #: "no open session" error (404 over the wire) instead of the 409.
 MAX_CLOSED_SESSIONS = 4096
+
+#: Column readers for folding a response's answers into the counters.
+_answer_of = itemgetter(1)
+_charge_of = attrgetter("epsilon_charged")
+_hit_of = attrgetter("cache_hit")
 
 
 @dataclass
@@ -448,8 +454,11 @@ class QueryService:
         if lineage is None or lineage.ledger_seq is not None or \
                 self.durability is None:
             return response
-        return replace(response, lineage=lineage._replace(
+        # The response has not escaped yet: stamp it in place, as the
+        # executor attaches the lineage itself.
+        object.__setattr__(response, "lineage", lineage._replace(
             ledger_seq=self.durability.ledger_seq))
+        return response
 
     @staticmethod
     def _ensure_response(responses: list, index: int) -> QueryResponse:
@@ -475,9 +484,10 @@ class QueryService:
     def _account_locked(self, session: Session,
                         response: QueryResponse) -> None:
         """Fold one response into session + service counters (stats lock
-        held), in one pass over its answers: per answer, the session's
-        plain ε sum and the analyst's compensated term each add its
-        charge in answer order."""
+        held): the session's plain ε sum and the analyst's compensated
+        term each add the answers' non-zero charges in answer order
+        (adding +0.0 moves neither sum, and a GROUP BY's cached groups
+        all charge 0.0), and the cache hits are counted in one pass."""
         stats = self.stats
         session.submitted += 1
         stats.submitted += 1
@@ -493,19 +503,16 @@ class QueryService:
         stats.answered += 1
         answer = response.answer
         answers = (answer,) if answer is not None \
-            else [answer for _, answer in response.groups or ()]
+            else tuple(map(_answer_of, response.groups or ()))
         if not answers:
             return
         term = stats.epsilon_terms.get(session.analyst)
         if term is None:
             term = stats.epsilon_terms[session.analyst] = CompensatedSum()
-        hits = 0
-        for answer in answers:
-            epsilon = answer.epsilon_charged
+        for epsilon in filter(None, map(_charge_of, answers)):
             session.epsilon_spent += epsilon
             term.add(epsilon)
-            if answer.cache_hit:
-                hits += 1
+        hits = sum(map(_hit_of, answers))
         session.cache_hits += hits
         stats.answer_cache_hits += hits
         stats.fresh_releases += len(answers) - hits

@@ -8,7 +8,8 @@ memory is wrapper code.  These tests pin that wrapper down:
   retains (almost) no memory: nothing appends per query to an unbounded
   structure;
 * **one lean probe** — a warm submission runs the mechanism's
-  ``cached_answers_fast`` exactly once, counts its synopsis-cache hits
+  ``cached_answers_fast`` (a GROUP BY: ``cached_group_fast``) exactly
+  once, counts its synopsis-cache hits
   with one ``CacheStats`` call, and never unparses SQL;
 * **consistent counters** — every cache-statistics snapshot taken while
   threads keep answering is internally consistent.
@@ -117,7 +118,12 @@ class TestOneLeanProbe:
         finally:
             service.close()
 
-        assert counts[("mechanism.py", "cached_answers_fast")] == queries
+        # One probe per query: the scalar and the AVG through
+        # ``cached_answers_fast``, the GROUP BY through its columnar
+        # ``cached_group_fast``.
+        assert counts[("mechanism.py", "cached_answers_fast")] \
+            + counts[("mechanism.py", "cached_group_fast")] == queries
+        assert counts[("mechanism.py", "cached_group_fast")] == rounds
         # A scalar answers one part, an AVG two, a GROUP BY one per group.
         assert parts_answered > queries
         hit_calls = sum(n for (file, name), n in counts.items()

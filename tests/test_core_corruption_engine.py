@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Analyst, DProvDB, ReproError
+from repro.exceptions import QueryRejected
 from repro.core.corruption import CorruptionGraph
 from repro.core.provenance import Constraints
 
@@ -113,3 +114,66 @@ class TestGroupedConstraints:
         assert c.group_of("a") == frozenset({"a", "b"})
         assert c.group_of("c") == frozenset({"c"})
         assert c.group_of("zzz") is None
+
+
+class TestCoalitionsSurviveChanges:
+    """Registering an analyst or a view, or restoring a snapshot, keeps
+    the Thm. 7.2 coalition limits: every other constraint field carries
+    over when the constraints are rebuilt."""
+
+    @staticmethod
+    def engine(bundle, analysts, graph, epsilon=0.3):
+        return DProvDB.with_corruption_graph(bundle, analysts, graph,
+                                             epsilon=epsilon, seed=1)
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda e: e.register_view(("age", "sex")),
+                     id="register_view"),
+        pytest.param(lambda e: e.register_hierarchical_view("age"),
+                     id="register_hierarchical_view"),
+        pytest.param(lambda e: e.register_analyst(Analyst("c1", 2)),
+                     id="register_analyst"),
+    ])
+    def test_registration_keeps_groups(self, adult_bundle, four_analysts,
+                                       graph, change):
+        engine = self.engine(adult_bundle, four_analysts, graph)
+        groups = engine.constraints.groups
+        assert len(groups) == 2
+        change(engine)
+        assert engine.constraints.groups == groups
+        assert engine.constraints.group_limit == pytest.approx(0.3)
+        assert engine.mechanism.constraints is engine.constraints
+
+    def test_restore_keeps_the_engines_groups(self, adult_bundle,
+                                              four_analysts, graph):
+        from repro.core.persistence import engine_state, restore_engine_state
+
+        engine = self.engine(adult_bundle, four_analysts, graph)
+        engine.submit("a1", SQL, accuracy=8000.0)
+        revived = self.engine(adult_bundle, four_analysts, graph)
+        groups = revived.constraints.groups
+        restore_engine_state(revived, engine_state(engine))
+        assert revived.constraints.groups == groups
+        assert revived.constraints.group_limit == pytest.approx(0.3)
+        assert revived.analyst_consumed("a1") == engine.analyst_consumed("a1")
+
+    def test_coalition_cap_still_refuses_after_register_view(
+            self, adult_bundle, four_analysts, graph):
+        pair_sql = ("SELECT COUNT(*) FROM adult WHERE age BETWEEN 30 AND 40 "
+                    "AND sex = 'male'")
+        # Alone, a2's row limit admits the pair-view query...
+        alone = self.engine(adult_bundle, four_analysts, graph)
+        alone.register_view(("age", "sex"))
+        alone.submit("a2", pair_sql, accuracy=8000.0)
+        assert 0.1 < alone.analyst_consumed("a2") < 0.3
+        # ...but after a1's charge it would take the {a1, a2} coalition
+        # past its 0.3 limit.
+        engine = self.engine(adult_bundle, four_analysts, graph)
+        engine.register_view(("age", "sex"))
+        engine.submit("a1", SQL, accuracy=8000.0)
+        assert 0.1 < engine.analyst_consumed("a1") < 0.3
+        with pytest.raises(QueryRejected):
+            engine.submit("a2", pair_sql, accuracy=8000.0)
+        assert engine.analyst_consumed("a2") == 0.0
+        # The other coalition is untouched by {a1, a2}'s spending.
+        engine.submit("b1", pair_sql, accuracy=8000.0)

@@ -5,6 +5,7 @@ encoders emit is strict JSON."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -50,24 +51,33 @@ answers = st.builds(
     cache_hit=st.booleans(),
 )
 
-#: GROUP BY keys: multi-attribute tuples of the scalar types the engine's
-#: full-domain semantics produce (categorical labels, integer bins).
-group_keys = st.tuples(
-    st.one_of(name, st.integers(-1000, 1000)),
-    st.one_of(name, st.integers(-1000, 1000)),
-).map(lambda t: t[:1]) | st.tuples(
-    st.one_of(name, st.integers(-1000, 1000)),
-    st.one_of(name, st.integers(-1000, 1000)),
-)
+#: GROUP BY key parts: the scalar types the engine's full-domain
+#: semantics produce (categorical labels, integer bins).
+key_parts = st.one_of(name, st.integers(-1000, 1000))
 
 scalar_responses = st.builds(
     QueryResponse, index=st.integers(0, 10_000), answer=answers)
 
+
+def _group_lists(arity: int):
+    """Groups whose keys all have ``arity`` parts (one per GROUP BY
+    attribute, as the engine returns them)."""
+    keys = st.tuples(*[key_parts] * arity)
+    distinct = st.lists(st.tuples(keys, answers), min_size=1, max_size=6)
+    # Groups sharing one answer but their value: the cached GROUP BY's
+    # shape, where every other field column is constant.
+    shared = st.builds(
+        lambda base, rows: [(key, base._replace(value=value))
+                            for key, value in rows],
+        answers, st.lists(st.tuples(keys, st.builds(float, finite)),
+                          min_size=1, max_size=6))
+    return (distinct | shared).map(tuple)
+
+
 group_responses = st.builds(
     QueryResponse,
     index=st.integers(0, 10_000),
-    groups=st.lists(st.tuples(group_keys, answers),
-                    min_size=1, max_size=6).map(tuple),
+    groups=st.integers(1, 2).flatmap(_group_lists),
 )
 
 failed_responses = st.builds(
@@ -194,16 +204,18 @@ def _mutated(edit):
 
 
 class TestColumnarGroups:
-    """Protocol 2: a GROUP BY's ``groups`` is one object of equal-length
-    columns, each checked once on decode."""
+    """Protocol 3: a GROUP BY's ``groups`` is one object of columns — a
+    key column per GROUP BY attribute, and per answer field a list, or
+    one scalar when every entry has the same type and bits — each
+    checked once on decode."""
 
     def test_columnar_shape_is_pinned(self):
         body = encode_response(_three_groups())
-        assert body["protocol"] == PROTOCOL_VERSION == 2
+        assert body["protocol"] == PROTOCOL_VERSION == 3
         assert body["groups"] == {
-            "keys": [["female", 20], ["male", 20], ["male", 30]],
-            "analyst": ["alice"] * 3,
-            "view_name": ["adult.sex_age"] * 3,
+            "keys": [["female", "male", "male"], [20, 20, 30]],
+            "analyst": "alice",
+            "view_name": "adult.sex_age",
             "value": [12.5, -3.0, 0.0],
             "epsilon_charged": [0.25, 0.0, 0.0],
             "per_bin_variance": [100.0, 100.0, 0.0],
@@ -213,6 +225,53 @@ class TestColumnarGroups:
         wire = json.loads(json.dumps(body, allow_nan=False))
         assert decode_response(wire) == _three_groups()
 
+    def test_cached_groups_send_constant_columns_once(self):
+        groups = tuple(((age,), Answer("alice", 1.5 * age, 0.0, "adult.age",
+                                       100.0, 200.0, True))
+                       for age in range(100))
+        body = encode_response(QueryResponse(0, groups=groups))
+        assert body["groups"] == {
+            "keys": [list(range(100))],
+            "analyst": "alice", "view_name": "adult.age",
+            "value": [1.5 * age for age in range(100)],
+            "epsilon_charged": 0.0, "per_bin_variance": 100.0,
+            "answer_variance": 200.0, "cache_hit": True,
+        }
+        wire = json.loads(json.dumps(body, allow_nan=False))
+        assert decode_response(wire).groups == groups
+
+    def test_one_group_is_all_scalars(self):
+        response = QueryResponse(1, groups=_three_groups().groups[:1])
+        body = encode_response(response)
+        assert body["groups"]["keys"] == [["female"], [20]]
+        assert not any(isinstance(column, list)
+                       for field, column in body["groups"].items()
+                       if field != "keys")
+        assert decode_response(json.loads(json.dumps(body))) == response
+
+    def test_negative_zero_is_not_zero(self):
+        """Constant means equal *bits*: ``0.0`` and ``-0.0`` compare
+        equal, yet a column holding both is sent as a list, and each
+        entry keeps its sign."""
+        groups = tuple(((key,), Answer("a", value, 0.0, "v", 1.0, 2.0,
+                                       True))
+                       for key, value in ((1, 0.0), (2, -0.0)))
+        body = encode_response(QueryResponse(0, groups=groups))
+        assert body["groups"]["value"] == [0.0, -0.0]
+        decoded = decode_response(json.loads(json.dumps(body)))
+        assert [math.copysign(1.0, a.value) for _, a in decoded.groups] \
+            == [1.0, -1.0]
+        negative = encode_response(QueryResponse(0, groups=tuple(
+            (key, answer._replace(value=-0.0)) for key, answer in groups)))
+        assert math.copysign(1.0, negative["groups"]["value"]) == -1.0
+
+    def test_mixed_key_arity_is_refused_on_encode(self):
+        groups = ((("female", 20), Answer("a", 1.0, 0.0, "v", 1.0, 1.0,
+                                          True)),
+                  (("male",), Answer("a", 2.0, 0.0, "v", 1.0, 1.0, True)))
+        with pytest.raises(WireFormatError):
+            encode_response(QueryResponse(0, groups=groups))
+
     def test_empty_group_list_round_trips(self):
         response = QueryResponse(0, groups=())
         body = encode_response(response)
@@ -221,18 +280,24 @@ class TestColumnarGroups:
         assert decode_response(body) == response
 
     def test_integer_numbers_decode_as_floats(self):
-        body = _mutated(lambda b: b["groups"].update(value=[12, -3, 0]))
-        values = [a.value for _, a in decode_response(body).groups]
-        assert values == [12.0, -3.0, 0.0]
-        assert all(type(v) is float for v in values)
+        body = _mutated(lambda b: b["groups"].update(
+            value=[12, -3, 0], per_bin_variance=100))
+        answers = [a for _, a in decode_response(body).groups]
+        assert [a.value for a in answers] == [12.0, -3.0, 0.0]
+        assert [a.per_bin_variance for a in answers] == [100.0] * 3
+        assert all(type(a.value) is float and
+                   type(a.per_bin_variance) is float for a in answers)
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda b: b["groups"]["value"].pop(),
                      id="short-column"),
         pytest.param(lambda b: b["groups"]["cache_hit"].append(True),
                      id="long-column"),
-        pytest.param(lambda b: b["groups"]["keys"].pop(),
+        pytest.param(lambda b: [column.pop()
+                                for column in b["groups"]["keys"]],
                      id="short-keys"),
+        pytest.param(lambda b: b["groups"]["keys"][1].pop(),
+                     id="key-column-wrong-length"),
         pytest.param(lambda b: b["groups"]["value"].__setitem__(1, True),
                      id="bool-number"),
         pytest.param(lambda b: b["groups"]["epsilon_charged"].__setitem__(
@@ -249,19 +314,41 @@ class TestColumnarGroups:
                      id="int-cache-hit"),
         pytest.param(lambda b: b["groups"]["cache_hit"].__setitem__(
             2, "true"), id="string-cache-hit"),
-        pytest.param(lambda b: b["groups"]["analyst"].__setitem__(1, 7),
-                     id="int-analyst"),
-        pytest.param(lambda b: b["groups"]["view_name"].__setitem__(
-            0, None), id="null-view-name"),
+        pytest.param(lambda b: b["groups"].__setitem__(
+            "analyst", ["alice", 7, "alice"]), id="int-analyst"),
+        pytest.param(lambda b: b["groups"].__setitem__("view_name", None),
+                     id="null-view-name"),
         pytest.param(lambda b: b["groups"]["keys"].__setitem__(0, "male"),
                      id="key-not-a-list"),
-        pytest.param(lambda b: b["groups"]["keys"].__setitem__(
-            0, [["nested"]]), id="key-part-not-scalar"),
+        pytest.param(lambda b: b["groups"]["keys"][0].__setitem__(
+            0, ["nested"]), id="key-part-not-scalar"),
         pytest.param(lambda b: b["groups"].pop("answer_variance"),
                      id="missing-column"),
         pytest.param(lambda b: b["groups"].pop("keys"), id="missing-keys"),
         pytest.param(lambda b: b["groups"].__setitem__("value", {"0": 1.0}),
                      id="column-not-a-list"),
+        # Scalar columns: one value, checked once, for every group.
+        pytest.param(lambda b: b["groups"].__setitem__("value", True),
+                     id="scalar-bool-number"),
+        pytest.param(lambda b: b["groups"].__setitem__(
+            "per_bin_variance", float("nan")), id="scalar-nan-number"),
+        pytest.param(lambda b: b["groups"].__setitem__(
+            "answer_variance", float("-inf")), id="scalar-inf-number"),
+        pytest.param(lambda b: b["groups"].__setitem__(
+            "epsilon_charged", 10 ** 400), id="scalar-huge-int-number"),
+        pytest.param(lambda b: b["groups"].__setitem__("value", "1.5"),
+                     id="scalar-string-number"),
+        pytest.param(lambda b: b["groups"].__setitem__("cache_hit", "true"),
+                     id="scalar-string-cache-hit"),
+        pytest.param(lambda b: b["groups"].__setitem__("cache_hit", 1),
+                     id="scalar-int-cache-hit"),
+        pytest.param(lambda b: b["groups"].__setitem__("analyst", 7),
+                     id="scalar-int-analyst"),
+        pytest.param(lambda b: b["groups"].__setitem__("keys", "female"),
+                     id="keys-not-a-list"),
+        pytest.param(lambda b: b["groups"].__setitem__(
+            "keys", [["female", 20], ["male", 20], ["male", 30]]),
+            id="protocol-2-key-rows"),
         pytest.param(lambda b: b.__setitem__("groups", [
             {"key": ["female", 20],
              "answer": {"analyst": "alice", "value": 12.5,
@@ -270,6 +357,8 @@ class TestColumnarGroups:
                         "cache_hit": False}}]), id="protocol-1-row-list"),
         pytest.param(lambda b: b.__setitem__("protocol", 1),
                      id="protocol-1-envelope"),
+        pytest.param(lambda b: b.__setitem__("protocol", 2),
+                     id="protocol-2-envelope"),
     ])
     def test_malformed_columns_refused(self, edit):
         with pytest.raises(WireFormatError):
