@@ -276,10 +276,23 @@ class DProvDB:
 
     def register_analyst(self, analyst: Analyst,
                          constraint: float | None = None) -> None:
-        """Admit a new analyst online (possible under Def. 11 policies)."""
+        """Admit a new analyst online (possible under Def. 11 policies).
+
+        On an engine with Sec. 7.1 coalitions the newcomer is in no edge
+        of the corruption graph, so it joins as its own singleton
+        coalition: its row limit is at most ``group_limit`` (which is
+        also its default) and the table limit is not raised.
+        """
         if analyst.name in self.analysts:
             raise ReproError(f"analyst {analyst.name!r} already registered")
-        if constraint is None:
+        changes = {}
+        groups = self.constraints.groups
+        if groups:
+            limit = self.constraints.group_limit
+            constraint = limit if constraint is None else min(constraint,
+                                                              limit)
+            changes["groups"] = groups + (frozenset({analyst.name}),)
+        elif constraint is None:
             l_max = max((a.privilege for a in self.analysts.values()),
                         default=analyst.privilege)
             l_max = max(l_max, analyst.privilege)
@@ -288,7 +301,7 @@ class DProvDB:
         self.provenance.register_analyst(analyst.name)
         updated = dict(self.constraints.analyst)
         updated[analyst.name] = constraint
-        self._set_constraints(analyst=updated)
+        self._set_constraints(analyst=updated, **changes)
 
     def _set_constraints(self, **changes) -> None:
         """Swap in constraints with ``changes`` applied; every other

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import DatasetBundle
+from repro.datasets.base import DatasetBundle, generated_tables
 from repro.db.database import Database
 from repro.db.schema import Attribute, CategoricalDomain, IntegerDomain, Schema
 from repro.db.table import Table
@@ -128,8 +128,14 @@ ADULT_VIEW_ATTRIBUTES = (
 
 
 def load_adult(num_rows: int = ADULT_NUM_ROWS, seed: SeedLike = 0) -> DatasetBundle:
-    """Build the Adult dataset bundle used throughout the experiments."""
-    table = generate_adult_table(num_rows, seed)
+    """Build the Adult dataset bundle used throughout the experiments.
+
+    The table is generated once per ``(num_rows, int seed)`` per process
+    and shared, read-only, by every bundle loaded with those arguments.
+    """
+    table, = generated_tables(
+        "adult", num_rows, seed,
+        lambda rows, rng: (generate_adult_table(rows, rng),))
     db = Database({"adult": table})
     return DatasetBundle("adult", db, "adult", ADULT_VIEW_ATTRIBUTES)
 

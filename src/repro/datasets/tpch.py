@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import DatasetBundle
+from repro.datasets.base import DatasetBundle, generated_tables
 from repro.db.database import Database
 from repro.db.schema import Attribute, CategoricalDomain, IntegerDomain, Schema
 from repro.db.table import Table
-from repro.dp.rng import SeedLike, ensure_generator
+from repro.dp.rng import SeedLike
 
 #: Default lineitem row count (scale 0.01 of TPC-H SF1, row-ratio preserved).
 TPCH_DEFAULT_LINEITEM_ROWS = 60000
@@ -87,6 +87,13 @@ def generate_orders(num_rows: int, rng: np.random.Generator) -> Table:
     return Table(orders_schema(), columns)
 
 
+def _generate_tables(lineitem_rows: int, rng: np.random.Generator
+                     ) -> tuple[Table, Table]:
+    lineitem = generate_lineitem(lineitem_rows, rng)
+    orders = generate_orders(max(1, lineitem_rows // 4), rng)
+    return lineitem, orders
+
+
 #: Attributes over which the experiments build one histogram view each.
 TPCH_VIEW_ATTRIBUTES = (
     "quantity", "discount", "tax", "returnflag", "linestatus", "shipmode",
@@ -96,10 +103,14 @@ TPCH_VIEW_ATTRIBUTES = (
 
 def load_tpch(lineitem_rows: int = TPCH_DEFAULT_LINEITEM_ROWS,
               seed: SeedLike = 0) -> DatasetBundle:
-    """Build the TPC-H bundle; ``lineitem`` is the fact table."""
-    rng = ensure_generator(seed)
-    lineitem = generate_lineitem(lineitem_rows, rng)
-    orders = generate_orders(max(1, lineitem_rows // 4), rng)
+    """Build the TPC-H bundle; ``lineitem`` is the fact table.
+
+    Both tables are generated once per ``(lineitem_rows, int seed)`` per
+    process and shared, read-only, by every bundle loaded with those
+    arguments.
+    """
+    lineitem, orders = generated_tables("tpch", lineitem_rows, seed,
+                                        _generate_tables)
     db = Database({"lineitem": lineitem, "orders": orders})
     return DatasetBundle("tpch", db, "lineitem", TPCH_VIEW_ATTRIBUTES)
 

@@ -3,6 +3,10 @@
 A :class:`Table` stores one NumPy array per attribute.  Categorical columns
 are stored as dense bin codes (int64) so filters and histograms are pure
 vector operations; the schema's domain maps codes back to raw values.
+
+Tables are read-only: every stored column and every histogram a table
+returns refuses writes, which is what lets one generated dataset be
+shared by every engine in a process (see :mod:`repro.datasets.base`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,11 @@ from repro.exceptions import SchemaError
 
 
 class Table:
-    """An immutable columnar relation conforming to a :class:`Schema`."""
+    """An immutable columnar relation conforming to a :class:`Schema`.
+
+    The table takes ownership of the arrays it is given and makes them
+    read-only; each exact histogram is counted once and kept.
+    """
 
     def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray]) -> None:
         self._schema = schema
@@ -37,9 +45,11 @@ class Table:
                 length = arr.shape[0]
             elif arr.shape[0] != length:
                 raise SchemaError("all columns must have the same length")
+            arr.flags.writeable = False
             arrays[name] = arr
         self._columns = arrays
         self._length = int(length or 0)
+        self._histograms: dict[tuple[str, ...], np.ndarray] = {}
 
     @classmethod
     def from_values(cls, schema: Schema,
@@ -102,19 +112,27 @@ class Table:
 
         Returns an array of shape ``(|Dom(a1)|, ..., |Dom(ak)|)`` counting the
         rows in each cell; this is the non-private answer to the paper's
-        histogram view V over those attributes.
+        histogram view V over those attributes.  It is counted on first
+        request and the same read-only array is returned afterwards (two
+        threads asking first may both count; the counts are equal).
         """
+        key = tuple(names)
+        counts = self._histograms.get(key)
+        if counts is None:
+            counts = self._count(key)
+            counts.flags.writeable = False
+            self._histograms[key] = counts
+        return counts
+
+    def _count(self, names: tuple[str, ...]) -> np.ndarray:
         if not names:
             raise SchemaError("histogram needs at least one attribute")
         dims = [self._schema.domain(n).size for n in names]
-        if self._length == 0:
-            return np.zeros(dims, dtype=np.int64)
-        flat = np.zeros(int(np.prod(dims)), dtype=np.int64)
         multi = np.ravel_multi_index(
             tuple(self.codes(n) for n in names), dims
         )
-        np.add.at(flat, multi, 1)
-        return flat.reshape(dims)
+        flat = np.bincount(multi, minlength=int(np.prod(dims)))
+        return flat.astype(np.int64, copy=False).reshape(dims)
 
 
 __all__ = ["Table"]

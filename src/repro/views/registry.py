@@ -99,9 +99,12 @@ class ViewRegistry:
     def exact_values(self, view_name: str) -> np.ndarray:
         """Exact flattened histogram for the view (cached; curator-side).
 
-        First-touch materialisation is serialised by a lock so concurrent
-        submissions against different un-materialised views never race on
-        the cache (double-checked: the hot cached path stays lock-free).
+        The table counts each histogram once and shares it read-only; the
+        registry keeps its own float64 copy (a dyadic view's node sums
+        are not a table histogram at all).  First-touch materialisation
+        is serialised by a lock so each view gets one copy and
+        ``setup_seconds`` adds up under concurrent submissions
+        (double-checked: the hot cached path stays lock-free).
         """
         values = self._exact.get(view_name)
         if values is None:

@@ -140,9 +140,28 @@ class TestCoalitionsSurviveChanges:
         groups = engine.constraints.groups
         assert len(groups) == 2
         change(engine)
-        assert engine.constraints.groups == groups
+        # An analyst registered online may append its own singleton
+        # coalition; the graph's coalitions carry over unchanged.
+        assert engine.constraints.groups[:len(groups)] == groups
         assert engine.constraints.group_limit == pytest.approx(0.3)
         assert engine.mechanism.constraints is engine.constraints
+
+    def test_registered_analyst_is_its_own_coalition(
+            self, adult_bundle, four_analysts, graph):
+        engine = self.engine(adult_bundle, four_analysts, graph)
+        table = engine.constraints.table
+        engine.register_analyst(Analyst("c1", 4))
+        assert engine.constraints.group_of("c1") == frozenset({"c1"})
+        assert engine.constraints.analyst_limit("c1") <= 0.3 + 1e-12
+        assert engine.constraints.table == table
+        # An explicit row limit above psi is clamped to it.
+        engine.register_analyst(Analyst("c2", 4), constraint=5.0)
+        assert engine.constraints.analyst_limit("c2") == pytest.approx(0.3)
+        # However hard c1 asks, it never loses more than one psi.
+        for i in range(12):
+            engine.try_submit("c1", (SQL, SQL2)[i % 2],
+                              accuracy=4000.0 / (1 + i))
+        assert 0.0 < engine.analyst_consumed("c1") <= 0.3 + 1e-9
 
     def test_restore_keeps_the_engines_groups(self, adult_bundle,
                                               four_analysts, graph):
