@@ -12,9 +12,11 @@ Appendix D.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from repro.datasets.base import DatasetBundle, generated_tables
+from repro.datasets.base import TABLE_MEMO_SIZE, DatasetBundle, integer
 from repro.db.database import Database
 from repro.db.schema import Attribute, CategoricalDomain, IntegerDomain, Schema
 from repro.db.table import Table
@@ -127,15 +129,22 @@ ADULT_VIEW_ATTRIBUTES = (
 )
 
 
+@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _adult_table(rows: int, seed: int) -> Table:
+    return generate_adult_table(rows, seed)
+
+
 def load_adult(num_rows: int = ADULT_NUM_ROWS, seed: SeedLike = 0) -> DatasetBundle:
     """Build the Adult dataset bundle used throughout the experiments.
 
     The table is generated once per ``(num_rows, int seed)`` per process
     and shared, read-only, by every bundle loaded with those arguments.
     """
-    table, = generated_tables(
-        "adult", num_rows, seed,
-        lambda rows, rng: (generate_adult_table(rows, rng),))
+    rows, int_seed = integer(num_rows), integer(seed)
+    if rows is None or int_seed is None:
+        table = generate_adult_table(num_rows, seed)
+    else:
+        table = _adult_table(rows, int_seed)
     db = Database({"adult": table})
     return DatasetBundle("adult", db, "adult", ADULT_VIEW_ATTRIBUTES)
 

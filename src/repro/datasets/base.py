@@ -1,25 +1,16 @@
-"""Common dataset container used by experiments, and the per-process
-memo of generated tables."""
+"""Common dataset container used by experiments."""
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.db.database import Database
-from repro.db.table import Table
-from repro.dp.rng import SeedLike, ensure_generator
 
 #: Generated datasets kept per process, least recently loaded evicted
 #: first.  A full-scale Adult is about 5.4 MB of columns.
 TABLE_MEMO_SIZE = 8
-
-_memo: OrderedDict[tuple, tuple[Table, ...]] = OrderedDict()
-_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -53,44 +44,13 @@ class DatasetBundle:
         return 1.0 / max(1, self.num_rows)
 
 
-def _as_int(value) -> int | None:
+def integer(value) -> int | None:
     """``value`` as a plain int, or ``None`` if it is not an integer
-    (``bool`` is not one here)."""
+    (``bool`` is not one here).  The dataset loaders memoise only loads
+    whose rows and seed are both integers."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     return None
 
 
-def generated_tables(name: str, rows: int, seed: SeedLike,
-                     generate: Callable[[int, np.random.Generator],
-                                        tuple[Table, ...]]
-                     ) -> tuple[Table, ...]:
-    """``generate(rows, rng)``, computed once per ``(name, rows, seed)``
-    for an integer seed and shared by every later call in the process.
-
-    The tables are read-only, so sharing them is safe; callers still
-    build their own :class:`Database` around them.  A ``None`` seed or a
-    ``Generator`` (whose draws depend on its state) is never memoised:
-    every such call generates afresh, from ``ensure_generator(seed)``.
-    Two threads missing the same key at once both generate, and both
-    get the tables stored first.
-    """
-    key_seed, key_rows = _as_int(seed), _as_int(rows)
-    if key_seed is None or key_rows is None:
-        return generate(rows, ensure_generator(seed))
-    key = (name, key_rows, key_seed)
-    with _memo_lock:
-        tables = _memo.get(key)
-        if tables is not None:
-            _memo.move_to_end(key)
-            return tables
-    tables = generate(key_rows, np.random.default_rng(key_seed))
-    with _memo_lock:
-        tables = _memo.setdefault(key, tables)
-        _memo.move_to_end(key)
-        while len(_memo) > TABLE_MEMO_SIZE:
-            _memo.popitem(last=False)
-    return tables
-
-
-__all__ = ["DatasetBundle", "TABLE_MEMO_SIZE", "generated_tables"]
+__all__ = ["DatasetBundle", "TABLE_MEMO_SIZE", "integer"]

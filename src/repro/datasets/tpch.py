@@ -12,13 +12,15 @@ three return flags, order dates spread over the 1992-1998 TPC-H window
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from repro.datasets.base import DatasetBundle, generated_tables
+from repro.datasets.base import TABLE_MEMO_SIZE, DatasetBundle, integer
 from repro.db.database import Database
 from repro.db.schema import Attribute, CategoricalDomain, IntegerDomain, Schema
 from repro.db.table import Table
-from repro.dp.rng import SeedLike
+from repro.dp.rng import SeedLike, ensure_generator
 
 #: Default lineitem row count (scale 0.01 of TPC-H SF1, row-ratio preserved).
 TPCH_DEFAULT_LINEITEM_ROWS = 60000
@@ -87,11 +89,17 @@ def generate_orders(num_rows: int, rng: np.random.Generator) -> Table:
     return Table(orders_schema(), columns)
 
 
-def _generate_tables(lineitem_rows: int, rng: np.random.Generator
+def _generate_tables(lineitem_rows: int, seed: SeedLike
                      ) -> tuple[Table, Table]:
+    rng = ensure_generator(seed)
     lineitem = generate_lineitem(lineitem_rows, rng)
     orders = generate_orders(max(1, lineitem_rows // 4), rng)
     return lineitem, orders
+
+
+@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _tpch_tables(lineitem_rows: int, seed: int) -> tuple[Table, Table]:
+    return _generate_tables(lineitem_rows, seed)
 
 
 #: Attributes over which the experiments build one histogram view each.
@@ -109,8 +117,11 @@ def load_tpch(lineitem_rows: int = TPCH_DEFAULT_LINEITEM_ROWS,
     process and shared, read-only, by every bundle loaded with those
     arguments.
     """
-    lineitem, orders = generated_tables("tpch", lineitem_rows, seed,
-                                        _generate_tables)
+    rows, int_seed = integer(lineitem_rows), integer(seed)
+    if rows is None or int_seed is None:
+        lineitem, orders = _generate_tables(lineitem_rows, seed)
+    else:
+        lineitem, orders = _tpch_tables(rows, int_seed)
     db = Database({"lineitem": lineitem, "orders": orders})
     return DatasetBundle("tpch", db, "lineitem", TPCH_VIEW_ATTRIBUTES)
 

@@ -126,23 +126,22 @@ class TestCoalitionsSurviveChanges:
         return DProvDB.with_corruption_graph(bundle, analysts, graph,
                                              epsilon=epsilon, seed=1)
 
-    @pytest.mark.parametrize("change", [
-        pytest.param(lambda e: e.register_view(("age", "sex")),
+    @pytest.mark.parametrize("change, added", [
+        pytest.param(lambda e: e.register_view(("age", "sex")), (),
                      id="register_view"),
-        pytest.param(lambda e: e.register_hierarchical_view("age"),
+        pytest.param(lambda e: e.register_hierarchical_view("age"), (),
                      id="register_hierarchical_view"),
+        # A newcomer joins as its own singleton coalition.
         pytest.param(lambda e: e.register_analyst(Analyst("c1", 2)),
-                     id="register_analyst"),
+                     (frozenset({"c1"}),), id="register_analyst"),
     ])
     def test_registration_keeps_groups(self, adult_bundle, four_analysts,
-                                       graph, change):
+                                       graph, change, added):
         engine = self.engine(adult_bundle, four_analysts, graph)
         groups = engine.constraints.groups
         assert len(groups) == 2
         change(engine)
-        # An analyst registered online may append its own singleton
-        # coalition; the graph's coalitions carry over unchanged.
-        assert engine.constraints.groups[:len(groups)] == groups
+        assert engine.constraints.groups == groups + added
         assert engine.constraints.group_limit == pytest.approx(0.3)
         assert engine.mechanism.constraints is engine.constraints
 
