@@ -61,7 +61,6 @@ from repro.service import (
     QueryResponse,
     QueryService,
     Session,
-    ShardManager,
 )
 
 __version__ = "1.0.0"
@@ -94,7 +93,6 @@ __all__ = [
     "ServiceClosed",
     "Session",
     "SessionClosed",
-    "ShardManager",
     "SimulatedPrivateSQL",
     "Synopsis",
     "SynopsisStore",

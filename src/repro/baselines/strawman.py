@@ -89,17 +89,17 @@ class SyntheticDataRelease(_StaticSynopsisSystem):
     def setup(self) -> float:
         if self._setup_done:
             return self.registry.setup_seconds
-        per_view = self.table_budget / len(self.registry.view_names)
+        view_budget = self.table_budget / len(self.registry.view_names)
         self._synopses: dict[str, Synopsis] = {}
         for name in self.registry.view_names:
             view = self.registry.view(name)
             exact = self.registry.exact_values(name)
-            sigma = analytic_gaussian_sigma(per_view, self.delta,
+            sigma = analytic_gaussian_sigma(view_budget, self.delta,
                                             view.sensitivity())
             self._synopses[name] = Synopsis(
                 view_name=name,
                 values=exact + self.rng.normal(0.0, sigma, size=exact.shape),
-                epsilon=per_view, delta=self.delta, variance=sigma ** 2,
+                epsilon=view_budget, delta=self.delta, variance=sigma ** 2,
                 analyst=None,
             )
         self._setup_done = True
@@ -153,14 +153,14 @@ class SeededCacheBaseline(_StaticSynopsisSystem):
     def setup(self) -> float:
         if self._setup_done:
             return self.registry.setup_seconds
-        per_view = self.table_budget / len(self.registry.view_names)
+        view_budget = self.table_budget / len(self.registry.view_names)
         self._ladders: dict[str, list[Synopsis]] = {}
         for name in self.registry.view_names:
             view = self.registry.view(name)
             exact = self.registry.exact_values(name)
             ladder: list[Synopsis] = []
             # Build top-down: most accurate level first, then degrade.
-            budgets = [per_view * k / self.levels
+            budgets = [view_budget * k / self.levels
                        for k in range(self.levels, 0, -1)]
             sigma_top = analytic_gaussian_sigma(budgets[0], self.delta,
                                                 view.sensitivity())

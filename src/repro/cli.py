@@ -16,8 +16,8 @@ benchmarks print.  The serving stack's benchmark is ``perf/run.py``
 (see ``perf/README.md``), not a subcommand.
 
 ``serve`` runs the network daemon (:mod:`repro.server`): it builds a
-dataset + analyst roster, wraps them in a sharded ``QueryService``, and
-serves the protocol-v1 HTTP API until SIGTERM/SIGINT, then drains
+dataset + analyst roster, wraps them in a ``QueryService``, and
+serves the protocol-v3 HTTP API until SIGTERM/SIGINT, then drains
 in-flight work before exiting.  Connect with
 :class:`repro.client.RemoteAnalyst`.  With ``--data-dir`` the service
 journals every finalised charge to a write-ahead budget ledger
@@ -174,8 +174,7 @@ def _build_daemon_service(args, durable: bool = True):
                                            args, "ledger_segment_bytes",
                                            None))
     return QueryService.build(bundle, analysts, args.epsilon,
-                              shards=args.shards, seed=args.seed,
-                              durability=durability)
+                              seed=args.seed, durability=durability)
 
 
 def _serve(args) -> str:
@@ -190,7 +189,6 @@ def _serve(args) -> str:
                              checkpoint_every=args.checkpoint_every,
                              rate_limit=args.rate_limit,
                              rate_burst=args.rate_burst,
-                             micro_batch=args.micro_batch,
                              request_timeout=args.request_timeout,
                              max_body_bytes=args.max_body,
                              tls_cert=args.tls_cert,
@@ -202,16 +200,13 @@ def _serve(args) -> str:
 
     print(f"repro serve: listening on {server.url}", flush=True)
     print(f"  dataset={args.dataset} rows={args.rows or 'full'} "
-          f"epsilon={args.epsilon} shards={args.shards}", flush=True)
+          f"epsilon={args.epsilon}", flush=True)
     if server.tls:
         print(f"  tls: cert={args.tls_cert} (TLS >= 1.2)", flush=True)
     if args.rate_limit is not None:
         print(f"  admission control: {args.rate_limit:g} q/s per analyst "
               f"(burst {args.rate_burst if args.rate_burst is not None else max(1.0, args.rate_limit):g}); "
               f"over-limit requests get 429 + Retry-After", flush=True)
-    if args.micro_batch:
-        print("  adaptive micro-batching: queued single queries coalesce "
-              "into planner batches under pressure", flush=True)
     print(f"  metrics: GET {server.url}/v1/metrics (Prometheus text)",
           flush=True)
     print(f"  audit: GET {server.url}/v1/audit (spend timeline, burn "
@@ -456,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of registered analysts")
         cmd.add_argument("--epsilon", type=float, default=12.0,
                          help="table-level privacy budget")
-        cmd.add_argument("--shards", type=int, default=8,
-                         help="shard count for the sharded service")
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--data-dir", required=data_dir_required,
                          default=None, metavar="PATH",
@@ -465,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "ledger + checkpoint)")
 
     serve = sub.add_parser(
-        "serve", help="run the HTTP daemon over a sharded QueryService")
+        "serve", help="run the HTTP daemon over a QueryService")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8321,
                        help="listen port (0 = ephemeral, printed at start)")
@@ -501,10 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="token-bucket burst with --rate-limit "
                             "(default: max(1, rate))")
-    serve.add_argument("--micro-batch", action="store_true",
-                       help="coalesce queued single queries into planner "
-                            "batches when the server is under queueing "
-                            "pressure (accounting is identical)")
     serve.add_argument("--request-timeout", type=float, default=30.0,
                        metavar="SECONDS",
                        help="per-connection socket timeout: a client "
@@ -640,7 +629,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         for name, (_, help_text) in COMMANDS.items():
             print(f"{name:8s} {help_text}")
-        print("serve    HTTP daemon over a sharded QueryService "
+        print("serve    HTTP daemon over a QueryService "
               "(repro.server; --data-dir adds the write-ahead ledger)")
         print("recover  inspect crash recovery for a durability data-dir")
         print("checkpoint  fold a durability data-dir's ledger into a "
@@ -650,7 +639,12 @@ def main(argv: list[str] | None = None) -> int:
         print("audit    offline budget audit of a durability data-dir "
               "(spend timelines; --verify cross-checks a live daemon)")
         return 0
-    if getattr(args, "rows", None) == 0:
+    rows = getattr(args, "rows", None)
+    if rows is not None and rows < 0:
+        print(f"error: --rows must be >= 0 (0 = paper scale), got {rows}",
+              file=sys.stderr)
+        return 2
+    if rows == 0:
         args.rows = None
     runner, _ = COMMANDS[args.command] if args.command in COMMANDS \
         else (_DAEMON_COMMANDS[args.command], "")

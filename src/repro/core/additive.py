@@ -197,8 +197,7 @@ class AdditiveGaussianMechanism(MechanismBase):
             request.delta_epsilon, delta, self._sensitivity(view)
         )
         exact = self._exact(view)
-        rng = self._rng_for(view.name)
-        fresh_values = exact + rng.normal(0.0, sigma, size=exact.shape)
+        fresh_values = exact + self.rng.normal(0.0, sigma, size=exact.shape)
         self._record_access(sigma, view)
 
         if current is None:
@@ -247,7 +246,7 @@ class AdditiveGaussianMechanism(MechanismBase):
             values, variance, meta = combined
         else:
             values = degrade(global_synopsis.values, global_synopsis.variance,
-                             target_variance, self._rng_for(view.name))
+                             target_variance, self.rng)
             variance = target_variance
             meta = _LocalMeta(
                 generation=self._generation.get(view.name, 1),
@@ -297,7 +296,7 @@ class AdditiveGaussianMechanism(MechanismBase):
                 return None  # nothing independent to average
             fresh_values = degrade(global_synopsis.values,
                                    global_synopsis.variance,
-                                   target_variance, self._rng_for(view.name))
+                                   target_variance, self.rng)
             k_old = s_new / (s_prev + s_new)
             values = k_old * cached.values + (1.0 - k_old) * fresh_values
             extra = s_prev * s_new / (s_prev + s_new)
@@ -313,7 +312,7 @@ class AdditiveGaussianMechanism(MechanismBase):
         noise_new = max(0.0, target_variance - global_synopsis.variance)
         fresh_values = degrade(global_synopsis.values,
                                global_synopsis.variance, target_variance,
-                               self._rng_for(view.name))
+                               self.rng)
         weights = local_combination_weights(
             record.w_prev, record.w_fresh, record.v_prev, record.v_delta,
             s_prev=meta.noise_variance, s_new=noise_new,

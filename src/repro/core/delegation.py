@@ -45,7 +45,7 @@ class DelegationManager:
     Accounting is thread-safe: cap checks and charges run under one
     internal lock, and the engine charges a grant through the atomic
     :meth:`reserve`/:meth:`settle`/:meth:`release` cycle so two delegated
-    queries on *different* views (which the sharded service executes in
+    queries on *different* views (which concurrent submissions execute in
     parallel) can never jointly over-spend ``epsilon_cap``.
     """
 

@@ -115,7 +115,6 @@ class DProvDB:
                  synopsis_store=None,
                  statement_cache_size: int | None = DEFAULT_STATEMENT_CACHE,
                  fast_lane: bool = True,
-                 noise_streams: str = "shared",
                  seed: SeedLike = None) -> None:
         if not analysts:
             raise ReproError("need at least one analyst")
@@ -185,18 +184,10 @@ class DProvDB:
         #: each other's marks.  Purely descriptive: written after the
         #: outcome is decided, never consulted by execution.
         self._source_local = threading.local()
-        if noise_streams == "per_view" and not isinstance(
-                seed, (int, str, type(None))):
-            raise ReproError("per-view noise streams derive per-view seeds "
-                             "deterministically; pass an int (or None) seed, "
-                             "not a Generator")
         mechanism_kwargs = {"rng": ensure_generator(seed),
                             "accountant": accountant,
                             "precision": precision,
-                            "store": synopsis_store,
-                            "noise_streams": noise_streams,
-                            "stream_seed": (seed if isinstance(seed, (int, str))
-                                            else None)}
+                            "store": synopsis_store}
         if mechanism == "additive":
             mechanism_kwargs["combine_local"] = combine_local
         elif combine_local:

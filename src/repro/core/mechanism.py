@@ -23,18 +23,11 @@ import numpy as np
 from repro.core.provenance import Constraints, ProvenanceTable
 from repro.core.synopsis import SynopsisStore
 from repro.core.translation import DEFAULT_PRECISION
-from repro.dp.rng import SeedLike, ensure_generator, stable_seed
-from repro.exceptions import QueryRejected, ReproError, TranslationError
+from repro.dp.rng import SeedLike, ensure_generator
+from repro.exceptions import QueryRejected, TranslationError
 from repro.views.histogram import HistogramView
 from repro.views.linear import LinearQuery
 from repro.views.registry import ViewRegistry
-
-#: Noise-stream layouts: one shared generator for every draw (the
-#: historical behaviour) or one deterministic stream per view.  Per-view
-#: streams make the draw sequence on a view a function of that view's
-#: release order alone, so batched replays whose per-view groups run
-#: concurrently stay bit-identical.
-NOISE_STREAMS = ("shared", "per_view")
 
 _weights_of = attrgetter("weights")
 
@@ -73,27 +66,18 @@ class MechanismBase:
                  constraints: Constraints, rng: SeedLike = None,
                  accountant: GaussianAccountant | None = None,
                  precision: float = DEFAULT_PRECISION,
-                 store: SynopsisStore | None = None,
-                 noise_streams: str = "shared",
-                 stream_seed: int | str | None = None) -> None:
-        if noise_streams not in NOISE_STREAMS:
-            raise ReproError(f"unknown noise_streams {noise_streams!r}; "
-                             f"choose from {NOISE_STREAMS}")
+                 store: SynopsisStore | None = None) -> None:
         self.registry = registry
         self.provenance = provenance
         self.constraints = constraints
         #: Synopsis storage; injectable so serving layers can substitute a
         #: bounded (LRU) store — see :mod:`repro.service.cache`.
         self.store = SynopsisStore() if store is None else store
+        #: The one noise stream: every release draws from it, so a
+        #: single-threaded replay is a function of the seed alone.
         self.rng = ensure_generator(rng)
         self.accountant = accountant
         self.precision = precision
-        #: Noise-stream layout (see :data:`NOISE_STREAMS`).  ``per_view``
-        #: derives one deterministic generator per view from
-        #: ``stream_seed``.
-        self.noise_streams = noise_streams
-        self._stream_seed = stream_seed
-        self._view_rngs: dict[str, np.random.Generator] = {}
         #: Per-analyst count of fresh releases charged to them — the delta
         #: ledger (each release adds one per-query delta, Theorem 3.1).
         #: Guarded by ``_ledger_lock`` so the cap check and the increment
@@ -135,27 +119,6 @@ class MechanismBase:
         with self._ledger_lock:
             self._release_counts[analyst] = \
                 max(0, self._release_counts.get(analyst, 0) - 1)
-
-    # -- noise streams ----------------------------------------------------------
-    def _rng_for(self, view_name: str) -> np.random.Generator:
-        """The generator noise for ``view_name`` draws from.
-
-        ``"shared"`` mode returns the single mechanism generator (every
-        existing replay stays bit-identical).  ``"per_view"`` mode lazily
-        derives one stream per view from ``(stream_seed, view name)`` via
-        :func:`repro.dp.rng.stable_seed`, so the draw sequence on a view
-        depends only on that view's own release order.
-        """
-        if self.noise_streams == "shared":
-            return self.rng
-        rng = self._view_rngs.get(view_name)
-        if rng is None:
-            # The trailing 0 keeps every per-view seed what it has always
-            # been: changing the key tuple would change every draw.
-            seed = stable_seed(self._stream_seed, "noise-stream", view_name,
-                               0)
-            rng = self._view_rngs[view_name] = ensure_generator(seed)
-        return rng
 
     # -- helpers --------------------------------------------------------------
     def _sensitivity(self, view: HistogramView) -> float:
@@ -396,4 +359,4 @@ class MechanismBase:
         raise NotImplementedError
 
 
-__all__ = ["GaussianAccountant", "MechanismBase", "NOISE_STREAMS", "Outcome"]
+__all__ = ["GaussianAccountant", "MechanismBase", "Outcome"]

@@ -38,6 +38,7 @@ shared noisy state) consistent.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -77,22 +78,26 @@ class Constraints:
     group_limit: float | None = None
 
     def __post_init__(self) -> None:
-        if self.table <= 0:
-            raise ReproError(f"table constraint must be positive, got {self.table}")
+        # NaN passes every ``<=``/``<`` check, so finiteness comes first.
+        if not math.isfinite(self.table) or self.table <= 0:
+            raise ReproError(f"table constraint must be finite and "
+                             f"positive, got {self.table}")
         if not 0 < self.delta <= self.delta_cap <= 1:
             raise ReproError(
                 f"need 0 < delta <= delta_cap <= 1, got "
                 f"delta={self.delta}, cap={self.delta_cap}"
             )
-        for name, value in self.analyst.items():
-            if value < 0:
-                raise ReproError(f"analyst constraint {name!r} negative: {value}")
-        for name, value in self.view.items():
-            if value < 0:
-                raise ReproError(f"view constraint {name!r} negative: {value}")
+        for kind, limits in (("analyst", self.analyst), ("view", self.view)):
+            for name, value in limits.items():
+                if not math.isfinite(value) or value < 0:
+                    raise ReproError(f"{kind} constraint {name!r} must be "
+                                     f"finite and non-negative, got {value}")
         if self.groups:
-            if self.group_limit is None or self.group_limit <= 0:
-                raise ReproError("groups require a positive group_limit")
+            if self.group_limit is None or \
+                    not math.isfinite(self.group_limit) or \
+                    self.group_limit <= 0:
+                raise ReproError(f"groups require a finite positive "
+                                 f"group_limit, got {self.group_limit}")
             seen: set = set()
             for group in self.groups:
                 if seen & group:

@@ -55,7 +55,7 @@ class VanillaMechanism(MechanismBase):
                     epsilon, self.constraints.delta, self._sensitivity(view)
                 )
                 exact = self._exact(view)
-                values = exact + self._rng_for(view.name).normal(
+                values = exact + self.rng.normal(
                     0.0, sigma, size=exact.shape)
                 self._record_access(sigma, view)
 

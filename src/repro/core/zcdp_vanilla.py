@@ -139,7 +139,7 @@ class ZCdpVanillaMechanism(VanillaMechanism):
         sigma = analytic_gaussian_sigma(epsilon, self.constraints.delta,
                                         self._sensitivity(view))
         exact = self._exact(view)
-        values = exact + self._rng_for(view.name).normal(
+        values = exact + self.rng.normal(
             0.0, sigma, size=exact.shape)
         self._record_access(sigma, view)
         # The ledger meta carries this release's rho so crash recovery

@@ -59,8 +59,8 @@ class RdpAccountant:
         self.orders = tuple(float(a) for a in orders)
         if any(a <= 1.0 for a in self.orders):
             raise ValueError("all Renyi orders must exceed 1")
-        # Locked: releases arrive concurrently from the sharded service's
-        # parallel per-view sections; a torn vector += would under-count.
+        # Locked: concurrent submissions release from parallel per-view
+        # sections; a torn vector += would under-count.
         self._lock = threading.Lock()
         self._rdp = np.zeros(len(self.orders))
         self._releases = 0

@@ -45,9 +45,9 @@ def rho_for_epsilon(epsilon: float, delta: float) -> float:
 class ZCdpAccountant:
     """Running-sum accountant over ``rho`` values of Gaussian releases.
 
-    Records are locked: the sharded service releases noise from parallel
-    per-view sections, and a torn ``+=`` would silently under-report the
-    realised loss.
+    Records are locked: concurrent submissions release noise from
+    parallel per-view sections, and a torn ``+=`` would silently
+    under-report the realised loss.
     """
 
     def __init__(self) -> None:

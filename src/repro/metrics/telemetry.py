@@ -12,7 +12,7 @@ The daemon's ``/v1/metrics`` endpoint is backed by one
 ``gauge`` (callback)
     Point-in-time readings pulled at scrape time from live objects — the
     service's :class:`~repro.service.service.ServiceStats`, the synopsis
-    cache, the fast lane, the shard manager, and the durability
+    cache, the fast lane, and the durability
     manager's ledger lag.  Registering a callback instead of pushing
     values keeps the serving path free of double bookkeeping: the scrape
     reads the same counters ``/v1/snapshot`` serializes, so the two

@@ -12,11 +12,9 @@ whole request path reports into it through two module-level helpers:
     ``ContextVar`` read), so instrumented hot paths cost nothing for
     untraced traffic.
 
-``activate(trace)`` / ``capture()`` / ``activate_context(ctx)``
-    Propagation.  ``ContextVar`` context does not follow work onto pool
-    threads, so code that fans out (the shard pool) captures
-    ``(trace, parent_span_id)`` before submitting and re-activates it
-    inside the worker thread.
+``activate(trace)``
+    Makes a trace the active one for a ``with`` body.  A request runs on
+    one thread from decode to encode, so the ``ContextVar`` carries it.
 
 Finished traces land in a :class:`Tracer` ring buffer (bounded deque)
 that ``GET /v1/trace`` serves.  Nothing here touches accounting, RNG
@@ -70,7 +68,7 @@ class Span:
         self.attrs: dict | None = None
 
     def set(self, **attrs) -> None:
-        """Attach attributes (view name, shard index, outcome, ...)."""
+        """Attach attributes (view name, outcome, ...)."""
         if self.attrs is None:
             self.attrs = {}
         self.attrs.update(attrs)
@@ -87,8 +85,8 @@ class Span:
 
 
 class Trace:
-    """One request's span tree.  Thread-safe: shard/pool threads append
-    concurrently under a small lock."""
+    """One request's span tree.  Spans append under a small lock, so a
+    trace stays consistent whichever thread records into it."""
 
     __slots__ = ("trace_id", "started_at", "_t0", "_lock", "spans",
                  "dropped")
@@ -236,17 +234,6 @@ def activate(trace: Trace | None, parent_id: int | None = None) -> _Activation:
     return _Activation((trace, parent_id) if trace is not None else None)
 
 
-def capture() -> tuple | None:
-    """Snapshot ``(trace, parent_span_id)`` for hand-off to a pool thread
-    (``ContextVar`` context does not follow ``ThreadPoolExecutor.submit``)."""
-    return _CURRENT.get()
-
-
-def activate_context(ctx: tuple | None) -> _Activation:
-    """Re-activate a :func:`capture` snapshot on another thread."""
-    return _Activation(ctx)
-
-
 def current_trace() -> Trace | None:
     current = _CURRENT.get()
     return current[0] if current is not None else None
@@ -335,6 +322,6 @@ class Tracer:
 
 __all__ = ["DEFAULT_TRACE_CAPACITY", "DEFAULT_TRACE_SAMPLE",
            "MAX_SPANS_PER_TRACE", "Span",
-           "Trace", "Tracer", "activate", "activate_context", "capture",
+           "Trace", "Tracer", "activate",
            "current_trace", "event", "record_span",
            "span"]

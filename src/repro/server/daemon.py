@@ -1,9 +1,9 @@
 """The HTTP daemon: a stdlib-only network front-end over ``QueryService``.
 
 :class:`ReproServer` binds a :class:`http.server.ThreadingHTTPServer`
-(one handler thread per connection — exactly the concurrent-submission
-shape PR 2's sharded service was built for) and exposes the protocol-v1
-resource tree::
+(one handler thread per connection; each request runs on its handler
+thread from decode to encode) and exposes the protocol-v3 resource
+tree::
 
     GET    /v1/health                  liveness + protocol + stats summary
     GET    /v1/snapshot                QueryService.snapshot() verbatim
@@ -38,11 +38,6 @@ Overload defenses (all opt-in by constructor/CLI flags):
   ``429`` + a ``Retry-After`` header *before* any engine work, so a
   flooding analyst costs one dict lookup per rejected request and
   cannot starve the others.
-* **Adaptive micro-batching** — under queueing pressure (more than
-  ``micro_batch_threshold`` requests in flight) queued single queries
-  are coalesced across sessions into planner batches through the
-  existing ``submit_batch`` path, so burst traffic rides the
-  strictest-first planner instead of convoying one query at a time.
 * **Slow-client robustness** — handler sockets carry a per-connection
   ``request_timeout`` and request bodies a ``max_body_bytes`` cap: an
   oversized body is refused with ``413`` before it is read, a stalled
@@ -109,7 +104,6 @@ from repro.server.protocol import (
     json_ready,
 )
 from repro.service.service import QueryService
-from repro.service.session import QueryRequest
 
 #: How long :meth:`ReproServer.shutdown` waits for in-flight requests by
 #: default before giving up (seconds).
@@ -129,10 +123,6 @@ DEFAULT_REQUEST_TIMEOUT = 30.0
 #: memory or a handler thread.
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: In-flight requests above which single queries are coalesced into
-#: planner micro-batches (when micro-batching is enabled).
-DEFAULT_MICRO_BATCH_THRESHOLD = 4
-
 #: Smallest response body worth gzip-compressing when the client's
 #: ``Accept-Encoding`` admits gzip (see :func:`_accepts_gzip`).  Below
 #: this the gzip header plus the deflate call cost more than the bytes
@@ -140,12 +130,6 @@ DEFAULT_MICRO_BATCH_THRESHOLD = 4
 #: ~5-10x.  A client that sends no ``Accept-Encoding``, or refuses gzip
 #: with ``q=0``, always gets identity bodies.
 GZIP_MIN_BYTES = 2048
-
-#: How long the micro-batcher lets a window fill before dispatching.
-DEFAULT_MICRO_BATCH_WAIT = 0.002
-
-#: Most queries one micro-batch dispatch coalesces per session.
-DEFAULT_MICRO_BATCH_MAX = 32
 
 #: A session route.  An id has at most 18 digits: no service issues a
 #: longer one, and ``int()`` refuses over 4300 digits, so a longer id is
@@ -278,118 +262,6 @@ class _RateLimiter:
             return (cost - tokens) / self.rate
 
 
-class _Pending:
-    """One queued single query waiting on a micro-batch dispatch."""
-
-    __slots__ = ("session_id", "request", "done", "response", "error")
-
-    def __init__(self, session_id: int, request: QueryRequest) -> None:
-        self.session_id = session_id
-        self.request = request
-        self.done = threading.Event()
-        self.response = None
-        self.error: BaseException | None = None
-
-
-class _MicroBatcher:
-    """Coalesces queued single queries into planner batches.
-
-    Handler threads enqueue ``(session, request)`` pairs and block on a
-    per-item event; one dispatcher thread drains the queue every
-    ``max_wait`` seconds, groups the window by session, and pushes each
-    multi-query group through ``QueryService.submit_batch`` — the same
-    strictest-first planner path explicit client batches take, so the
-    engine sees real batches (one synopsis refresh can serve the whole
-    group) and the accounting is exactly what an explicit batch would
-    have produced.  Lone items fall through to ``submit`` untouched.
-    """
-
-    def __init__(self, service: QueryService, max_wait: float,
-                 max_batch: int) -> None:
-        self._service = service
-        self._max_wait = max_wait
-        self._max_batch = max(2, int(max_batch))
-        self._lock = threading.Lock()
-        self._queue: list[_Pending] = []
-        self._wake = threading.Event()
-        self._stop = False
-        #: Dispatcher-thread-only counters (read for telemetry).
-        self.coalesced = 0
-        self.batches = 0
-        self._thread = threading.Thread(target=self._loop,
-                                        name="repro-microbatch", daemon=True)
-        self._thread.start()
-
-    def submit(self, session_id: int, request: QueryRequest):
-        pending = _Pending(session_id, request)
-        with self._lock:
-            if self._stop:
-                raise ReproError("server is shutting down")
-            self._queue.append(pending)
-        self._wake.set()
-        # The dispatcher serves every queued item or dies trying; the
-        # bound only turns a dispatcher bug into a 500 instead of a hang.
-        # The park span is the handler-side wait for the dispatcher — the
-        # coalescing delay a traced request actually paid.
-        with tracing.span("microbatch.park"):
-            parked = pending.done.wait(timeout=300.0)
-        if not parked:
-            raise ReproError("micro-batch dispatch timed out")
-        if pending.error is not None:
-            raise pending.error
-        return pending.response
-
-    def close(self) -> None:
-        """Stop accepting work, serve the residue, join the dispatcher."""
-        with self._lock:
-            self._stop = True
-        self._wake.set()
-        self._thread.join(timeout=30.0)
-
-    def _loop(self) -> None:
-        while True:
-            self._wake.wait()
-            with self._lock:
-                self._wake.clear()
-                if self._stop and not self._queue:
-                    return
-                if not self._queue:
-                    continue
-            # Let the window fill: the wait is what converts a convoy of
-            # concurrent singles into one planner batch.
-            time.sleep(self._max_wait)
-            with self._lock:
-                window, self._queue = self._queue, []
-            groups: dict[int, list[_Pending]] = {}
-            for pending in window:
-                groups.setdefault(pending.session_id, []).append(pending)
-            for session_id, items in groups.items():
-                for start in range(0, len(items), self._max_batch):
-                    self._dispatch(session_id,
-                                   items[start:start + self._max_batch])
-
-    def _dispatch(self, session_id: int, items: list[_Pending]) -> None:
-        try:
-            if len(items) == 1:
-                request = items[0].request
-                items[0].response = self._service.submit(
-                    session_id, request.sql, accuracy=request.accuracy,
-                    epsilon=request.epsilon)
-            else:
-                responses = self._service.submit_batch(
-                    session_id, [pending.request for pending in items])
-                for pending, response in zip(items, responses):
-                    pending.response = response
-                self.coalesced += len(items)
-                self.batches += 1
-        except BaseException as exc:
-            for pending in items:
-                pending.error = exc
-        finally:
-            for pending in items:
-                pending.done.set()
-
-
 def _json_finite(forecast: dict) -> dict:
     """Strict-JSON coercion for forecasts: ``inf`` (idle) -> ``None``."""
     return {key: finite_or_none(value) for key, value in forecast.items()}
@@ -458,10 +330,8 @@ class ReproServer:
     ephemeral port, readable from :attr:`port` after construction.
 
     ``rate_limit`` (queries/sec per analyst, ``rate_burst`` burst)
-    enables 429 admission control; ``micro_batch=True`` enables adaptive
-    micro-batching once more than ``micro_batch_threshold`` requests are
-    in flight.  ``request_timeout``/``max_body_bytes`` bound what one
-    connection can cost (408 on stall, 413 on overflow).
+    enables 429 admission control.  ``request_timeout``/``max_body_bytes``
+    bound what one connection can cost (408 on stall, 413 on overflow).
     """
 
     def __init__(self, service: QueryService, host: str = "127.0.0.1",
@@ -470,10 +340,6 @@ class ReproServer:
                  checkpoint_every: float | None = None,
                  rate_limit: float | None = None,
                  rate_burst: float | None = None,
-                 micro_batch: bool = False,
-                 micro_batch_threshold: int = DEFAULT_MICRO_BATCH_THRESHOLD,
-                 micro_batch_wait: float = DEFAULT_MICRO_BATCH_WAIT,
-                 micro_batch_max: int = DEFAULT_MICRO_BATCH_MAX,
                  request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
                  max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
                  tls_cert: str | Path | None = None,
@@ -510,9 +376,6 @@ class ReproServer:
         if max_body_bytes < 1:
             raise ReproError(f"max_body_bytes must be >= 1, "
                              f"got {max_body_bytes}")
-        if micro_batch_threshold < 0:
-            raise ReproError(f"micro_batch_threshold must be >= 0, "
-                             f"got {micro_batch_threshold}")
         if (tls_cert is None) != (tls_key is None):
             raise ReproError("TLS needs both --tls-cert and --tls-key "
                              "(or neither)")
@@ -561,14 +424,10 @@ class ReproServer:
         self.log_json = bool(log_json)
         self.request_timeout = request_timeout
         self.max_body_bytes = int(max_body_bytes)
-        self.micro_batch_threshold = int(micro_batch_threshold)
         self._limiter = (_RateLimiter(rate_limit,
                                       rate_burst if rate_burst is not None
                                       else max(1.0, rate_limit))
                          if rate_limit is not None else None)
-        self._batcher = (_MicroBatcher(service, micro_batch_wait,
-                                       micro_batch_max)
-                         if micro_batch else None)
         self.telemetry = telemetry if telemetry is not None \
             else TelemetryRegistry()
         self._bind_telemetry()
@@ -603,15 +462,6 @@ class ReproServer:
         registry.gauge("repro_draining",
                        "1 once graceful shutdown has begun",
                        lambda: 1.0 if self._gate.draining else 0.0)
-        if self._batcher is not None:
-            batcher = self._batcher
-            registry.gauge("repro_micro_batched_queries_total",
-                           "Single queries answered through a coalesced "
-                           "planner micro-batch",
-                           lambda: batcher.coalesced)
-            registry.gauge("repro_micro_batches_total",
-                           "Planner batches formed by the micro-batcher",
-                           lambda: batcher.batches)
         self.service.bind_telemetry(registry)
 
     # -- lifecycle -------------------------------------------------------------
@@ -677,11 +527,6 @@ class ReproServer:
         # bounded by one drain_timeout, not two.
         self._checkpoint_stop.set()
         drained = self._gate.drain(drain_timeout)
-        if self._batcher is not None:
-            # After the drain every enqueued item has been served (its
-            # handler thread was inside the gate); this only stops the
-            # dispatcher and refuses stragglers.
-            self._batcher.close()
         self._httpd.shutdown()
         if self._thread is not None:
             self._thread.join()
@@ -804,7 +649,6 @@ class ReproServer:
             "uptime_seconds": time.monotonic() - self._started,
             "open_sessions": snapshot["open_sessions"],
             "in_flight": self._gate.in_flight,
-            "shards": snapshot["shards"],
             "submitted": snapshot["service"]["submitted"],
             "answered": snapshot["service"]["answered"],
             "rate_limited": int(self._m_rate_limited.total()),
@@ -997,13 +841,9 @@ class ReproServer:
             if not self._gate.try_enter():
                 return 503, encode_error("server is draining", "draining")
             try:
-                if self._batcher is not None and \
-                        self._gate.in_flight > self.micro_batch_threshold:
-                    response = self._batcher.submit(session_id, request)
-                else:
-                    response = self.service.submit(
-                        session_id, request.sql, accuracy=request.accuracy,
-                        epsilon=request.epsilon)
+                response = self.service.submit(
+                    session_id, request.sql, accuracy=request.accuracy,
+                    epsilon=request.epsilon)
             finally:
                 self._gate.leave()
             return 200, encode_response(response)

@@ -4,14 +4,13 @@
 * :mod:`repro.service.planner` — batched planning: group queries by target
   view and run the strictest accuracy first so one synopsis refresh answers
   many queries.
-* :mod:`repro.service.sharding` — stable view→shard routing and the worker
-  pool that executes a batch's per-view groups in parallel.
 * :mod:`repro.service.cache` — LRU-bounded synopsis storage with hit/miss
   statistics (internally locked for concurrent probes).
 * :mod:`repro.service.service` — :class:`QueryService`: the thread-safe
   front-end.  There is no global critical section: atomic check-and-charge
   lives in the provenance table and synopsis consistency in the engine's
-  per-view sections.
+  per-view sections; a batch's per-view groups run on the caller's
+  thread.
 * :mod:`repro.service.executor` — engine-level execution functions: one
   request, one planned entry, one per-view group.
 
@@ -27,12 +26,10 @@ from repro.service.service import (
     ServiceStats,
 )
 from repro.service.session import QueryRequest, QueryResponse, Session
-from repro.service.sharding import DEFAULT_NUM_SHARDS, ShardManager
 
 __all__ = [
     "BatchPlan",
     "DEFAULT_MAX_CACHED",
-    "DEFAULT_NUM_SHARDS",
     "LruSynopsisStore",
     "PlannedQuery",
     "QueryRequest",
@@ -40,6 +37,5 @@ __all__ = [
     "QueryService",
     "ServiceStats",
     "Session",
-    "ShardManager",
     "plan_batch",
 ]

@@ -41,9 +41,9 @@ class LruSynopsisStore(SynopsisStore):
         evictions are recorded there; raw ``local_synopsis`` probes are
         not, so ``hit_rate`` measures serving effectiveness.
 
-    The recency list and eviction loop take an internal lock: under the
-    sharded service, probes and stores arrive concurrently from many
-    worker threads (an ``OrderedDict`` re-link is not atomic), and the
+    The recency list and eviction loop take an internal lock: probes and
+    stores arrive concurrently from the daemon's handler threads (an
+    ``OrderedDict`` re-link is not atomic), and the
     eviction decision must see a consistent size.  ``CacheStats`` is
     already thread-safe on its own.
     """

@@ -1,23 +1,22 @@
-"""The multi-analyst query service: sessions, batching, sharded execution.
+"""The multi-analyst query service: sessions, batching, per-view locking.
 
 :class:`QueryService` is the serving front-end over a :class:`DProvDB`
 engine.  It adds what the bare engine lacks for concurrent operation:
 
 * **sessions** — many connections (e.g. one per worker thread) mapped onto
   the engine's registered analysts;
-* **sharded execution** — there is *no* global critical section:
-  check-then-charge atomicity lives in
+* **no global lock** — check-then-charge atomicity lives in
   :meth:`repro.core.provenance.ProvenanceTable.reserve`, synopsis
   consistency in the engine's per-view sections
   (:meth:`repro.core.engine.DProvDB.view_section`, acquired in sorted
   view-name order for multi-view work), and service counters behind a
-  dedicated stats lock — so submissions against disjoint views proceed in
-  parallel (see ``tests/test_service_sharding.py`` for the invariants);
+  dedicated stats lock — so concurrent submissions against disjoint
+  views proceed in parallel (see ``tests/test_service_concurrency.py``
+  for the invariants);
 * **batched planning** — :func:`repro.service.planner.plan_batch` orders a
   batch view-by-view, strictest accuracy first, so one synopsis refresh
-  answers many queries; the per-view groups of a batch are dispatched
-  concurrently through a :class:`repro.service.sharding.ShardManager`
-  worker pool;
+  answers many queries; the per-view groups of a batch run in plan order
+  on the caller's thread;
 * **a bounded synopsis cache** — local synopses live in an LRU store with
   hit/miss statistics (:class:`repro.metrics.runtime.CacheStats`).
 """
@@ -45,7 +44,6 @@ from repro.service.cache import LruSynopsisStore
 from repro.service.executor import execute_planned_group, execute_request
 from repro.service.planner import BatchPlan, PlannedQuery, plan_batch
 from repro.service.session import QueryRequest, QueryResponse, Session
-from repro.service.sharding import DEFAULT_NUM_SHARDS, ShardManager
 
 #: Default bound on cached local synopses (one entry per (analyst, view)
 #: pair, so this accommodates e.g. 16 analysts x 16 hot views).  Pass
@@ -73,7 +71,7 @@ class ServiceStats:
 
     Mutation happens only under the owning service's dedicated stats lock
     (never the execution path's view locks), so the counters stay exact
-    under sharded submission.  ``busy_seconds`` sums per-submission
+    under concurrent submission.  ``busy_seconds`` sums per-submission
     execution time; overlapping submissions can therefore sum to more
     than wall-clock — the ratio is the effective parallelism.
 
@@ -128,7 +126,6 @@ class QueryService:
 
     def __init__(self, engine: DProvDB,
                  max_cached_synopses: int | None = DEFAULT_MAX_CACHED, *,
-                 shards: int = DEFAULT_NUM_SHARDS,
                  durability=None,
                  tracer: Tracer | None = None,
                  audit: bool = True) -> None:
@@ -166,7 +163,6 @@ class QueryService:
         #: ``Tracer(enabled=False)`` to strip tracing to a single
         #: context-var read per span site.
         self.tracer = tracer if tracer is not None else Tracer()
-        self.sharding = ShardManager(shards)
         #: Optional :class:`repro.persistence.DurabilityManager`.  Bound
         #: last — the manager runs crash recovery against the fully
         #: constructed service (bounded store in place, no traffic yet)
@@ -174,14 +170,7 @@ class QueryService:
         #: nothing recovery replays is ever re-journaled.
         self.durability = durability
         if durability is not None:
-            try:
-                durability.bind(self)
-            except BaseException:
-                # Recovery refused (e.g. strict mode on a torn tail):
-                # the caller never receives the instance, so release the
-                # shard worker pool here or its threads leak.
-                self.sharding.close()
-                raise
+            durability.bind(self)
         #: Live budget-audit tailer (:mod:`repro.metrics.audit`):
         #: attached *after* durability so the ledger keeps assigning
         #: sequence numbers before the trail reads them, and so recovery
@@ -196,14 +185,13 @@ class QueryService:
     def build(cls, bundle: DatasetBundle, analysts: Sequence[Analyst],
               epsilon: float, *,
               max_cached_synopses: int | None = DEFAULT_MAX_CACHED,
-              shards: int = DEFAULT_NUM_SHARDS,
               durability=None,
               tracer: Tracer | None = None,
               audit: bool = True,
               **engine_kwargs) -> "QueryService":
         """Construct an engine and wrap it in one step."""
         return cls(DProvDB(bundle, analysts, epsilon, **engine_kwargs),
-                   max_cached_synopses=max_cached_synopses, shards=shards,
+                   max_cached_synopses=max_cached_synopses,
                    durability=durability, tracer=tracer, audit=audit)
 
     @property
@@ -220,13 +208,12 @@ class QueryService:
     def close(self) -> None:
         """Shut the service down (idempotent).
 
-        Releases the shard worker pool and marks the service closed:
+        Marks the service closed (and closes its durability manager):
         subsequent :meth:`open_session`/:meth:`submit`/:meth:`submit_batch`
         calls raise :class:`repro.exceptions.ServiceClosed` (the HTTP
         front-end maps it to 409).  Counters and snapshots stay readable.
         """
         self._closed = True
-        self.sharding.close()
         if self.durability is not None:
             self.durability.close()
 
@@ -380,8 +367,8 @@ class QueryService:
         """Answer a batch through the view-grouping planner.
 
         Responses are returned in the order of ``requests`` regardless of
-        execution order.  The plan's per-view groups run concurrently on
-        the shard pool (each group still in strictest-first order).
+        execution order.  The plan's per-view groups run in plan order on
+        the calling thread (each group in strictest-first order).
         """
         self._check_open()
         batch = [r if isinstance(r, QueryRequest) else QueryRequest(r)
@@ -407,24 +394,11 @@ class QueryService:
         groups: dict[str | None, list[PlannedQuery]] = {}
         for item in plan.ordered:
             groups.setdefault(item.view_name, []).append(item)
-
-        # Shard-pool threads don't inherit this thread's context-var
-        # state, so the trace context rides into the closure.
-        trace_ctx = tracing.capture()
-
-        def run_group(view_name: str | None,
-                      items: list[PlannedQuery]) -> None:
-            with tracing.activate_context(trace_ctx), \
-                    tracing.span("shard_group", view=view_name,
-                                 items=len(items)):
+        for view_name, items in groups.items():
+            with tracing.span("view_group", view=view_name,
+                              items=len(items)):
                 execute_planned_group(self._engine, live.analyst,
                                       view_name, items, responses)
-
-        if len(groups) > 1:
-            self.sharding.run_groups(list(groups.items()), run_group)
-        else:
-            for view_name, items in groups.items():
-                run_group(view_name, items)
         return self._account_batch(live, responses, started)
 
     def _account_batch(self, live: Session, responses: list,
@@ -528,7 +502,7 @@ class QueryService:
 
         Everything is callback-backed: the scrape reads the same live
         counters :meth:`snapshot` serializes (service stats, synopsis
-        cache, fast lane, shard manager, durability ledger), so
+        cache, fast lane, durability ledger), so
         ``/v1/metrics`` and ``/v1/snapshot`` can never disagree and the
         serving path pays no double bookkeeping.  Idempotent per
         registry only in the sense of adding sources — call it once,
@@ -599,9 +573,6 @@ class QueryService:
         registry.gauge("repro_open_sessions",
                        "Sessions currently open",
                        lambda: len(self._sessions))
-        sharding = self.sharding
-        registry.gauge("repro_shards", "Shard count",
-                       lambda: sharding.num_shards)
         statements = self._engine.statement_cache
         registry.gauge("repro_statement_cache_total",
                        "Compiled-statement cache lookups, by result",
@@ -651,12 +622,6 @@ class QueryService:
         registry.gauge("repro_traces_retained",
                        "Finished traces held in the /v1/trace ring",
                        lambda: tracer.counters()["retained"])
-        registry.gauge("repro_shard_groups_total",
-                       "View groups dispatched to shards",
-                       lambda: sharding.groups_dispatched)
-        registry.gauge("repro_shard_parallel_batches_total",
-                       "Group batches that ran on the worker pool",
-                       lambda: sharding.parallel_batches)
         if self.audit is not None:
             trail = self.audit
             for window in trail.windows:
@@ -726,7 +691,6 @@ class QueryService:
             # fast lane.
             "compiled_statements": self._engine.statement_cache.counters(),
             "fast_lane": self._engine.fast_lane_counters(),
-            "shards": self.sharding.num_shards,
             # Probes of the registry's column-set routing index.
             "view_routing": self._engine.registry.routing_counters(),
             "tracing": self.tracer.counters(),

@@ -628,8 +628,7 @@ def replay_batches(service, bundle) -> list[tuple]:
 
 class TestAuditObservesOnly:
     def test_audit_on_and_off_answer_bitwise_equal(self, bundle):
-        services = {audit: build_service(bundle, audit=audit,
-                                         noise_streams="per_view")
+        services = {audit: build_service(bundle, audit=audit)
                     for audit in (True, False)}
         try:
             on, off = (replay_batches(services[a], bundle)

@@ -74,3 +74,29 @@ class TestMain:
         out = capsys.readouterr().out
         assert "collusion" in out
         assert "lower bound" in out
+
+
+class TestRefusedValues:
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    def test_serve_refuses_a_non_finite_epsilon_before_binding(
+            self, value, capsys, monkeypatch):
+        from repro.server import daemon
+
+        def never(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("a port was bound")
+
+        monkeypatch.setattr(daemon, "ReproServer", never)
+        # ``--epsilon=-inf``: a separate "-inf" would parse as a flag.
+        code = main(["serve", "--rows", "2000", "--port", "0",
+                     f"--epsilon={value}"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", (["fig3", "--rows", "-5"],
+                                      ["serve", "--rows", "-1", "--port",
+                                       "0"]))
+    def test_negative_rows_is_refused_with_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --rows must be >= 0")
+        assert "Traceback" not in err

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+NAN, INF = float("nan"), float("inf")
+
 from repro.core.analyst import Analyst
 from repro.core.provenance import Constraints, ProvenanceTable
 from repro.exceptions import ReproError, UnknownAnalyst
@@ -135,3 +137,24 @@ class TestConstraints:
         with pytest.raises(ReproError):
             Constraints(analyst={}, view={}, table=1.0, delta=1e-3,
                         delta_cap=1e-6)
+
+    @pytest.mark.parametrize("bad", (NAN, INF, -INF))
+    def test_rejects_non_finite_limits(self, bad):
+        # NaN passes ``x <= 0`` and ``x < 0``; inf passes both as well.
+        with pytest.raises(ReproError, match="finite"):
+            Constraints(analyst={}, view={}, table=bad)
+        with pytest.raises(ReproError, match="finite"):
+            Constraints(analyst={"a": bad}, view={}, table=1.0)
+        with pytest.raises(ReproError, match="finite"):
+            Constraints(analyst={}, view={"v": bad}, table=1.0)
+        with pytest.raises(ReproError, match="finite"):
+            Constraints(analyst={"a": 1.0}, view={}, table=1.0,
+                        groups=(frozenset({"a"}),), group_limit=bad)
+
+    @pytest.mark.parametrize("bad", (NAN, INF, -INF))
+    def test_engine_refuses_a_non_finite_budget(self, adult_bundle, bad):
+        from repro.core.engine import DProvDB
+
+        with pytest.raises(ReproError, match="finite"):
+            DProvDB(adult_bundle, [Analyst("a", 2), Analyst("b", 5)],
+                    epsilon=bad)

@@ -94,11 +94,6 @@ def replay(bundle, analysts, streams, *, fast_lane, mechanism="additive",
            mode="single", max_cached=256, batch_size=8, epsilon=16.0,
            pair_views=(), **engine_kwargs):
     """One deterministic single-threaded replay; returns the evidence."""
-    if mode == "batched":
-        # A batch's per-view groups run on concurrent shard threads; one
-        # shared generator would hand out draws in scheduling order, so
-        # batched replays give each view its own seeded stream.
-        engine_kwargs.setdefault("noise_streams", "per_view")
     service = QueryService.build(bundle, analysts, epsilon,
                                  mechanism=mechanism,
                                  max_cached_synopses=max_cached, seed=123,
@@ -428,8 +423,8 @@ class TestConcurrentStress:
     def test_8_threads_batched_disjoint_matches_serial(self, adult_bundle):
         """Disjoint-view batched stress: the threaded fast-lane run must
         land on exactly the serial replay's accounting (order-independent
-        workload => exact equality, the sharding suite's invariant kept
-        under the batch lane)."""
+        workload => exact equality, the concurrency suite's invariant
+        kept under the batch lane)."""
         from repro.workloads.service import (
             build_disjoint_workload,
             disjoint_view_attribute_sets,

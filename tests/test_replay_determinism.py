@@ -1,21 +1,19 @@
-"""Per-view noise streams: a replay is a function of the seed and of each
-view's own release order.
+"""Replay determinism: a single-client replay is a function of the seed.
 
-``noise_streams="per_view"`` derives one generator per view from
-``(seed, "noise-stream", view name, 0)`` (see
-:meth:`repro.core.mechanism.MechanismBase._rng_for`).  The contract
-under test:
+Every release draws from the mechanism's one generator, and a batch runs
+its per-view groups in plan order on the caller's thread, so the draw
+order is fixed by the request stream alone.  The contract under test:
 
-* the derivation is pinned — every per-view draw is what it has always
-  been, so recorded replays stay reproducible;
 * a batched replay through :class:`QueryService` is bit-identical across
-  fresh services and across shard counts, on the paper's mixed stream
-  (RRQs, BFS dyadic ranges, GROUP BYs) and on the disjoint-view stream;
-* traffic on one view never moves the draws of another;
+  fresh services, on the paper's mixed stream (RRQs, BFS dyadic ranges,
+  GROUP BYs) and on the disjoint-view stream;
+* that holds with a synopsis store smaller than the view count, where
+  cross-view LRU eviction decides which answers are fresh: answers,
+  epsilon, fresh releases, row totals and cache statistics all replay
+  bit for bit;
 * a stream driven past the analysts' constraints (the budget-exhaustion
-  life cycle of Fig. 3) replays bit-identically on one shard and never
-  overspends a row on many;
-* construction refuses a seed whose per-view derivation is undefined.
+  life cycle of Fig. 3) replays bit-identically and never overspends a
+  row.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ def bundle():
 
 def build_service(bundle, num_analysts=2, epsilon=EPSILON,
                   **kwargs) -> QueryService:
-    kwargs.setdefault("noise_streams", "per_view")
     kwargs.setdefault("seed", 0)
     return QueryService.build(bundle, make_service_analysts(num_analysts),
                               epsilon, **kwargs)
@@ -62,15 +59,22 @@ def request_batch(bundle, accuracy, attributes=2, depth=2):
             for sql in bfs_style_queries(bundle, attr, depth=depth)]
 
 
-def mixed_streams(bundle, analysts, per_analyst):
+def mixed_streams(bundle, analysts, per_analyst, pair=None):
     """The paper's mix: RRQs, ~20% BFS dyadic ranges, ~10% GROUP BYs,
-    accuracy jittered from half to twice 4e4."""
+    accuracy jittered from half to twice 4e4.  With ``pair`` (two ordered
+    attributes of a registered two-attribute view) ~10% are conjunctive
+    ranges over both, which only that view answers."""
     rng = np.random.default_rng(0)
     rrq = generate_rrq(bundle, analysts, per_analyst, seed=0)
     bfs = [sql for attr in ordered_attributes(bundle)[:2]
            for sql in bfs_style_queries(bundle, attr)]
 
     def sql(k: int, rrq_sql: str) -> str:
+        if pair is not None and k % 10 == 4:
+            first, second = pair
+            return (f"SELECT COUNT(*) FROM adult WHERE {first} >= 20 "
+                    f"AND {first} <= {40 + k % 7} AND {second} >= 0 "
+                    f"AND {second} <= 10")
         if k % 10 == 9:
             attr = ("sex", "race")[k // 10 % 2]
             return f"SELECT {attr}, COUNT(*) FROM adult GROUP BY {attr}"
@@ -99,15 +103,15 @@ class Replay(NamedTuple):
     failed: int
     row_totals: dict
     table_total: float
+    cache: dict
 
 
 def replay(bundle, streams, *, views=(), batch=16, epsilon=12.0,
-           **kwargs) -> Replay:
-    """``streams`` batched on one caller thread: per-view noise streams,
-    an unbounded store and one integer seed make every view's draws a
-    function of its own release order."""
+           max_cached_synopses=None, **kwargs) -> Replay:
+    """``streams`` batched on one caller thread with one integer seed."""
     service = build_service(bundle, len(streams), epsilon,
-                            max_cached_synopses=None, **kwargs)
+                            max_cached_synopses=max_cached_synopses,
+                            **kwargs)
     try:
         for attrs in views:
             service.engine.register_view(attrs)
@@ -123,17 +127,20 @@ def replay(bundle, streams, *, views=(), batch=16, epsilon=12.0,
                       snap["service"]["fresh_releases"],
                       snap["service"]["failed"],
                       {name: provenance.row_total(name) for name in streams},
-                      snap["provenance"]["table_total"])
+                      snap["provenance"]["table_total"],
+                      snap["synopsis_cache"])
     finally:
         service.close()
 
 
 def assert_replays_match(first: Replay, second: Replay) -> None:
     assert second.outcomes == first.outcomes        # bitwise: float ==
-    assert second.epsilon == pytest.approx(first.epsilon, rel=1e-12)
+    assert second.epsilon == first.epsilon
     assert second.fresh == first.fresh
     assert second.failed == first.failed == 0
-    assert abs(second.table_total - first.table_total) <= 1e-9
+    assert second.row_totals == first.row_totals
+    assert second.table_total == first.table_total
+    assert second.cache == first.cache
 
 
 @pytest.fixture(scope="module")
@@ -146,39 +153,6 @@ def disjoint(bundle):
     analysts = make_service_analysts(4)
     views = disjoint_view_attribute_sets(bundle, len(analysts))
     return build_disjoint_workload(bundle, analysts, 20, views), views
-
-
-# -- the derivation is pinned ------------------------------------------------
-
-#: ``stable_seed(0, "noise-stream", view, 0)`` as recorded when per-view
-#: streams were introduced.  A change here changes every per-view draw.
-PINNED_SEEDS = {
-    "adult.age": 746574761404874701,
-    "adult.sex": 5154438003588840784,
-}
-
-
-@pytest.mark.parametrize("view", sorted(PINNED_SEEDS))
-def test_view_stream_seed_is_pinned(bundle, view):
-    service = build_service(bundle)
-    try:
-        stream = service.engine.mechanism._rng_for(view)
-        expected = np.random.default_rng(PINNED_SEEDS[view])
-        assert stream.standard_normal(4).tolist() == \
-            expected.standard_normal(4).tolist()
-        assert service.engine.mechanism._rng_for(view) is stream
-    finally:
-        service.close()
-
-
-def test_shared_mode_draws_from_the_seeded_generator(bundle):
-    service = build_service(bundle, noise_streams="shared")
-    try:
-        mechanism = service.engine.mechanism
-        assert mechanism._rng_for("adult.age") is mechanism.rng
-        assert mechanism._rng_for("adult.sex") is mechanism.rng
-    finally:
-        service.close()
 
 
 # -- bit-identical replays ---------------------------------------------------
@@ -194,50 +168,6 @@ def test_disjoint_replay_is_bit_identical(bundle, disjoint):
     first = replay(bundle, streams, views=views)
     assert first.fresh > 0
     assert_replays_match(first, replay(bundle, streams, views=views))
-
-
-@pytest.mark.parametrize("shards", (1, 2, 4))
-def test_mixed_replay_is_independent_of_shard_count(bundle, mixed, shards):
-    """Per-view groups of one batch run on different shard threads; with
-    per-view streams the interleaving cannot change a draw."""
-    assert_replays_match(replay(bundle, mixed),
-                         replay(bundle, mixed, shards=shards))
-
-
-@pytest.mark.parametrize("shards", (1, 4))
-def test_disjoint_replay_is_independent_of_shard_count(bundle, disjoint,
-                                                       shards):
-    streams, views = disjoint
-    assert_replays_match(replay(bundle, streams, views=views),
-                         replay(bundle, streams, views=views,
-                                shards=shards))
-
-
-def test_traffic_on_one_view_never_moves_another_views_draws(bundle):
-    """The same scalar stream over ``age`` answers identically whether or
-    not an interleaved GROUP BY stream releases noise on ``sex``."""
-    age = [QueryRequest(SCALAR_SQL, accuracy=4e4 * 2.0 ** -k)
-           for k in range(4)]
-    sex = [QueryRequest("SELECT sex, COUNT(*) FROM adult GROUP BY sex",
-                        accuracy=1500.0 * 2.0 ** -k) for k in range(4)]
-
-    def age_values(interleave: bool) -> list:
-        service = build_service(bundle, max_cached_synopses=None)
-        try:
-            session = service.open_session("analyst_00")
-            values = []
-            for k, request in enumerate(age):
-                if interleave:
-                    other = service.submit_batch(session, [sex[k]])[0]
-                    assert other.groups is not None, other.error
-                response = service.submit_batch(session, [request])[0]
-                assert response.answer is not None, response.error
-                values.append(response.answer.value)
-            return values
-        finally:
-            service.close()
-
-    assert age_values(interleave=True) == age_values(interleave=False)
 
 
 def test_cache_statistics_replay_identically(bundle):
@@ -276,21 +206,33 @@ def to_the_cap(bundle):
     return mixed_streams(bundle, make_service_analysts(4), 80)
 
 
-def test_stream_past_the_cap_replays_bit_identically_on_one_shard(
-        bundle, to_the_cap):
-    first = replay(bundle, to_the_cap, epsilon=3.0, shards=1)
+def test_stream_past_the_cap_replays_bit_identically(bundle, to_the_cap):
+    first = replay(bundle, to_the_cap, epsilon=3.0)
     refusals = [o for o in first.outcomes if o[0] is True]
     assert refusals, "the stream never reached an analyst's constraint"
     assert all("exceed" in error for _, error in refusals)
-    assert_replays_match(first, replay(bundle, to_the_cap, epsilon=3.0,
-                                       shards=1))
+    assert_replays_match(first, replay(bundle, to_the_cap, epsilon=3.0))
 
 
-@pytest.mark.parametrize("shards", (1, 4))
-def test_stream_past_the_cap_never_overspends_a_row(bundle, to_the_cap,
-                                                    shards):
-    service = build_service(bundle, 4, 3.0, max_cached_synopses=None,
-                            shards=shards)
+def test_bounded_store_replay_past_the_cap_is_bit_identical(bundle):
+    """Three synopsis slots for many more views: cross-view LRU eviction
+    decides which answers need a fresh release.  Groups run in plan
+    order, so the eviction order, and with it every draw, is the same
+    on every run."""
+    pair = tuple(ordered_attributes(bundle)[:2])
+    streams = mixed_streams(bundle, make_service_analysts(4), 80, pair=pair)
+    runs = [replay(bundle, streams, views=(pair,), epsilon=3.0,
+                   max_cached_synopses=3) for _ in range(2)]
+    first = runs[0]
+    assert first.cache["evictions"] > 0
+    assert any(o[0] is True for o in first.outcomes), \
+        "the stream never reached an analyst's constraint"
+    assert any(isinstance(o[0], tuple) for o in first.outcomes)
+    assert_replays_match(first, runs[1])
+
+
+def test_stream_past_the_cap_never_overspends_a_row(bundle, to_the_cap):
+    service = build_service(bundle, 4, 3.0, max_cached_synopses=None)
     try:
         refused = 0
         for name, stream in to_the_cap.items():
@@ -343,8 +285,7 @@ def test_group_by_answers(bundle):
 
 
 def test_view_registered_after_traffic_answers(bundle):
-    """A view added to a serving engine joins routing at once, and its
-    stream starts from its own pinned seed."""
+    """A view added to a serving engine joins routing at once."""
     service = build_service(bundle)
     try:
         session = service.open_session("analyst_00")
@@ -374,17 +315,13 @@ def test_closed_service_refuses_batches(bundle):
         service.submit_batch(session, request_batch(bundle, 2e5))
 
 
-# -- construction gates ------------------------------------------------------
+# -- construction -------------------------------------------------------------
 
-def test_per_view_streams_refuse_a_generator_seed(bundle):
-    with pytest.raises(ReproError, match="per-view"):
-        build_service(bundle, seed=np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("layout", ("per_shard", "", "PER_VIEW"))
-def test_unknown_noise_stream_layout_is_refused(bundle, layout):
-    with pytest.raises(ReproError, match="noise_streams"):
-        build_service(bundle, noise_streams=layout)
+def test_a_generator_seed_replays_like_its_int(bundle, mixed):
+    """Every draw comes from the one seeded generator, so handing the
+    engine ``default_rng(0)`` instead of ``0`` changes nothing."""
+    assert_replays_match(replay(bundle, mixed),
+                         replay(bundle, mixed, seed=np.random.default_rng(0)))
 
 
 def test_combine_local_requires_the_additive_mechanism(bundle):

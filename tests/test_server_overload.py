@@ -2,8 +2,9 @@
 
 Covers the PR-6 tentpole surface: per-analyst token-bucket admission
 control (429 + ``Retry-After``, client-side typed ``RateLimited`` with
-bounded retry), adaptive micro-batching whose accounting matches the
-single-query in-process replay exactly, the ``/v1/metrics`` Prometheus
+bounded retry), concurrent keep-alive clients sharing one session whose
+accounting matches the single-query in-process replay exactly, the
+``/v1/metrics`` Prometheus
 endpoint, and slow/hostile-client robustness (413 oversized bodies,
 408 stalled bodies that must never block ``shutdown()``).
 """
@@ -178,13 +179,13 @@ class TestRateLimit:
             service.close()
 
 
-# -- adaptive micro-batching --------------------------------------------------
+# -- concurrent clients on one session ----------------------------------------
 
 def constant_accuracy_streams(num_queries=8) -> dict[str, list[str]]:
     """Disjoint per-analyst views at one fixed accuracy: the additive
-    mechanism's max-composition makes the totals independent of both
-    arrival order and single/batch grouping, so the micro-batched run
-    must land exactly on the single-query replay."""
+    mechanism's max-composition makes the totals independent of arrival
+    order, so the concurrent remote run must land exactly on the
+    single-query replay."""
     return {
         "analyst_00": [
             f"SELECT COUNT(*) FROM adult WHERE age BETWEEN {18 + k} AND 70"
@@ -196,10 +197,10 @@ def constant_accuracy_streams(num_queries=8) -> dict[str, list[str]]:
     }
 
 
-class TestMicroBatch:
+class TestConcurrentClients:
     WORKERS_PER_ANALYST = 3
 
-    def test_micro_batched_accounting_matches_single_query_inproc(
+    def test_shared_session_accounting_matches_single_query_inproc(
             self, bundle):
         streams = constant_accuracy_streams()
 
@@ -216,12 +217,9 @@ class TestMicroBatch:
         expected = reference.snapshot()
         reference.close()
 
-        # Live run: threshold 0 forces every queued submit through the
-        # batcher; a generous coalescing window + concurrent workers per
-        # session guarantees multi-query groups hit submit_batch.
-        server = ReproServer(make_service(bundle), port=0,
-                             micro_batch=True, micro_batch_threshold=0,
-                             micro_batch_wait=0.05).start()
+        # Live run: three keep-alive clients share each session, each on
+        # its own daemon handler thread.
+        server = ReproServer(make_service(bundle), port=0).start()
         try:
             sessions = {}
             with RemoteAnalyst(server.url, token="analyst_00") as c0, \
@@ -255,8 +253,6 @@ class TestMicroBatch:
             assert not errors, errors
 
             observed = server.service.snapshot()
-            coalesced = server._batcher.coalesced
-            batches = server._batcher.batches
         finally:
             shutdown_quietly(server)
 
@@ -266,19 +262,8 @@ class TestMicroBatch:
         assert observed["service"]["epsilon_by_analyst"] == \
             expected["service"]["epsilon_by_analyst"]
         assert observed["provenance"] == expected["provenance"]
-        # The batcher really coalesced (the invariant above would hold
-        # vacuously if everything went through the single-query path).
-        assert batches >= 1 and coalesced >= 2
-
-    def test_micro_batcher_drains_on_shutdown(self, bundle):
-        server = ReproServer(make_service(bundle), port=0,
-                             micro_batch=True, micro_batch_threshold=0,
-                             micro_batch_wait=0.02).start()
-        with RemoteAnalyst(server.url, token="analyst_00") as client:
-            session = client.open_session()
-            assert client.submit(session, SQL, accuracy=ACCURACY).ok
-        server.shutdown(drain_timeout=10.0)
-        assert server.service.closed
+        assert observed["service"]["submitted"] == \
+            expected["service"]["submitted"]
 
 
 # -- /v1/metrics --------------------------------------------------------------

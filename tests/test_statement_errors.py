@@ -41,8 +41,7 @@ def bundle():
 
 
 def build(bundle) -> QueryService:
-    service = QueryService.build(bundle, [Analyst("a", 4)], 48.0, seed=0,
-                                 noise_streams="per_view")
+    service = QueryService.build(bundle, [Analyst("a", 4)], 48.0, seed=0)
     # A dyadic view is a candidate for every range on age: it must find
     # the string operand unanswerable too, not crash on it.
     service.engine.register_hierarchical_view("age")

@@ -2,7 +2,7 @@
 
 Four contracts under test:
 
-* **Span trees** — the service nests plan/shard spans under one
+* **Span trees** — the service nests plan/view-group spans under one
   request trace.
 * **Lineage** — every answer carries a :class:`Lineage` record derived
   from what already happened (view, source, epsilon, mechanism,
@@ -135,7 +135,7 @@ class TestSpanTrees:
             by_name = span_index(service.tracer.recent()[0])
             assert "plan" in by_name
             assert by_name["plan"][0]["attrs"]["queries"] == 3
-            assert "shard_group" in by_name
+            assert "view_group" in by_name
             # The repeats after the fresh release show up as the
             # group-level outcome tally, not per-query spans.
             decisions = by_name["decisions"][0]["attrs"]

@@ -1,6 +1,6 @@
 """The request streams and roster in :mod:`repro.workloads.service`.
 
-The service, server and sharding suites replay these streams
+The service, server and concurrency suites replay these streams
 and lean on their properties without restating them: the roster's names
 and privilege ladder, the BFS tree the static BFS stream lays out, and
 the disjoint-view workload's promise that analyst ``i``'s queries are
