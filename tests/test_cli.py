@@ -32,7 +32,9 @@ class TestParser:
             build_parser().parse_args(["bogus"])
 
     @pytest.mark.parametrize("flag", (["--backend", "mp"],
-                                      ["--workers", "2"]))
+                                      ["--workers", "2"],
+                                      ["--shards", "4"],
+                                      ["--micro-batch"]))
     def test_serve_has_one_execution_path(self, flag, capsys):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(["serve", *flag])

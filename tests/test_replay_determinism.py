@@ -18,6 +18,7 @@ order is fixed by the request stream alone.  The contract under test:
 
 from __future__ import annotations
 
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -231,8 +232,11 @@ def test_bounded_store_replay_past_the_cap_is_bit_identical(bundle):
     assert_replays_match(first, runs[1])
 
 
-def test_stream_past_the_cap_never_overspends_a_row(bundle, to_the_cap):
-    service = build_service(bundle, 4, 3.0, max_cached_synopses=None)
+@pytest.mark.parametrize("mechanism", ["additive", "vanilla"])
+def test_stream_past_the_cap_never_overspends_a_row(bundle, to_the_cap,
+                                                    mechanism):
+    service = build_service(bundle, 4, 3.0, max_cached_synopses=None,
+                            mechanism=mechanism)
     try:
         refused = 0
         for name, stream in to_the_cap.items():
@@ -307,6 +311,95 @@ def test_view_registered_after_traffic_answers(bundle):
         service.close()
 
 
+def test_batch_answers_come_back_in_request_order(bundle):
+    """Requests over different views interleave in the batch; the plan
+    regroups them per view, and each response still lands at its
+    request's index."""
+    group_by = "SELECT sex, COUNT(*) FROM adult GROUP BY sex"
+    sqls = [SCALAR_SQL, group_by,
+            "SELECT COUNT(*) FROM adult WHERE age >= 30 AND age <= 50",
+            group_by, SCALAR_SQL]
+    service = build_service(bundle)
+    try:
+        session = service.open_session("analyst_00")
+        responses = service.submit_batch(
+            session, [QueryRequest(sql, accuracy=2e5) for sql in sqls])
+        assert [r.index for r in responses] == list(range(len(sqls)))
+        for sql, response in zip(sqls, responses):
+            assert response.error is None, response.error
+            if sql == group_by:
+                assert response.answer is None
+                assert len(response.groups) >= 2
+            else:
+                assert response.groups is None
+                assert response.answer is not None
+    finally:
+        service.close()
+
+
+def test_batch_runs_its_view_groups_in_plan_order_on_the_caller(
+        bundle, monkeypatch):
+    from repro.service import service as service_module
+
+    plans, calls = [], []
+    plan_batch = service_module.plan_batch
+    execute = service_module.execute_planned_group
+
+    def recording_plan(engine, batch):
+        plans.append(plan_batch(engine, batch))
+        return plans[-1]
+
+    def recording_execute(engine, analyst, view_name, items, responses):
+        calls.append((view_name, threading.get_ident()))
+        return execute(engine, analyst, view_name, items, responses)
+
+    monkeypatch.setattr(service_module, "plan_batch", recording_plan)
+    monkeypatch.setattr(service_module, "execute_planned_group",
+                        recording_execute)
+    service = build_service(bundle)
+    try:
+        session = service.open_session("analyst_00")
+        responses = service.submit_batch(session, request_batch(bundle, 2e5))
+        assert all(r.answer is not None for r in responses)
+    finally:
+        service.close()
+    (plan,) = plans
+    expected = list(dict.fromkeys(item.view_name for item in plan.ordered))
+    assert len(expected) >= 2
+    assert [view for view, _ in calls] == expected
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+def test_an_error_in_a_view_group_reaches_the_caller(bundle, monkeypatch):
+    """A group that raises stops its batch with that error; the service
+    keeps answering afterwards."""
+    from repro.service import service as service_module
+
+    execute = service_module.execute_planned_group
+    seen = []
+
+    def failing_second_group(engine, analyst, view_name, items, responses):
+        seen.append(view_name)
+        if len(seen) == 2:
+            raise RuntimeError("boom")
+        return execute(engine, analyst, view_name, items, responses)
+
+    service = build_service(bundle)
+    try:
+        session = service.open_session("analyst_00")
+        with monkeypatch.context() as patch:
+            patch.setattr(service_module, "execute_planned_group",
+                          failing_second_group)
+            with pytest.raises(RuntimeError, match="boom"):
+                service.submit_batch(session, request_batch(bundle, 2e5))
+        assert len(seen) == 2
+        after = service.submit_batch(session, request_batch(bundle, 2e5))
+        assert all(r.answer is not None for r in after), \
+            [r.error for r in after if r.error]
+    finally:
+        service.close()
+
+
 def test_closed_service_refuses_batches(bundle):
     service = build_service(bundle)
     session = service.open_session("analyst_00")
@@ -322,6 +415,30 @@ def test_a_generator_seed_replays_like_its_int(bundle, mixed):
     engine ``default_rng(0)`` instead of ``0`` changes nothing."""
     assert_replays_match(replay(bundle, mixed),
                          replay(bundle, mixed, seed=np.random.default_rng(0)))
+
+
+def test_releases_draw_from_the_generator_the_engine_was_given(bundle):
+    rng = np.random.default_rng(0)
+    service = build_service(bundle, seed=rng)
+    try:
+        assert service.engine.mechanism.rng is rng
+        state = rng.bit_generator.state
+        session = service.open_session("analyst_00")
+        assert service.submit(session, SCALAR_SQL, accuracy=2e5).ok
+        assert rng.bit_generator.state != state
+    finally:
+        service.close()
+
+
+def test_another_seed_changes_the_answers_but_not_the_accounting(bundle,
+                                                                 mixed):
+    first, other = replay(bundle, mixed), replay(bundle, mixed, seed=1)
+    answers = [o[0] for o in first.outcomes if isinstance(o[0], float)]
+    assert answers
+    assert [o[0] for o in other.outcomes
+            if isinstance(o[0], float)] != answers
+    assert other.epsilon == first.epsilon
+    assert other.fresh == first.fresh
 
 
 def test_combine_local_requires_the_additive_mechanism(bundle):

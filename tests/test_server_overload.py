@@ -25,6 +25,7 @@ from repro.exceptions import ReproError
 from repro.metrics import parse_exposition
 from repro.server.daemon import ReproServer
 from repro.service.service import QueryService
+from repro.service.session import QueryRequest
 from repro.workloads.service import (
     disjoint_view_attribute_sets,
     make_service_analysts,
@@ -200,8 +201,9 @@ def constant_accuracy_streams(num_queries=8) -> dict[str, list[str]]:
 class TestConcurrentClients:
     WORKERS_PER_ANALYST = 3
 
+    @pytest.mark.parametrize("batched", [False, True])
     def test_shared_session_accounting_matches_single_query_inproc(
-            self, bundle):
+            self, bundle, batched):
         streams = constant_accuracy_streams()
 
         # Reference: every query submitted singly, in process.
@@ -235,9 +237,17 @@ class TestConcurrentClients:
                 try:
                     with RemoteAnalyst(server.url, token=analyst) as client:
                         barrier.wait()
-                        for sql in streams[analyst]:
-                            response = client.submit(
-                                sessions[analyst], sql, accuracy=ACCURACY)
+                        if batched:
+                            responses = client.submit_batch(
+                                sessions[analyst],
+                                [QueryRequest(sql, accuracy=ACCURACY)
+                                 for sql in streams[analyst]])
+                        else:
+                            responses = [
+                                client.submit(sessions[analyst], sql,
+                                              accuracy=ACCURACY)
+                                for sql in streams[analyst]]
+                        for response in responses:
                             assert response.ok, response.error
                 except BaseException as exc:  # surfaced after join
                     errors.append(exc)
@@ -264,6 +274,23 @@ class TestConcurrentClients:
         assert observed["provenance"] == expected["provenance"]
         assert observed["service"]["submitted"] == \
             expected["service"]["submitted"]
+
+    def test_shutdown_drains_after_a_keep_alive_client(self, bundle):
+        server = ReproServer(make_service(bundle), port=0).start()
+        with RemoteAnalyst(server.url, token="analyst_00") as client:
+            session = client.open_session()
+            assert client.submit(session, SQL, accuracy=ACCURACY).ok
+        server.shutdown(drain_timeout=10.0)
+        assert server.service.closed
+
+    def test_there_is_no_daemon_side_batching(self, bundle):
+        service = make_service(bundle)
+        try:
+            for option in ("micro_batch", "micro_batch_wait"):
+                with pytest.raises(TypeError):
+                    ReproServer(service, port=0, **{option: True})
+        finally:
+            service.close()
 
 
 # -- /v1/metrics --------------------------------------------------------------

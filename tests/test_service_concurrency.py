@@ -436,6 +436,14 @@ class TestOneExecutionPath:
         with pytest.raises(TypeError):
             QueryService.build(adult_bundle, WIDE_ANALYSTS[:2], 2.0, shards=1)
 
+    def test_there_is_one_noise_generator(self, adult_bundle):
+        with pytest.raises(TypeError):
+            DProvDB(adult_bundle, WIDE_ANALYSTS[:2], 2.0,
+                    noise_streams="per_view")
+        with pytest.raises(TypeError):
+            QueryService.build(adult_bundle, WIDE_ANALYSTS[:2], 2.0,
+                               noise_streams="per_view")
+
     def test_service_snapshot_consistent(self, adult_bundle):
         service, attribute_sets, _ = build_wide_service(adult_bundle)
         streams = build_disjoint_workload(adult_bundle, WIDE_ANALYSTS, 5,
