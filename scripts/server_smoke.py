@@ -76,7 +76,7 @@ def replay_remote(url: str, streams) -> dict[str, list]:
 
     Returns each analyst's per-response :class:`Lineage` records in
     stream order — the wire must carry lineage on every answer, with a
-    trace id (remote clients propagate one per request)."""
+    trace id (these clients ask for one per request)."""
     errors: list[BaseException] = []
     lineages: dict[str, list] = {}
 
@@ -85,8 +85,8 @@ def replay_remote(url: str, streams) -> dict[str, list]:
             # Bounded retry waits out any 429 the admission limiter
             # throws during the replay; a refused request charges
             # nothing, so the accounting equality below is unaffected.
-            with RemoteAnalyst(url, token=analyst,
-                               retry_rate_limited=5) as client:
+            with RemoteAnalyst(url, token=analyst, retry_rate_limited=5,
+                               trace_requests=True) as client:
                 session = client.open_session()
                 half = len(stream) // 2
                 collected = []

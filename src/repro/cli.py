@@ -646,6 +646,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if rows == 0:
         args.rows = None
+    for flag in ("queries", "repeats"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            print(f"error: --{flag} must be >= 1, got {value}",
+                  file=sys.stderr)
+            return 2
     runner, _ = COMMANDS[args.command] if args.command in COMMANDS \
         else (_DAEMON_COMMANDS[args.command], "")
     try:

@@ -136,7 +136,7 @@ class RemoteAnalyst:
                  max_retry_after: float = 5.0,
                  ca_bundle: str | None = None,
                  tls_insecure: bool = False,
-                 trace_requests: bool = True) -> None:
+                 trace_requests: bool = False) -> None:
         try:  # "host:port" shorthand (incl. bare hostnames) means http
             parts = urlsplit(base_url if "://" in base_url
                              else "http://" + base_url)
@@ -186,28 +186,29 @@ class RemoteAnalyst:
         #: refused *before* any engine work, so nothing was charged.
         self.retry_rate_limited = int(retry_rate_limited)
         self.max_retry_after = float(max_retry_after)
-        #: When true (the default), every submission carries a
-        #: client-minted trace id as the payload's optional ``"trace"``
-        #: field; the server adopts it as the request's trace id, so the
-        #: id in :attr:`last_trace_id` finds the server-side span tree
-        #: in ``GET /v1/trace``.  Old servers ignore the field.
+        #: When true, every submission carries a client-minted trace id
+        #: (the payload's optional ``"trace"`` field, which old servers
+        #: ignore) that the server always traces: :attr:`last_trace_id`
+        #: finds its span tree in ``GET /v1/trace``.  Off (the default),
+        #: the server samples 1-in-N as in process, and a sampled
+        #: answer's ``lineage.trace_id`` names its trace.
         self.trace_requests = bool(trace_requests)
         #: Trace id sent with the most recent submission (``None`` until
         #: the first, or when ``trace_requests`` is off).
         self.last_trace_id: str | None = None
         self._trace_prefix = os.urandom(4).hex()
         self._trace_ids = itertools.count(1)
-        #: ``Host`` and the fixed request headers.  Gzip is negotiated
-        #: by ``Accept-Encoding`` alone, independent of the protocol
-        #: version; a server that never compresses ignores the offer.
-        #: The bearer token authenticates every session-route request.
-        self._headers = [
-            ("Host", f"[{host}]:{port}" if ":" in host else f"{host}:{port}"),
-            ("Authorization", f"Bearer {token}"),
-            ("Accept-Encoding", "gzip"),
-            ("Content-Type", "application/json")]
+        #: ``Host`` and the fixed header lines, as bytes once.  Gzip is
+        #: negotiated by ``Accept-Encoding`` alone; the bearer token
+        #: authenticates every session-route request.
+        authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+        self._fixed_headers = (
+            f"Host: {authority}\r\nAuthorization: Bearer {token}\r\n"
+            f"Accept-Encoding: gzip\r\nContent-Type: application/json\r\n"
+        ).encode("latin-1")
         self._sock: socket.socket | None = None
         self._reader = None  # the socket's one buffered reader
+        self._heads: dict[bytes, tuple] = {}  # response heads parsed
 
     # -- transport -------------------------------------------------------------
     def _connection(self) -> socket.socket:
@@ -266,9 +267,9 @@ class RemoteAnalyst:
                   body: bytes = b"") -> tuple[int, dict, bytes]:
         """One request, head and body in one ``sendall``, and its reply as
         ``(status, headers, identity-encoded body)``."""
-        message = framing.format_head(
-            f"{method} {path} HTTP/1.1",
-            self._headers + [("Content-Length", len(body))]) + body
+        message = b"%s %s HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n%s" % (
+            method.encode("latin-1"), path.encode("latin-1"),
+            self._fixed_headers, len(body), body)
         for attempt in (1, 2):  # one transparent reconnect on a dead socket
             sock = self._connection()
             try:
@@ -282,7 +283,8 @@ class RemoteAnalyst:
                         f"{method} {path} failed: {exc}") from exc
                 continue
             try:
-                status, headers = framing.read_response_head(self._reader)
+                status, headers = framing.read_response_head(
+                    self._reader, self._heads)
                 # No Content-Length: the body runs to EOF (read(-1)).
                 length = int(headers.get("content-length", -1))
                 raw = self._reader.read(length)

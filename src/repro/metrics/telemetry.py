@@ -7,7 +7,8 @@ The daemon's ``/v1/metrics`` endpoint is backed by one
     Monotone totals with optional labels (requests per route, responses
     per status, 429s per analyst).  Incremented on the serving path, so
     the implementation is a dict update under one small lock — no
-    allocation, no string formatting until scrape time.
+    allocation, no string formatting until scrape time; a caller that
+    updates one label set per request binds it once (``bind``).
 
 ``gauge`` (callback)
     Point-in-time readings pulled at scrape time from live objects — the
@@ -18,10 +19,9 @@ The daemon's ``/v1/metrics`` endpoint is backed by one
     reads the same counters ``/v1/snapshot`` serializes, so the two
     endpoints can never disagree.
 
-``Summary``
-    Latency percentiles per label set (p50/p95 per route) over a bounded
-    reservoir of recent observations, plus exact ``_count``/``_sum``
-    series so rates survive the reservoir bound.
+``Histogram``
+    Latency per label set (per route) in fixed cumulative buckets, plus
+    exact ``_count``/``_sum`` series.
 
 :meth:`TelemetryRegistry.render` emits the Prometheus text exposition
 format (``# HELP``/``# TYPE`` + ``name{label="v"} value`` lines), which
@@ -34,15 +34,8 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from collections import deque
+from functools import partial
 from typing import Callable, Iterable, Sequence
-
-#: How many recent observations a :class:`Summary` keeps per label set
-#: for its percentile estimates (``_count``/``_sum`` stay exact).
-DEFAULT_RESERVOIR = 2048
-
-#: The quantiles every :class:`Summary` renders.
-SUMMARY_QUANTILES = (0.5, 0.95)
 
 #: Default :class:`Histogram` bucket bounds (seconds): sub-millisecond
 #: fast-lane hits through multi-second batch submissions.
@@ -90,7 +83,14 @@ class Counter:
         self._values: dict[tuple[tuple[str, str], ...], float] = {}
 
     def inc(self, value: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
+        self._add(_label_key(labels), value)
+
+    def bind(self, **labels: str) -> Callable[..., None]:
+        """``inc`` for one label set, its key resolved once (the series
+        still appears on its first increment)."""
+        return partial(self._add, _label_key(labels))
+
+    def _add(self, key: tuple, value: float = 1.0) -> None:
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + value
 
@@ -110,65 +110,6 @@ class Counter:
             yield dict(key), value
 
 
-class Summary:
-    """Per-label-set latency summary: exact count/sum + recent quantiles."""
-
-    kind = "summary"
-
-    def __init__(self, name: str, help_text: str,
-                 reservoir: int = DEFAULT_RESERVOIR) -> None:
-        self.name = name
-        self.help = help_text
-        self._reservoir = max(1, int(reservoir))
-        self._lock = threading.Lock()
-        self._series: dict[tuple[tuple[str, str], ...],
-                           tuple[list, deque]] = {}
-
-    def observe(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            entry = self._series.get(key)
-            if entry is None:
-                entry = self._series[key] = (
-                    [0, 0.0], deque(maxlen=self._reservoir))
-            entry[0][0] += 1
-            entry[0][1] += value
-            entry[1].append(value)
-
-    def count(self, **labels: str) -> int:
-        with self._lock:
-            entry = self._series.get(_label_key(labels))
-            return int(entry[0][0]) if entry else 0
-
-    def quantile(self, fraction: float, **labels: str) -> float:
-        """Nearest-rank quantile over the retained reservoir (0.0 empty)."""
-        with self._lock:
-            entry = self._series.get(_label_key(labels))
-            window = sorted(entry[1]) if entry else []
-        if not window:
-            return 0.0
-        rank = min(len(window) - 1, max(0, int(fraction * len(window))))
-        return window[rank]
-
-    def samples(self) -> Iterable[tuple[str, dict[str, str], float]]:
-        """Yield ``(suffix, labels, value)`` rows for rendering."""
-        with self._lock:
-            snapshot = [(dict(key), int(counts[0]), float(counts[1]),
-                         sorted(window))
-                        for key, (counts, window) in self._series.items()]
-        for labels, count, total, window in snapshot:
-            for fraction in SUMMARY_QUANTILES:
-                if window:
-                    rank = min(len(window) - 1,
-                               max(0, int(fraction * len(window))))
-                    value = window[rank]
-                else:
-                    value = 0.0
-                yield "", {**labels, "quantile": str(fraction)}, value
-            yield "_count", labels, float(count)
-            yield "_sum", labels, total
-
-
 class Histogram:
     """Per-label-set histogram with Prometheus cumulative semantics.
 
@@ -176,11 +117,11 @@ class Histogram:
     ``+Inf`` overflow); :meth:`samples` renders the *cumulative*
     ``_bucket{le=...}`` series Prometheus expects — every bucket counts
     all observations at or below its bound, and ``le="+Inf"`` always
-    equals ``_count``.  Unlike :class:`Summary`'s bounded reservoir,
-    every series here is exact over the full lifetime, so scrapers can
-    derive any quantile by interpolation *and* rates stay correct no
-    matter how long the window.  ``observe`` is one ``bisect`` plus two
-    adds under a small lock — cheap enough for the request hot path.
+    equals ``_count``.  Every series is exact over the full lifetime,
+    so scrapers can derive any quantile by interpolation *and* rates
+    stay correct no matter how long the window.  ``observe`` is one
+    ``bisect`` plus two adds under a small lock — cheap enough for the
+    request hot path.
     """
 
     kind = "histogram"
@@ -203,9 +144,15 @@ class Histogram:
                            tuple[list, list]] = {}
 
     def observe(self, value: float, **labels: str) -> None:
+        self._observe(_label_key(labels), value)
+
+    def bind(self, **labels: str) -> Callable[[float], None]:
+        """``observe`` for one label set, its key resolved once."""
+        return partial(self._observe, _label_key(labels))
+
+    def _observe(self, key: tuple, value: float) -> None:
         value = float(value)
         slot = bisect.bisect_left(self.buckets, value)
-        key = _label_key(labels)
         with self._lock:
             entry = self._series.get(key)
             if entry is None:
@@ -342,11 +289,6 @@ class TelemetryRegistry:
         return self._get_or_create(
             name, lambda: Counter(name, help_text), "counter")
 
-    def summary(self, name: str, help_text: str = "",
-                reservoir: int = DEFAULT_RESERVOIR) -> Summary:
-        return self._get_or_create(
-            name, lambda: Summary(name, help_text, reservoir), "summary")
-
     def histogram(self, name: str, help_text: str = "",
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         return self._get_or_create(
@@ -391,7 +333,7 @@ class TelemetryRegistry:
             if metric.help:
                 lines.append(f"# HELP {name} {metric.help}")
             lines.append(f"# TYPE {name} {metric.kind}")
-            if isinstance(metric, (Summary, Histogram)):
+            if isinstance(metric, Histogram):
                 for suffix, labels, value in metric.samples():
                     lines.append(f"{name}{suffix}{_format_labels(labels)} "
                                  f"{_format_value(value)}")
@@ -459,11 +401,8 @@ def _split_labels(text: str) -> list[str]:
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "DEFAULT_RESERVOIR",
-    "SUMMARY_QUANTILES",
     "Counter",
     "Histogram",
-    "Summary",
     "TelemetryRegistry",
     "parse_exposition",
 ]

@@ -6,10 +6,12 @@
   constant.  Everything the daemon puts on the wire round-trips through
   this module, so the client and the tests share one source of truth.
 * :mod:`repro.server.daemon` — :class:`ReproServer`: a stdlib-only
-  ``ThreadingHTTPServer`` front-end over one
-  :class:`repro.service.service.QueryService`.  Sessions map onto HTTP
-  resources, auth tokens map onto analyst identities, and graceful
-  shutdown drains in-flight work while refusing new sessions.
+  front-end over one :class:`repro.service.service.QueryService`, one
+  plain keep-alive loop per connection thread over
+  :mod:`repro.server.framing` (shared with the client).  Sessions map
+  onto HTTP resources, auth tokens onto analyst identities, each request
+  gets one tracing decision, and graceful shutdown drains in-flight work
+  while refusing new sessions.
 
 The matching client lives in :mod:`repro.client`.
 """

@@ -1,9 +1,9 @@
 """The HTTP daemon: a stdlib-only network front-end over ``QueryService``.
 
-:class:`ReproServer` binds a :class:`http.server.ThreadingHTTPServer`
-(one handler thread per connection; each request runs on its handler
-thread from decode to encode) and exposes the protocol-v3 resource
-tree::
+:class:`ReproServer` listens on one TCP socket and serves each accepted
+connection from its own thread, in one plain keep-alive loop (each
+request runs on that thread from decode to encode), and exposes the
+protocol-v3 resource tree::
 
     GET    /v1/health                  liveness + protocol + stats summary
     GET    /v1/snapshot                QueryService.snapshot() verbatim
@@ -38,30 +38,32 @@ Overload defenses (all opt-in by constructor/CLI flags):
   ``429`` + a ``Retry-After`` header *before* any engine work, so a
   flooding analyst costs one dict lookup per rejected request and
   cannot starve the others.
-* **Slow-client robustness** — handler sockets carry a per-connection
-  ``request_timeout`` and request bodies a ``max_body_bytes`` cap: an
-  oversized body is refused with ``413`` before it is read, a stalled
-  body read times out with ``408``, so a hung client can never pin a
-  handler thread past the timeout or block :meth:`ReproServer.shutdown`.
+* **Slow-client robustness** — connection sockets carry a
+  ``request_timeout`` (TLS handshake, head, body and keep-alive idle
+  time) and request bodies a ``max_body_bytes`` cap: an oversized body
+  is refused with ``413`` before it is read, a stalled body read times
+  out with ``408``, so a hung client can never pin a connection thread
+  past the timeout or block :meth:`ReproServer.shutdown`.
 
 Framing is hand-rolled HTTP/1.1 (:mod:`repro.server.framing`, shared with
-the client) on the stdlib's socket server: the handler reads the head
-line by line into a lower-cased dict under the stdlib's limits (64 KiB
-per line -> 414/431, 100 headers -> 431, ``HTTP/1.0``/``1.1`` only ->
-505) and writes every response, on every route and status, as head +
-body in **one** ``wfile.write``.  Bodies are delimited by
-``Content-Length`` alone: any ``Transfer-Encoding``, two
+the client): the connection loop reads each head into a lower-cased dict
+under the stdlib's limits (64 KiB per line -> 414/431, 100 headers ->
+431, ``HTTP/1.0``/``1.1`` only -> 505, a method other than ``GET``,
+``POST`` or ``DELETE`` -> 501) and writes every response, on every route
+and status, as head + body in **one** ``sendall``.  Bodies are delimited
+by ``Content-Length`` alone: any ``Transfer-Encoding``, two
 ``Content-Length`` values that disagree, a non-integer one, or a
 malformed header line is a tagged 400 on a connection that is then
 closed, so no byte of a refused message is ever parsed as the next
 request.  ``Connection: close``, HTTP/1.0 close-by-default, ``Expect:
 100-continue``, pipelining and two-write clients (``http.client``,
-``urllib``) behave as under ``BaseHTTPRequestHandler``.
+``urllib``) are served.
 
 TLS termination is stdlib ``ssl``: ``tls_cert``/``tls_key`` (both or
-neither — ``repro serve --tls-cert/--tls-key``) wrap the listening
-socket in a server-side :class:`ssl.SSLContext`, and :attr:`url` flips
-to ``https://``.  The client side lives in
+neither — ``repro serve --tls-cert/--tls-key``) load a server-side
+:class:`ssl.SSLContext`; each connection is handshaken on its own thread
+under ``request_timeout``, and :attr:`url` flips to ``https://``.  The
+client side lives in
 :class:`repro.client.remote.RemoteAnalyst`, which accepts ``https://``
 URLs plus an optional private CA bundle.
 
@@ -78,17 +80,19 @@ import gzip
 import json
 import os
 import re
+import selectors
+import socket
 import ssl
 import stat
 import sys
 import threading
 import time
-from urllib.parse import unquote
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from functools import lru_cache
+from http import HTTPStatus
 from pathlib import Path
-from typing import Mapping
-
-from contextlib import contextmanager
+from typing import Callable, Mapping
+from urllib.parse import unquote
 
 from repro.exceptions import ClosedError, ReproError, UnknownAnalyst
 from repro.metrics import tracing
@@ -115,25 +119,35 @@ CHECKPOINT_ABANDON_TIMEOUT = 5.0
 
 #: Per-connection socket timeout (seconds): bounds the header read, the
 #: body read, and keep-alive idle time.  A client that stalls mid-body
-#: gets a 408 and its handler thread back within this bound.
+#: gets a 408 and its connection thread back within this bound.
 DEFAULT_REQUEST_TIMEOUT = 30.0
 
 #: Largest accepted request body.  Generous for big batches (a 1000-query
 #: batch is ~100 KiB) while refusing a Content-Length designed to pin
-#: memory or a handler thread.
+#: memory or a connection thread.
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Smallest response body worth gzip-compressing when the client's
-#: ``Accept-Encoding`` admits gzip (see :func:`_accepts_gzip`).  Below
-#: this the gzip header plus the deflate call cost more than the bytes
-#: saved; above it — large batches, metrics scrapes — JSON compresses
-#: ~5-10x.  A client that sends no ``Accept-Encoding``, or refuses gzip
-#: with ``q=0``, always gets identity bodies.
-GZIP_MIN_BYTES = 2048
+#: ``Accept-Encoding`` admits gzip (see :func:`_accepts_gzip`).  A body
+#: that fits in TCP's initial window (about 14 KB) arrives in one round
+#: trip either way, so compressing it only costs both ends CPU; above
+#: it — large batches, metrics scrapes — JSON compresses ~5-10x.
+GZIP_MIN_BYTES = 16 * 1024
+
+#: The methods a route exists for; any other is a 501.
+_METHODS = frozenset(("GET", "POST", "DELETE"))
+
+#: ``HTTP/1.1 <status> <phrase>`` lines, built once.
+_STATUS_LINES = {status.value: f"HTTP/1.1 {status.value} {status.phrase}"
+                 f"\r\n".encode("latin-1") for status in HTTPStatus}
+
+_JSON = b"Content-Type: application/json\r\n"
+_METRICS_TEXT = b"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+_GZIPPED = b"Content-Encoding: gzip\r\n"
 
 #: A session route.  An id has at most 18 digits: no service issues a
 #: longer one, and ``int()`` refuses over 4300 digits, so a longer id is
-#: the 400 of a path with no route rather than an error in the handler.
+#: the 400 of a path with no route rather than an error in a route.
 _SESSION_PATH = re.compile(r"^/v1/sessions/(\d{1,18})(?:/(query|batch))?$")
 
 #: A client-propagated trace id the daemon adopts: 1-128 letters, digits
@@ -213,7 +227,7 @@ class _Gate:
     def leave(self) -> None:
         with self._idle:
             self._in_flight -= 1
-            if self._in_flight == 0:
+            if self._in_flight == 0 and self._draining:
                 self._idle.notify_all()
 
     def drain(self, timeout: float) -> bool:
@@ -260,6 +274,13 @@ class _RateLimiter:
                 return 0.0
             bucket[0] = tokens
             return (cost - tokens) / self.rate
+
+
+@lru_cache(maxsize=2)
+def _server_and_date(second: int) -> bytes:
+    """The ``Server`` and ``Date`` lines, formatted once per second."""
+    return (f"Server: repro-serve/{PROTOCOL_VERSION}\r\n"
+            f"Date: {formatdate(second, usegmt=True)}\r\n").encode()
 
 
 def _json_finite(forecast: dict) -> dict:
@@ -411,17 +432,14 @@ class ReproServer:
         self._checkpoint_thread: threading.Thread | None = None
         self._gate = _Gate()
         self._started = time.monotonic()
-        #: Handler threads stash per-request facts here (the body-read
-        #: perf_counter window) for the trace that is minted later in
-        #: the same thread, once the payload (and its propagated trace
-        #: id) has been parsed.
-        self._handler_local = threading.local()
         #: ``serve --log-json``: one structured access-log line per
         #: request to stderr (route, status, latency, analyst, trace id)
         #: — machine-grep-able and correlated with ``/v1/trace`` by the
         #: trace id.  Off by default: the human format (silence) is
         #: unchanged, and the hot path pays nothing when disabled.
         self.log_json = bool(log_json)
+        #: The access-log line's analyst and trace id (``log_json`` only).
+        self._log_local = threading.local()
         self.request_timeout = request_timeout
         self.max_body_bytes = int(max_body_bytes)
         self._limiter = (_RateLimiter(rate_limit,
@@ -431,15 +449,11 @@ class ReproServer:
         self.telemetry = telemetry if telemetry is not None \
             else TelemetryRegistry()
         self._bind_telemetry()
-        handler = _build_handler(self)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._tls = tls_context is not None
-        if tls_context is not None:
-            # Terminate TLS on the listener: every accepted connection
-            # is handshaken server-side before the handler reads a byte.
-            self._httpd.socket = tls_context.wrap_socket(
-                self._httpd.socket, server_side=True)
+        self._tls_context = tls_context
+        self._listener = socket.create_server((host, port))
+        self._address = self._listener.getsockname()[:2]
+        #: Request heads parsed so far, shared by the connection threads.
+        self._heads: dict[bytes, tuple] = {}
         self._thread: threading.Thread | None = None
 
     def _bind_telemetry(self) -> None:
@@ -448,6 +462,10 @@ class ReproServer:
             "repro_requests_total", "HTTP requests received, per route")
         self._m_responses = registry.counter(
             "repro_responses_total", "HTTP responses sent, per status")
+        #: Bound on first use per route label (count, observe latency)
+        #: and per status (count), so a request sorts no labels.
+        self._route_metrics: dict[str, tuple[Callable, Callable]] = {}
+        self._status_metrics: dict[int, Callable] = {}
         self._m_rate_limited = registry.counter(
             "repro_rate_limited_total",
             "Submissions refused by admission control (429), per analyst")
@@ -467,20 +485,20 @@ class ReproServer:
     # -- lifecycle -------------------------------------------------------------
     @property
     def host(self) -> str:
-        return self._httpd.server_address[0]
+        return self._address[0]
 
     @property
     def port(self) -> int:
-        return self._httpd.server_address[1]
+        return self._address[1]
 
     @property
     def tls(self) -> bool:
         """Whether the listener terminates TLS."""
-        return self._tls
+        return self._tls_context is not None
 
     @property
     def url(self) -> str:
-        scheme = "https" if self._tls else "http"
+        scheme = "https" if self.tls else "http"
         return f"{scheme}://{self.host}:{self.port}"
 
     @property
@@ -491,7 +509,9 @@ class ReproServer:
         """Serve on a background thread; returns ``self`` for chaining."""
         if self._thread is not None:
             raise ReproError("server already started")
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
+        #: Written to by shutdown to wake the accept loop at once.
+        self._wakeup = socket.socketpair()
+        self._thread = threading.Thread(target=self._serve,
                                         name="repro-server", daemon=True)
         self._thread.start()
         if self.checkpoint_every is not None:
@@ -527,11 +547,15 @@ class ReproServer:
         # bounded by one drain_timeout, not two.
         self._checkpoint_stop.set()
         drained = self._gate.drain(drain_timeout)
-        self._httpd.shutdown()
         if self._thread is not None:
+            self._wakeup[1].send(b"\0")
             self._thread.join()
             self._thread = None
-        self._httpd.server_close()
+            for end in self._wakeup:
+                end.close()
+        # Open connections keep their threads: each answers its next
+        # request with the drain's 503 or the closed service's 409.
+        self._listener.close()
         if self._checkpoint_thread is not None:
             # Bounded join before the service closes (the fold must not
             # race the ledger writer's close).  A fold still blocked on
@@ -568,7 +592,7 @@ class ReproServer:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-    # -- request handling (called from handler threads) ------------------------
+    # -- request handling (called from connection threads) --------------------
     def handle(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
         """Route one request; returns ``(status, json_body)``."""
         path, _, query = path.partition("?")
@@ -576,12 +600,13 @@ class ReproServer:
                             body)
 
     def _handle(self, method: str, path: str, query: str,
-                match: re.Match | None, body: bytes) -> tuple[int, dict]:
+                match: re.Match | None, body: bytes,
+                body_read: tuple | None = None) -> tuple[int, dict]:
         """:meth:`handle` on an already split path and its one
-        ``_SESSION_PATH`` match (the handler shares both with its route
-        label)."""
+        ``_SESSION_PATH`` match (the connection loop shares both with its
+        route label); ``body_read`` is the body's read window."""
         try:
-            return self._route(method, path, query, match, body)
+            return self._route(method, path, query, match, body, body_read)
         except WireFormatError as exc:
             return 400, encode_error(str(exc), "bad_request")
         except UnknownAnalyst as exc:
@@ -602,7 +627,8 @@ class ReproServer:
         return self.telemetry.render()
 
     def _route(self, method: str, path: str, query: str,
-               match: re.Match | None, body: bytes) -> tuple[int, dict]:
+               match: re.Match | None, body: bytes,
+               body_read: tuple | None) -> tuple[int, dict]:
         if method == "GET" and path == "/v1/health":
             return 200, self._health()
         if method == "GET" and path == "/v1/snapshot":
@@ -626,9 +652,11 @@ class ReproServer:
                              "session_id": closed.session_id,
                              "closed": True}
             if method == "POST" and action == "query":
-                return self._submit(session_id, self._json(body))
+                return self._submit(session_id, self._json(body),
+                                    body_read)
             if method == "POST" and action == "batch":
-                return self._submit_batch(session_id, self._json(body))
+                return self._submit_batch(session_id, self._json(body),
+                                          body_read)
         raise WireFormatError(f"no route for {method} {path}")
 
     @staticmethod
@@ -697,15 +725,15 @@ class ReproServer:
         return payload
 
     def _note_analyst(self, analyst: str | None) -> None:
-        """Stash the acting analyst for this thread's access-log line."""
+        """Note the acting analyst for this thread's access-log line."""
         if self.log_json:
-            self._handler_local.log_analyst = analyst
+            self._log_local.analyst = analyst
 
     def _note_session_analyst(self, session_id: int) -> None:
         if not self.log_json:
             return
         try:
-            self._handler_local.log_analyst = \
+            self._log_local.analyst = \
                 self.service._resolve_session(session_id).analyst
         except ReproError:
             pass  # unknown/closed session: the route reports it precisely
@@ -713,7 +741,7 @@ class ReproServer:
     def _emit_access_log(self, method: str, path: str, route: str,
                          status: int, elapsed: float) -> None:
         """One JSON access-log line to stderr (``serve --log-json``)."""
-        local = self._handler_local
+        local = self._log_local
         record = {
             "ts": round(time.time(), 6),
             "method": method,
@@ -721,8 +749,8 @@ class ReproServer:
             "route": route,
             "status": int(status),
             "latency_ms": round(elapsed * 1000.0, 3),
-            "analyst": getattr(local, "log_analyst", None),
-            "trace": getattr(local, "log_trace", None),
+            "analyst": getattr(local, "analyst", None),
+            "trace": getattr(local, "trace", None),
         }
         print(json.dumps(record), file=sys.stderr, flush=True)
 
@@ -792,249 +820,233 @@ class ReproServer:
         finally:
             self._gate.leave()
 
-    @contextmanager
-    def _traced(self, payload: dict, route: str):
-        """Mint the server-side trace for one submission.
+    def _submission(self, session_id: int, payload: dict,
+                    body_read: tuple | None, route: str, cost: float,
+                    work: Callable[[], tuple[int, dict]]
+                    ) -> tuple[int, dict]:
+        """Admission, the drain gate and ``work()`` for one submission,
+        under the request's one sampling decision.
 
-        The client's propagated id rides as an optional top-level
-        ``"trace"`` key in the POST payload (``decode_request`` reads
-        only its own fields, so old clients and old servers are both
-        untouched); it is adopted only if it matches ``_TRACE_ID``,
-        otherwise the request is traced as if it carried none.  The
-        handler thread's body-read window — measured before any trace
-        could exist — is adopted retroactively, and the finished trace
-        lands in the shared ``service.tracer`` ring.  With the trace
-        active, ``QueryService.submit`` sees a current trace and reports
-        into it instead of minting its own.
+        A client's id rides as the payload's optional ``"trace"`` key
+        (``decode_request`` ignores it) and is adopted, always traced,
+        only if it matches ``_TRACE_ID``; any other request ticks the
+        tracer's 1-in-N sampler here, once, and the service runs under
+        this decision.  A kept trace adopts the body's read window.
         """
-        tracer = self.service.tracer
-        body_read = getattr(self._handler_local, "body_read", None)
-        self._handler_local.body_read = None
+        self._note_session_analyst(session_id)
         trace_id = payload.get("trace")
         if not (isinstance(trace_id, str) and _TRACE_ID.fullmatch(trace_id)):
             trace_id = None
-        trace = tracer.start(trace_id)
-        if trace is None:  # tracing disabled, or this request sampled out
-            yield None
-            return
+        trace = self.service.tracer.start(trace_id)
+        if trace is None:
+            return self._admitted(session_id, cost, work)
         if self.log_json:
-            self._handler_local.log_trace = trace.trace_id
+            self._log_local.trace = trace.trace_id
         if body_read is not None:
             trace.add_span("read_body", body_read[0], body_read[1],
                            bytes=body_read[2])
         try:
             with tracing.activate(trace), \
                     tracing.span("server.request", route=route):
-                yield trace
+                return self._admitted(session_id, cost, work)
         finally:
-            tracer.finish(trace)
+            self.service.tracer.finish(trace)
 
-    def _submit(self, session_id: int, payload: dict) -> tuple[int, dict]:
+    def _admitted(self, session_id: int, cost: float,
+                  work: Callable[[], tuple[int, dict]]) -> tuple[int, dict]:
+        refusal = self._admit(session_id, cost)
+        if refusal is not None:
+            tracing.event("rate_limited")
+            return refusal
+        if not self._gate.try_enter():
+            return 503, encode_error("server is draining", "draining")
+        try:
+            return work()
+        finally:
+            self._gate.leave()
+
+    def _submit(self, session_id: int, payload: dict,
+                body_read: tuple | None = None) -> tuple[int, dict]:
         request = decode_request(payload)
-        self._note_session_analyst(session_id)
-        with self._traced(payload, "query"):
-            with tracing.span("admission"):
-                refusal = self._admit(session_id, 1.0)
-            if refusal is not None:
-                tracing.event("rate_limited")
-                return refusal
-            if not self._gate.try_enter():
-                return 503, encode_error("server is draining", "draining")
-            try:
-                response = self.service.submit(
-                    session_id, request.sql, accuracy=request.accuracy,
-                    epsilon=request.epsilon)
-            finally:
-                self._gate.leave()
-            return 200, encode_response(response)
+        return self._submission(
+            session_id, payload, body_read, "query", 1.0,
+            lambda: (200, encode_response(
+                self.service.submit_request(session_id, request))))
 
-    def _submit_batch(self, session_id: int,
-                      payload: dict) -> tuple[int, dict]:
+    def _submit_batch(self, session_id: int, payload: dict,
+                      body_read: tuple | None = None) -> tuple[int, dict]:
         raw = payload.get("requests")
         if not isinstance(raw, list):
             raise WireFormatError("batch body needs a 'requests' list")
         requests = [decode_request(entry) for entry in raw]
-        self._note_session_analyst(session_id)
-        with self._traced(payload, "batch"):
-            with tracing.span("admission"):
-                refusal = self._admit(session_id,
-                                      float(max(1, len(requests))))
-            if refusal is not None:
-                tracing.event("rate_limited")
-                return refusal
-            if not self._gate.try_enter():
-                return 503, encode_error("server is draining", "draining")
-            try:
-                responses = self.service.submit_batch(session_id, requests)
-            finally:
-                self._gate.leave()
-            return 200, {"protocol": PROTOCOL_VERSION,
-                         "responses": [encode_response(r)
-                                       for r in responses]}
+        return self._submission(
+            session_id, payload, body_read, "batch",
+            float(max(1, len(requests))),
+            lambda: (200, {"protocol": PROTOCOL_VERSION, "responses": [
+                encode_response(response) for response in
+                self.service.submit_batch_requests(session_id, requests)]}))
 
+    # -- connections (each on its own thread) ---------------------------------
+    def _accept(self) -> tuple[socket.socket, tuple]:
+        """The next connection waiting on the listener."""
+        return self._listener.accept()
 
-def _build_handler(server: ReproServer) -> type:
-    """A request-handler class closed over one :class:`ReproServer`."""
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = f"repro-serve/{PROTOCOL_VERSION}"
-        # Small JSON request/response pairs ping-pong on keep-alive
-        # connections; Nagle + delayed ACK adds ~40ms per round trip.
-        disable_nagle_algorithm = True
-        # StreamRequestHandler applies this as the connection's socket
-        # timeout: it bounds the head read, the body read below, and
-        # keep-alive idle time.  A timeout mid-head is handled by
-        # BaseHTTPRequestHandler (connection closed); a timeout
-        # mid-body is answered with 408 below.
-        timeout = server.request_timeout
-
-        def parse_request(self) -> bool:
-            """Read the head after the request line with the shared
-            framing reader; a head it refuses is answered and closed."""
-            self.close_connection = True
-            try:
-                self.command, self.path, self.request_version, headers = \
-                    framing.read_request_head(self.rfile,
-                                              self.raw_requestline)
-            except framing.FramingError as exc:
-                self._refuse(exc.status, "bad_request", str(exc))
-                return False
-            self.headers = headers
-            connection = headers.get("connection", "").lower()
-            self.close_connection = "close" in connection or (
-                self.request_version == "HTTP/1.0"
-                and "keep-alive" not in connection)
-            return True
-
-        def send_error(self, code, message=None, explain=None) -> None:
-            # The base class's own refusals (414 on an over-long request
-            # line, 501 on an unknown method) take the same one-write,
-            # tagged-JSON exit as ours.
-            self._refuse(int(code), "bad_request",
-                         message or self.responses[code][0])
-
-        def _send(self, status: int, content_type: str, data: bytes,
-                  extra: tuple = ()) -> None:
-            """The whole response -- head and body -- in one write."""
-            headers = [("Server", self.version_string()),
-                       ("Date", framing.http_date()),
-                       ("Content-Type", content_type), *extra,
-                       ("Content-Length", len(data))]
-            if self.close_connection:
-                headers.append(("Connection", "close"))
-            phrase = self.responses.get(status, ("",))[0]
-            self.wfile.write(framing.format_head(
-                f"HTTP/1.1 {status} {phrase}", headers) + data)
-
-        def _read_body(self) -> bytes | None:
-            """Read the request body under the cap and the socket
-            timeout; sends the refusal itself and returns ``None`` when
-            the request cannot proceed."""
-            declared = self.headers.get("content-length", "0")
-            if not (declared.isascii() and declared.isdigit()):
-                self._refuse(400, "bad_request",
-                             "Content-Length is not an integer")
-                return None
-            length = int(declared)
-            if length > server.max_body_bytes:
-                self._refuse(413, "bad_request",
-                             f"request body of {length} bytes exceeds the "
-                             f"{server.max_body_bytes}-byte limit")
-                return None
-            if length == 0:
-                return b""
-            read_started = time.perf_counter()
-            try:
-                if self.headers.get("expect", "").lower() == "100-continue":
-                    self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-                body = self.rfile.read(length)
-            except (TimeoutError, OSError):
-                body = None
-            if body is None or len(body) < length:
-                self._refuse(408, "bad_request",
-                             "request body stalled before Content-Length "
-                             "bytes arrived")
-                return None
-            # Stash the read window for the trace minted later in this
-            # same thread (the trace id lives inside the body just read).
-            server._handler_local.body_read = (
-                read_started, time.perf_counter(), length)
-            return body
-
-        def _refuse(self, status: int, kind: str, message: str) -> None:
-            """One-shot error reply on a connection we no longer trust."""
-            self.close_connection = True
-            try:
-                self._send(status, "application/json", json.dumps(
-                    encode_error(message, kind)).encode("utf-8"))
-            except (TimeoutError, OSError):
-                pass  # the peer is gone or stalled; nothing to salvage
-            self._status = status
-
-        def _dispatch(self, method: str) -> None:
-            started = time.perf_counter()
-            server._handler_local.body_read = None
-            if server.log_json:
-                server._handler_local.log_analyst = None
-                server._handler_local.log_trace = None
-            path, _, query = self.path.partition("?")
-            match = _SESSION_PATH.match(path)
-            route = _route_label(method, path, match)
-            server._m_requests.inc(route=route)
-            self._status = 500
-            try:
-                body = self._read_body()
-                if body is None:
+    def _serve(self) -> None:
+        """Accept, one thread per connection, until shutdown wakes us."""
+        self._listener.setblocking(False)
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
+            selector.register(self._wakeup[0], selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select()]
+                if self._wakeup[0] in ready:
                     return
-                extra = ()
-                if method == "GET" and self.path == "/v1/metrics":
-                    data = server.render_metrics().encode("utf-8")
-                    content_type = "text/plain; version=0.0.4; " \
-                                   "charset=utf-8"
-                    status = 200
-                else:
-                    refusal = None if match is None else server._authorize(
-                        int(match.group(1)),
-                        self.headers.get("authorization", ""))
-                    status, payload = refusal or server._handle(
-                        method, path, query, match, body)
-                    data = json.dumps(payload).encode("utf-8")
-                    content_type = "application/json"
-                    if status == 429 and isinstance(
-                            payload.get("retry_after"), (int, float)):
-                        extra = (("Retry-After",
-                                  f"{payload['retry_after']:.3f}"),)
-                self._status = status
-                if len(data) >= GZIP_MIN_BYTES and _accepts_gzip(
-                        self.headers.get("accept-encoding", "")):
-                    # mtime=0 keeps the body deterministic (same answer,
-                    # same bytes) — useful for replay comparison and
-                    # cache-friendly anyway.
-                    data = gzip.compress(data, compresslevel=6, mtime=0)
-                    extra += (("Content-Encoding", "gzip"),)
-                self._send(status, content_type, data, extra)
-            finally:
-                server._m_responses.inc(status=str(self._status))
-                elapsed = time.perf_counter() - started
-                server._m_latency.observe(elapsed, route=route)
-                if server.log_json:
-                    server._emit_access_log(method, self.path, route,
-                                            self._status, elapsed)
+                try:
+                    sock, _ = self._accept()
+                except OSError:  # the peer left first, or no fds left
+                    continue
+                threading.Thread(target=self._serve_connection,
+                                 args=(sock,), name="repro-connection",
+                                 daemon=True).start()
 
-        def do_GET(self) -> None:
-            self._dispatch("GET")
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """Serve one connection's requests until it closes, idles past
+        ``request_timeout`` or is refused; TLS handshakes here too."""
+        try:
+            sock.settimeout(self.request_timeout)
+            # Small requests and replies ping-pong over keep-alive:
+            # Nagle + delayed ACK would add ~40 ms a round trip.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls_context is not None:
+                sock = self._tls_context.wrap_socket(sock, server_side=True)
+            with sock.makefile("rb") as reader:
+                while self._serve_request(sock, reader):
+                    pass
+        except OSError:
+            pass  # reset, timed out, or a failed handshake: nobody to tell
+        finally:
+            try:
+                sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+            sock.close()
 
-        def do_POST(self) -> None:
-            self._dispatch("POST")
+    def _serve_request(self, sock: socket.socket, reader) -> bool:
+        """Read, answer and count one request; ``True`` keeps the
+        connection for the next one."""
+        try:
+            head = framing.read_request_head(reader, self._heads)
+            if head is not None and head[0] not in _METHODS:
+                raise framing.FramingError(
+                    501, f"Unsupported method ({head[0]!r})")
+        except framing.FramingError as exc:
+            self._refuse(sock, exc.status, str(exc))
+            return False
+        if head is None:
+            return False
+        method, target, version, headers = head
+        connection = headers.get("connection", "").lower()
+        close = "close" in connection or (
+            version == "HTTP/1.0" and "keep-alive" not in connection)
+        started = time.perf_counter()
+        if self.log_json:
+            self._log_local.analyst = self._log_local.trace = None
+        path, _, query = target.partition("?")
+        match = _SESSION_PATH.match(path)
+        route = _route_label(method, path, match)
+        metrics = self._route_metrics.get(route)
+        if metrics is None:
+            metrics = self._route_metrics[route] = (
+                self._m_requests.bind(route=route),
+                self._m_latency.bind(route=route))
+        metrics[0]()
+        status = 500
+        try:
+            body, body_read = self._read_body(sock, reader, headers)
+            extra: tuple[bytes, ...] = ()
+            if method == "GET" and target == "/v1/metrics":
+                status, content_type = 200, _METRICS_TEXT
+                data = self.render_metrics().encode("utf-8")
+            else:
+                refusal = None if match is None else self._authorize(
+                    int(match.group(1)), headers.get("authorization", ""))
+                status, payload = refusal or self._handle(
+                    method, path, query, match, body, body_read)
+                content_type = _JSON
+                data = json.dumps(payload).encode("utf-8")
+                if status == 429 and isinstance(
+                        payload.get("retry_after"), (int, float)):
+                    extra = (b"Retry-After: %.3f\r\n"
+                             % payload["retry_after"],)
+            if len(data) >= GZIP_MIN_BYTES and _accepts_gzip(
+                    headers.get("accept-encoding", "")):
+                # mtime=0 keeps the body deterministic (same answer, same
+                # bytes) — useful for replay comparison and cache-friendly.
+                data = gzip.compress(data, compresslevel=6, mtime=0)
+                extra += (_GZIPPED,)
+            self._send(sock, status, content_type, data, extra, close)
+            return not close
+        except framing.FramingError as exc:
+            status = self._refuse(sock, exc.status, str(exc))
+            return False
+        finally:
+            count = self._status_metrics.get(status)
+            if count is None:
+                count = self._status_metrics[status] = \
+                    self._m_responses.bind(status=str(status))
+            count()
+            elapsed = time.perf_counter() - started
+            metrics[1](elapsed)
+            if self.log_json:
+                self._emit_access_log(method, target, route, status,
+                                      elapsed)
 
-        def do_DELETE(self) -> None:
-            self._dispatch("DELETE")
+    def _read_body(self, sock: socket.socket, reader,
+                   headers: dict) -> tuple[bytes, tuple | None]:
+        """The body and its ``(start, end, bytes)`` read window, under the
+        cap and the socket timeout; a refusal is a ``FramingError``."""
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            raise framing.FramingError(400, "Content-Length is not an "
+                                            "integer")
+        length = int(declared)
+        if length > self.max_body_bytes:
+            raise framing.FramingError(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{self.max_body_bytes}-byte limit")
+        if not length:
+            return b"", None
+        started = time.perf_counter()
+        try:
+            if headers.get("expect", "").lower() == "100-continue":
+                sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = reader.read(length)
+        except OSError:
+            body = b""
+        if len(body) < length:
+            raise framing.FramingError(408, "request body stalled before "
+                                            "Content-Length bytes arrived")
+        return body, (started, time.perf_counter(), length)
 
-        def log_message(self, format: str, *args) -> None:
-            pass  # keep the serving path quiet; stats live in /v1/health
+    @staticmethod
+    def _send(sock: socket.socket, status: int, content_type: bytes,
+              data: bytes, extra: tuple[bytes, ...], close: bool) -> None:
+        """The whole response — head and body — in one ``sendall``."""
+        sock.sendall(b"".join((
+            _STATUS_LINES.get(status) or b"HTTP/1.1 %d \r\n" % status,
+            _server_and_date(int(time.time())), content_type, *extra,
+            b"Content-Length: %d\r\n" % len(data),
+            b"Connection: close\r\n\r\n" if close else b"\r\n", data)))
 
-    return Handler
+    def _refuse(self, sock: socket.socket, status: int, message: str) -> int:
+        """One tagged error reply on a connection that is then closed;
+        returns ``status``."""
+        try:
+            self._send(sock, status, _JSON, json.dumps(encode_error(
+                message, "bad_request")).encode("utf-8"), (), True)
+        except OSError:
+            pass  # the peer is gone or stalled; nothing to salvage
+        return status
 
 
 __all__ = ["DEFAULT_DRAIN_TIMEOUT", "DEFAULT_MAX_BODY_BYTES",

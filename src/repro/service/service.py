@@ -350,6 +350,13 @@ class QueryService:
         finally:
             self.tracer.finish(trace)
 
+    def submit_request(self, session: Session | int,
+                       request: QueryRequest) -> QueryResponse:
+        """:meth:`submit` under the caller's sampling decision (the
+        daemon's, once per request): no trace is started here."""
+        self._check_open()
+        return self._submit_one(session, request)
+
     def _submit_one(self, session: Session | int,
                     request: QueryRequest) -> QueryResponse:
         live = self._resolve_session(session)
@@ -381,6 +388,13 @@ class QueryService:
                 return self._submit_batch_inner(session, batch)
         finally:
             self.tracer.finish(trace)
+
+    def submit_batch_requests(self, session: Session | int,
+                              batch: list[QueryRequest]
+                              ) -> list[QueryResponse]:
+        """:meth:`submit_batch` under the caller's sampling decision."""
+        self._check_open()
+        return self._submit_batch_inner(session, batch)
 
     def _submit_batch_inner(self, session: Session | int,
                             batch: list[QueryRequest]

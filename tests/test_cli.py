@@ -102,3 +102,16 @@ class TestRefusedValues:
         err = capsys.readouterr().err
         assert err.startswith("error: --rows must be >= 0")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag", (
+        (["fig4", "--rows", "2000", "--queries", "-3"], "queries"),
+        (["fig3", "--rows", "2000", "--queries", "0"], "queries"),
+        (["fig3", "--rows", "2000", "--queries", "5", "--repeats", "-1"],
+         "repeats"),
+        (["table3", "--rows", "2000", "--repeats", "0"], "repeats")))
+    def test_non_positive_queries_or_repeats_is_refused_with_exit_2(
+            self, argv, flag, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --{flag} must be >= 1")
+        assert "Traceback" not in captured.err and "nan" not in captured.out

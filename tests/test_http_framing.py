@@ -21,6 +21,8 @@ import time
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.client import RemoteAnalyst
 from repro.client.remote import RemoteError
@@ -148,6 +150,105 @@ def test_identical_duplicate_content_length_is_accepted(server):
     assert status == 200 and json.loads(body)["answer"] is not None
 
 
+# -- the one-read head parser -------------------------------------------------
+
+class LineCountingReader:
+    """A buffered reader over ``data`` whose first raw read returns only
+    ``first`` bytes (so a head cannot sit whole in the buffer) when
+    ``first`` is set; counts ``readline`` calls."""
+
+    def __init__(self, data: bytes, first: int | None = None) -> None:
+        chunks = [data] if first is None else [data[:first], data[first:]]
+
+        class Raw(io.RawIOBase):
+            def readable(self) -> bool:
+                return True
+
+            def readinto(self, buffer) -> int:
+                chunk = chunks.pop(0) if chunks else b""
+                buffer[:len(chunk)] = chunk
+                return len(chunk)
+
+        self._reader = io.BufferedReader(Raw(), buffer_size=len(data) + 1)
+        self.readlines = 0
+
+    def peek(self, *size) -> bytes:
+        return self._reader.peek(*size)
+
+    def read(self, size: int = -1) -> bytes:
+        return self._reader.read(size)
+
+    def readline(self, size: int = -1) -> bytes:
+        self.readlines += 1
+        return self._reader.readline(size)
+
+
+HEADER_NAMES = ("Host", "Content-Length", "content-length", "CONNECTION",
+                "Transfer-Encoding", "X-Pad", "bad name", "", " Lead")
+HEADER_VALUES = st.one_of(
+    st.sampled_from(("5", " 5 ", "7", "chunked", "close", "")),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF),
+            max_size=12))
+
+
+@st.composite
+def request_heads(draw) -> bytes:
+    request_line = draw(st.one_of(
+        st.builds("{} {} {}".format,
+                  st.sampled_from(("GET", "POST", "DELETE", "PUT")),
+                  st.sampled_from(("/v1/health", "/v1/sessions/1/query",
+                                   "/v1/trace?limit=2")),
+                  st.sampled_from(("HTTP/1.1", "HTTP/1.1", "HTTP/1.0",
+                                   "HTTP/2.0", "FOO"))),
+        st.sampled_from(("", "GET /", "GET / HTTP/1.1 extra"))))
+    headers = draw(st.one_of(
+        st.lists(st.one_of(
+            st.builds("{}:{}".format, st.sampled_from(HEADER_NAMES),
+                      HEADER_VALUES),
+            st.just("this is not a header"),
+            st.builds("X-Long: {}".format,
+                      st.sampled_from(("a" * 65526, "a" * 65527,
+                                       "a" * 70000)))), max_size=6),
+        st.integers(98, 102).map(
+            lambda count: [f"X-{i}: {i}" for i in range(count)])))
+    lines = [request_line, *headers, ""]
+    ends = ["\r\n"] * len(lines)
+    if draw(st.integers(0, 3)) == 0:  # one head in four mixes in bare LFs
+        ends = draw(st.lists(st.sampled_from(("\r\n", "\n")),
+                             min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end
+                   in zip(lines, ends)).encode("latin-1") + b"{}"
+
+
+def parse_head(reader, memo=None):
+    try:
+        return framing.read_request_head(reader, memo)
+    except framing.FramingError as exc:
+        return exc.status
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(request_heads())
+def test_one_read_head_parser_agrees_with_the_line_reader(data):
+    """Whole in the buffer or split across reads, a head parses to the
+    same ``(method, target, version, headers)`` or the same refusal; a
+    head that sits whole in the buffer within the limits is taken
+    without a ``readline``, with or without a memo, and so is the same
+    head again from the memo."""
+    by_lines = parse_head(LineCountingReader(data, first=3))
+    head, _, _ = data.partition(b"\r\n\r\n")
+    within_limits = b"\r\n\r\n" in data and \
+        head.count(b"\n") == head.count(b"\r\n") <= framing.MAX_HEADERS \
+        and len(head) + 2 <= framing.MAX_LINE
+    memo: dict = {}
+    for use in (None, memo, memo):
+        whole = LineCountingReader(data)
+        assert parse_head(whole, use) == by_lines
+        assert whole.readlines == 0 or not within_limits
+
+
 # -- compatibility -------------------------------------------------------------
 
 def test_mixed_case_header_names_are_accepted(server):
@@ -255,14 +356,14 @@ def counted(monkeypatch):
 
 def count_accepted(server: ReproServer) -> list[CountingSocket]:
     accepted: list[CountingSocket] = []
-    accept = server._httpd.get_request
+    accept = server._accept
 
     def counting_accept():
         sock, address = accept()
         accepted.append(CountingSocket(sock))
         return accepted[-1], address
 
-    server._httpd.get_request = counting_accept
+    server._accept = counting_accept
     return accepted
 
 
@@ -345,8 +446,7 @@ class StubServer:
                 continue
             with conn, conn.makefile("rb") as reader:
                 conn.settimeout(5.0)
-                _, _, _, headers = framing.read_request_head(
-                    reader, reader.readline())
+                _, _, _, headers = framing.read_request_head(reader)
                 self.requests.append(
                     reader.read(int(headers.get("content-length", 0))))
                 reply = self._replies.pop(0) if self._replies else None

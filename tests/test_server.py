@@ -417,19 +417,19 @@ class TestGzipNegotiation:
         assert json.loads(raw)["status"] == "ok"
 
     def test_q_zero_means_not_acceptable(self, server, bundle):
-        """A 74-group GROUP BY is well over the threshold; only an
-        ``Accept-Encoding`` that admits gzip with q > 0 gets gzip
-        (RFC 9110 §12.5.3), and every encoding decodes to the same
-        response."""
+        """Eight 74-group GROUP BYs in one batch are well over the
+        threshold; only an ``Accept-Encoding`` that admits gzip with
+        q > 0 gets gzip (RFC 9110 §12.5.3), and every encoding decodes
+        to the same responses."""
         from repro.server.daemon import GZIP_MIN_BYTES
         from repro.server.protocol import decode_response
 
         reply, raw = self._raw(server, "POST", "/v1/sessions",
                                body=json.dumps({"token": "analyst_00"}))
-        path = f"/v1/sessions/{json.loads(raw)['session_id']}/query"
-        body = json.dumps({
-            "sql": f"SELECT age, COUNT(*) FROM {bundle.fact_table} "
-                   f"GROUP BY age", "accuracy": 4e4})
+        path = f"/v1/sessions/{json.loads(raw)['session_id']}/batch"
+        query = {"sql": f"SELECT age, COUNT(*) FROM {bundle.fact_table} "
+                        f"GROUP BY age", "accuracy": 4e4}
+        body = json.dumps({"requests": [query] * 8})
         cases = [(None, None), ("gzip;q=0", None), ("gzip", "gzip"),
                  ("GZIP; Q=0.000", None), ("gzip;q=0.5", "gzip"),
                  ("identity, gzip;q=0", None), ("x-gzip", "gzip"),
@@ -445,9 +445,10 @@ class TestGzipNegotiation:
             if expected == "gzip":
                 raw = gzip.decompress(raw)
             assert len(raw) >= GZIP_MIN_BYTES
-            response = decode_response(json.loads(raw))
-            assert len(response.groups) == 74
-            groups.add(response.groups)
+            for entry in json.loads(raw)["responses"]:
+                response = decode_response(entry)
+                assert len(response.groups) == 74
+                groups.add(response.groups)
         # The first query released; every later one is the same cached
         # synopsis, whatever the encoding.
         assert len(groups) == 2
@@ -506,6 +507,15 @@ class TestDrain:
                 client.open_session()
             assert info.value.status == 503
             assert info.value.kind == "draining"
+
+    def test_idle_shutdown_returns_at_once(self, bundle):
+        """Nothing in flight: shutdown wakes the accept loop instead of
+        waiting out a polling interval."""
+        server = ReproServer(make_service(bundle), port=0).start()
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 0.1
+        assert server.service.closed
 
     def test_shutdown_is_idempotent(self, bundle):
         server = ReproServer(make_service(bundle), port=0).start()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -348,6 +349,54 @@ class TestMetrics:
             text = server.render_metrics()
             requests = parse_exposition(text)["repro_requests_total"]
             assert requests[(("route", "GET /v1/metrics"),)] >= 1.0
+        finally:
+            shutdown_quietly(server)
+
+
+    def test_concurrent_connections_lose_no_count(self, bundle):
+        """Connection threads share the bound metric updates and the
+        request-head memo: under a tight switch interval every request,
+        response and latency is counted exactly once."""
+        server = ReproServer(make_service(bundle), port=0).start()
+        clients, per_client = 6, 25
+        errors: list[BaseException] = []
+
+        def worker(index: int) -> None:
+            try:
+                with RemoteAnalyst(server.url,
+                                   token=f"analyst_0{index % 2}") as client:
+                    session = client.open_session()
+                    for _ in range(per_client):
+                        assert client.submit(session, SQL,
+                                             accuracy=ACCURACY).ok
+            except BaseException as exc:
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,))
+                       for index in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        try:
+            assert errors == []
+            queries = clients * per_client
+            route = (("route", "POST /v1/sessions/{id}/query"),)
+            families = parse_exposition(server.render_metrics())
+            assert families["repro_requests_total"][route] == queries
+            assert families["repro_requests_total"][
+                (("route", "POST /v1/sessions"),)] == clients
+            assert families["repro_request_seconds_count"][route] == queries
+            assert families["repro_responses_total"][
+                (("status", "200"),)] == queries + clients
+            assert server.service.snapshot()["service"]["submitted"] == \
+                queries
         finally:
             shutdown_quietly(server)
 

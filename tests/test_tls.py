@@ -10,9 +10,11 @@ certificate and always run.
 from __future__ import annotations
 
 import shutil
+import socket
 import ssl
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,3 +199,25 @@ def test_plaintext_client_cannot_reach_tls_server(tls_server):
     analyst = RemoteAnalyst(plaintext_url, token="analyst_00", timeout=5.0)
     with pytest.raises(Exception):
         analyst.open_session()
+
+
+def test_idle_tcp_peer_does_not_block_other_tls_clients(bundle, certificate):
+    """A peer that connects and never starts its handshake holds only
+    its own connection: the handshake runs on the connection's thread
+    under ``request_timeout``, not inside the listener's accept."""
+    cert_path, key_path = certificate
+    live = ReproServer(make_service(bundle), port=0, request_timeout=5.0,
+                       tls_cert=cert_path, tls_key=key_path).start()
+    idle = socket.create_connection((live.host, live.port))
+    try:
+        time.sleep(0.05)  # the idle peer's connection is accepted first
+        started = time.monotonic()
+        with RemoteAnalyst(live.url, token="analyst_00",
+                           ca_bundle=str(cert_path), timeout=4.0) as analyst:
+            session = analyst.open_session()
+            assert analyst.submit(session, "SELECT COUNT(*) FROM adult",
+                                  accuracy=2e5).ok
+        assert time.monotonic() - started < 2.0
+    finally:
+        idle.close()
+        live.shutdown(drain_timeout=10.0)

@@ -352,7 +352,8 @@ class TestPropagatedTraceIds:
             longest = "a.b:c-d_" * 16  # exactly 128 characters
             echoed = self._raw_queries(live, bundle, [longest])
             assert echoed == [longest]
-            with RemoteAnalyst(live.url, token="analyst_01") as client:
+            with RemoteAnalyst(live.url, token="analyst_01",
+                               trace_requests=True) as client:
                 session = client.open_session()
                 response = client.submit(session,
                                          first_attribute_sql(bundle),
@@ -364,6 +365,45 @@ class TestPropagatedTraceIds:
         finally:
             live.shutdown(drain_timeout=10.0)
         assert {longest, minted} <= found
+
+
+class TestRemoteSampling:
+    """A remote request that carries no trace id gets one sampling
+    decision, at the daemon's entry: the stride is the in-process one,
+    and every sampled answer's ``lineage.trace_id`` names a trace the
+    server kept."""
+
+    COUNT = 10 * tracing.DEFAULT_TRACE_SAMPLE
+
+    def test_untraced_remote_submits_are_sampled_like_in_process(
+            self, bundle):
+        sql = first_attribute_sql(bundle)
+        inproc = make_service(bundle)
+        session = inproc.open_session("analyst_00")
+        for _ in range(self.COUNT):
+            assert inproc.submit(session, sql, accuracy=ACCURACY).ok
+        expected = inproc.tracer.counters()["started"]
+        inproc.close()
+
+        service = make_service(bundle)
+        live = ReproServer(service, port=0).start()
+        try:
+            with RemoteAnalyst(live.url, token="analyst_00") as client:
+                assert not client.trace_requests
+                session = client.open_session()
+                responses = [client.submit(session, sql, accuracy=ACCURACY)
+                             for _ in range(self.COUNT)]
+                kept = {trace["trace_id"]
+                        for trace in client.traces()["traces"]}
+        finally:
+            live.shutdown(drain_timeout=10.0)
+        assert all(response.ok for response in responses)
+        started = service.tracer.counters()["started"]
+        assert started == expected == \
+            self.COUNT // tracing.DEFAULT_TRACE_SAMPLE
+        named = [response.lineage.trace_id for response in responses
+                 if response.lineage.trace_id is not None]
+        assert len(named) == started and set(named) <= kept
 
 
 # ---------------------------------------------------------------------------
