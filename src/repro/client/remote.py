@@ -208,7 +208,7 @@ class RemoteAnalyst:
         ).encode("latin-1")
         self._sock: socket.socket | None = None
         self._reader = None  # the socket's one buffered reader
-        self._heads: dict[bytes, tuple] = {}  # response heads parsed
+        self._heads: dict[bytes, tuple] = {}  # its response heads parsed
 
     # -- transport -------------------------------------------------------------
     def _connection(self) -> socket.socket:

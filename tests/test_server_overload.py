@@ -354,9 +354,9 @@ class TestMetrics:
 
 
     def test_concurrent_connections_lose_no_count(self, bundle):
-        """Connection threads share the bound metric updates and the
-        request-head memo: under a tight switch interval every request,
-        response and latency is counted exactly once."""
+        """Connection threads share the bound metric updates: under a
+        tight switch interval every request, response and latency is
+        counted exactly once."""
         server = ReproServer(make_service(bundle), port=0).start()
         clients, per_client = 6, 25
         errors: list[BaseException] = []
@@ -399,6 +399,38 @@ class TestMetrics:
                 queries
         finally:
             shutdown_quietly(server)
+
+
+def test_a_failed_connection_thread_drops_only_its_connection(
+        bundle, monkeypatch):
+    """When no thread can be started for a connection (threads or memory
+    ran out), that one socket is closed and the accept loop goes on: the
+    next client is served."""
+    server = ReproServer(make_service(bundle), port=0).start()
+    start, refused = threading.Thread.start, []
+
+    def start_or_refuse(thread):
+        if thread.name == "repro-connection" and not refused:
+            refused.append(thread)
+            raise RuntimeError("can't start new thread")
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_or_refuse)
+    try:
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            assert sock.recv(1) == b""  # closed, never answered
+        assert len(refused) == 1
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10.0)
+        conn.request("GET", "/v1/health")
+        reply = conn.getresponse()
+        reply.read()
+        conn.close()
+        assert reply.status == 200
+    finally:
+        monkeypatch.undo()
+        shutdown_quietly(server)
 
 
 # -- slow / hostile clients ---------------------------------------------------
