@@ -14,9 +14,11 @@ Quick start::
         accuracy=2500.0,
     )
 
-``repro.experiments`` indexes one regenerator per paper table and figure,
-``benchmarks/bench_*.py`` asserts the qualitative shape of each, and the
-README's "Tests" section shows how to run them.
+``repro.experiments.FIGURES`` holds one entry per paper table, figure,
+ablation and the scalability run: its regenerator, its ``repro``
+subcommand (the CLI figures) and its shape check, which
+``tests/test_paper_figures.py`` runs.  The README's "Tests" section
+shows how to run them.
 """
 
 from repro.core import (

@@ -9,11 +9,13 @@ Usage::
     python -m repro serve --port 8321 --analysts 8 --epsilon 12
     python -m repro list
 
-Each subcommand maps to one experiment regenerator (indexed in
-:mod:`repro.experiments`; ``benchmarks/bench_*.py`` checks each);
-options control the reduced scale.  Output is the same text tables the
-benchmarks print.  The serving stack's benchmark is ``perf/run.py``
-(see ``perf/README.md``), not a subcommand.
+Each figure subcommand is one entry of :data:`repro.experiments.FIGURES`
+(rq1, fig3-fig9, table1, table3; the ablations and the scalability run
+have no subcommand).  It offers only the options its entry reads, which
+control the reduced scale, and prints the same text tables that
+``tests/test_paper_figures.py`` prints and checks at bench scale.  The
+serving stack's benchmark is ``perf/run.py`` (see ``perf/README.md``),
+not a subcommand.
 
 ``serve`` runs the network daemon (:mod:`repro.server`): it builds a
 dataset + analyst roster, wraps them in a ``QueryService``, and
@@ -35,110 +37,32 @@ budget exhaustion (``--exhaustion-horizon``).
 from __future__ import annotations
 
 import argparse
+import inspect
 import signal
 import sys
 import threading
-from typing import Callable
 
 from repro.exceptions import ReproError
+from repro.experiments import FIGURES
 
-from repro.experiments.additive_vs_vanilla import (
-    format_component,
-    run_analyst_sweep,
-    run_epsilon_sweep,
-)
-from repro.experiments.bfs_budget import format_bfs_budget, run_bfs_budget
-from repro.experiments.cached_synopses import (
-    format_cached_synopses,
-    run_cached_synopses,
-)
-from repro.experiments.constraint_expansion import (
-    format_constraint_expansion,
-    run_constraint_expansion,
-)
-from repro.experiments.delta_sweep import format_delta_sweep, run_delta_sweep
-from repro.experiments.end_to_end import format_end_to_end, run_end_to_end
-from repro.experiments.runtime_table import (
-    format_runtime_table,
-    run_runtime_table,
-)
-from repro.experiments.collusion import format_collusion, run_collusion
-from repro.experiments.translation_validation import (
-    format_translation_validation,
-    run_translation_validation,
-)
+#: The figure subcommands: every table entry that has CLI options.
+COMMANDS = {name: figure for name, figure in FIGURES.items()
+            if figure.cli is not None}
+
+#: Every option a figure subcommand may offer (an entry's ``cli``
+#: parameters name the ones it reads); the daemon commands share three.
+_FIGURE_OPTIONS = {
+    "dataset": dict(choices=("adult", "tpch"), default="adult"),
+    "rows": dict(type=int, default=12000,
+                 help="dataset rows (0 = paper scale)"),
+    "queries": dict(type=int, default=150, help="queries per analyst"),
+    "repeats": dict(type=int, default=2),
+    "seed": dict(type=int, default=0),
+}
 
 
-def _fig3(args) -> str:
-    cells = run_end_to_end(dataset=args.dataset,
-                           queries_per_analyst=args.queries,
-                           repeats=args.repeats, num_rows=args.rows,
-                           seed=args.seed)
-    return format_end_to_end(cells, dataset=args.dataset)
-
-
-def _fig4(args) -> str:
-    series = run_bfs_budget(dataset=args.dataset, num_rows=args.rows,
-                            max_steps=args.queries * 10, seed=args.seed)
-    return format_bfs_budget(series)
-
-
-def _fig5(args) -> str:
-    cells = run_cached_synopses(dataset=args.dataset, repeats=args.repeats,
-                                num_rows=args.rows, seed=args.seed)
-    return format_cached_synopses(cells)
-
-
-def _fig6(args) -> str:
-    sweep = run_analyst_sweep(dataset=args.dataset,
-                              queries_per_analyst=args.queries,
-                              repeats=args.repeats, num_rows=args.rows,
-                              seed=args.seed)
-    eps = run_epsilon_sweep(dataset=args.dataset,
-                            queries_per_analyst=args.queries,
-                            repeats=args.repeats, num_rows=args.rows,
-                            seed=args.seed)
-    return (format_component(sweep, by="num_analysts") + "\n\n"
-            + format_component(eps, by="epsilon"))
-
-
-def _fig7(args) -> str:
-    cells = run_constraint_expansion(dataset=args.dataset,
-                                     queries_per_analyst=args.queries,
-                                     repeats=args.repeats,
-                                     num_rows=args.rows, seed=args.seed)
-    return format_constraint_expansion(cells)
-
-
-def _fig8(args) -> str:
-    cells = run_delta_sweep(dataset=args.dataset, num_rows=args.rows,
-                            max_steps=args.queries * 10, seed=args.seed)
-    return format_delta_sweep(cells)
-
-
-def _fig9(args) -> str:
-    reports = run_translation_validation(dataset=args.dataset,
-                                         num_rows=args.rows,
-                                         max_steps=args.queries * 10,
-                                         seed=args.seed)
-    return format_translation_validation(reports)
-
-
-def _table(dataset: str) -> Callable:
-    def runner(args) -> str:
-        rows = run_runtime_table(dataset=dataset,
-                                 queries_per_analyst=args.queries,
-                                 repeats=args.repeats, num_rows=args.rows,
-                                 seed=args.seed)
-        return format_runtime_table(rows, dataset)
-    return runner
-
-
-def _rq1(args) -> str:
-    cells = run_collusion(dataset=args.dataset,
-                          queries_per_analyst=args.queries,
-                          num_rows=args.rows, seed=args.seed)
-    return format_collusion(cells)
+def _options(figure) -> list[str]:
+    return list(inspect.signature(figure.cli).parameters)
 
 
 def _build_daemon_service(args, durable: bool = True):
@@ -408,20 +332,6 @@ def _audit(args) -> str:
     return out
 
 
-COMMANDS: dict[str, tuple[Callable, str]] = {
-    "rq1": (_rq1, "worst-case collusion bounds vs #analysts (RQ1)"),
-    "fig3": (_fig3, "end-to-end RRQ comparison (Fig. 3 / Fig. 10)"),
-    "fig4": (_fig4, "BFS cumulative budget (Fig. 4)"),
-    "fig5": (_fig5, "cached synopses vs workload size (Fig. 5)"),
-    "fig6": (_fig6, "additive GM vs vanilla (Fig. 6 / Fig. 11)"),
-    "fig7": (_fig7, "constraint expansion tau (Fig. 7)"),
-    "fig8": (_fig8, "delta sweep (Fig. 8)"),
-    "fig9": (_fig9, "translation validation (Fig. 9)"),
-    "table1": (_table("tpch"), "runtime comparison on TPC-H (Table 1)"),
-    "table3": (_table("adult"), "runtime comparison on Adult (Table 3)"),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -429,29 +339,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
-    for name, (_, help_text) in COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--dataset", choices=("adult", "tpch"),
-                         default="adult")
-        cmd.add_argument("--rows", type=int, default=12000,
-                         help="dataset rows (0 = paper scale)")
-        cmd.add_argument("--queries", type=int, default=150,
-                         help="queries per analyst")
-        cmd.add_argument("--repeats", type=int, default=2)
-        cmd.add_argument("--seed", type=int, default=0)
+    for name, figure in COMMANDS.items():
+        cmd = sub.add_parser(name, help=figure.help)
+        for option in _options(figure):
+            cmd.add_argument(f"--{option}", **_FIGURE_OPTIONS[option])
 
     def add_daemon_args(cmd, data_dir_required: bool) -> None:
         """Dataset/roster options shared by serve/recover/checkpoint —
         recovery must rebuild against the same service shape."""
-        cmd.add_argument("--dataset", choices=("adult", "tpch"),
-                         default="adult")
-        cmd.add_argument("--rows", type=int, default=12000,
-                         help="dataset rows (0 = paper scale)")
+        for option in ("dataset", "rows"):
+            cmd.add_argument(f"--{option}", **_FIGURE_OPTIONS[option])
         cmd.add_argument("--analysts", type=int, default=8,
                          help="number of registered analysts")
         cmd.add_argument("--epsilon", type=float, default=12.0,
                          help="table-level privacy budget")
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--seed", **_FIGURE_OPTIONS["seed"])
         cmd.add_argument("--data-dir", required=data_dir_required,
                          default=None, metavar="PATH",
                          help="durability directory (write-ahead budget "
@@ -624,11 +526,17 @@ _DAEMON_COMMANDS = {
 }
 
 
+def _run_figure(figure, args) -> str:
+    kwargs = figure.cli(**{option: getattr(args, option)
+                           for option in _options(figure)})
+    return figure.format(figure.run(**kwargs), kwargs)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for name, (_, help_text) in COMMANDS.items():
-            print(f"{name:8s} {help_text}")
+        for name, figure in COMMANDS.items():
+            print(f"{name:8s} {figure.help}")
         print("serve    HTTP daemon over a QueryService "
               "(repro.server; --data-dir adds the write-ahead ledger)")
         print("recover  inspect crash recovery for a durability data-dir")
@@ -652,10 +560,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --{flag} must be >= 1, got {value}",
                   file=sys.stderr)
             return 2
-    runner, _ = COMMANDS[args.command] if args.command in COMMANDS \
-        else (_DAEMON_COMMANDS[args.command], "")
     try:
-        print(runner(args))
+        if args.command in COMMANDS:
+            print(_run_figure(COMMANDS[args.command], args))
+        else:
+            print(_DAEMON_COMMANDS[args.command](args))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

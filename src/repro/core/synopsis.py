@@ -11,7 +11,7 @@ its budget when combination friction has accumulated (Sec. 5.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class Synopsis:
     @property
     def is_global(self) -> bool:
         return self.analyst is None
-
-    def with_values(self, values: np.ndarray, **changes) -> "Synopsis":
-        return replace(self, values=values, **changes)
 
 
 class SynopsisStore:

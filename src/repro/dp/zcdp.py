@@ -69,13 +69,6 @@ class ZCdpAccountant:
             self._rho += rho
             self._releases += 1
 
-    def record_rho(self, rho: float) -> None:
-        if rho < 0:
-            raise ValueError(f"rho must be non-negative, got {rho}")
-        with self._lock:
-            self._rho += rho
-            self._releases += 1
-
     def epsilon(self, delta: float) -> float:
         if self._releases == 0:
             return 0.0

@@ -102,6 +102,21 @@ def run_epsilon_sweep(dataset: str = "adult",
     return cells
 
 
+def run_additive_vs_vanilla(
+        analyst_counts: tuple[int, ...] = (2, 3, 4, 5, 6),
+        epsilons: tuple[float, ...] = (0.8, 1.6, 3.2, 6.4),
+        **common) -> tuple[list[ComponentCell], list[ComponentCell]]:
+    """Both panels of Fig. 6 / Fig. 11; an empty sweep leaves its panel
+    empty.  ``common`` goes to both sweeps."""
+    return (run_analyst_sweep(analyst_counts=analyst_counts, **common),
+            run_epsilon_sweep(epsilons=epsilons, **common))
+
+
+def format_additive_vs_vanilla(panels) -> str:
+    return "\n\n".join(format_component(cells, by=by) for cells, by
+                       in zip(panels, ("num_analysts", "epsilon")) if cells)
+
+
 def format_component(cells: list[ComponentCell], by: str = "num_analysts") -> str:
     keys = sorted({getattr(c, by) for c in cells})
     systems = list(dict.fromkeys(c.system for c in cells))
@@ -120,5 +135,6 @@ def format_component(cells: list[ComponentCell], by: str = "num_analysts") -> st
     )
 
 
-__all__ = ["COMPARED", "ComponentCell", "format_component",
+__all__ = ["COMPARED", "ComponentCell", "format_additive_vs_vanilla",
+           "format_component", "run_additive_vs_vanilla",
            "run_analyst_sweep", "run_epsilon_sweep"]

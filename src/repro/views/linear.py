@@ -33,11 +33,6 @@ class LinearQuery:
         """``‖w‖²`` — the variance amplification factor of this query."""
         return self._norm_sq
 
-    @property
-    def support_size(self) -> int:
-        """Number of bins with non-zero weight."""
-        return int(np.count_nonzero(self.weights))
-
     def answer(self, synopsis_values: np.ndarray) -> float:
         """Evaluate the query on (noisy or exact) bin values."""
         values = np.asarray(synopsis_values, dtype=np.float64)

@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Analyst
-from repro.datasets import load_adult, load_tpch
+# The paper-figure shape checks are plain asserts in src/: rewrite them so
+# that a failure shows the compared values.
+pytest.register_assert_rewrite("repro.experiments.figures")
+
+from repro import Analyst  # noqa: E402
+from repro.datasets import load_adult, load_tpch  # noqa: E402
 
 
 @pytest.fixture(scope="session")

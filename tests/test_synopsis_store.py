@@ -30,13 +30,6 @@ class TestSynopsis:
         with pytest.raises(ValueError):
             make(variance=-1.0)
 
-    def test_with_values(self):
-        synopsis = make()
-        updated = synopsis.with_values(np.ones(3), variance=9.0)
-        assert (updated.values == 1.0).all()
-        assert updated.variance == 9.0
-        assert updated.epsilon == synopsis.epsilon
-
 
 class TestSynopsisStore:
     def test_global_round_trip(self):

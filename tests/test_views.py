@@ -99,7 +99,6 @@ class TestLinearQuery:
     def test_weight_norm_sq(self):
         query = LinearQuery("v", np.array([1.0, 0.0, 2.0]))
         assert query.weight_norm_sq == pytest.approx(5.0)
-        assert query.support_size == 2
 
     def test_variance_round_trip(self):
         query = LinearQuery("v", np.ones(4))
